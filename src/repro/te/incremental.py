@@ -6,10 +6,10 @@ vector) is stable for 83% of links, so most rounds hand the solver an
 LP it has already seen.  This module exploits that in three layers:
 
 1. **Structure reuse** — the assembled :class:`~repro.te.lp.
-   MultiCommodityLp` (conservation/capacity blocks, their CSR forms,
-   the variable layout) is cached keyed on the *structure* of the
-   instance: node set, link ids/endpoints in insertion order, and the
-   demand list.  A round that only changed link capacities rebinds the
+   MultiCommodityLp` (conservation/capacity blocks, the HiGHS models
+   built from them, the variable layout) is cached keyed on the
+   *structure* of the instance: node set, link ids/endpoints in
+   insertion order, and the demand list.  A round that only changed link capacities rebinds the
    cached instance (an O(n_links) RHS update) instead of reassembling
    O(n_demands x n_links) constraint blocks.
 2. **Exact solution memoization** — when the full numeric state

@@ -22,21 +22,176 @@ Three objectives are exposed:
 
 Matrices are assembled sparse (COO) — an augmented 21-node backbone with
 ~420 commodities stays comfortably within HiGHS territory.
+
+Every solve goes through one seam, :func:`solve_highs`, which hands a
+:class:`HighsModel` straight to HiGHS (scipy's bundled binding) instead
+of through ``scipy.optimize.linprog``.  A model holds the stacked
+constraint matrix, column bounds and equality right-hand side, built
+once per LP structure exactly as ``linprog(method="highs")`` would build
+them; a solve supplies only the objective and the inequality
+right-hand side, and gets back the same vector ``linprog`` returns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Hashable, Sequence
 
 import numpy as np
+import scipy
 from scipy import sparse
-from scipy.optimize import linprog
+
+# Not called here: ``linprog`` is the reference the seam is tested
+# against, and the name stays bound because external profilers wrap
+# ``repro.te.lp:linprog`` by name (perfbench's per-layer tracer does).
+from scipy.optimize import linprog  # noqa: F401
+
+try:
+    from scipy.optimize._highspy import _core as _highs
+except ImportError as exc:  # scipy < 1.15 kept HiGHS elsewhere
+    raise ImportError(
+        "repro.te.lp needs scipy.optimize._highspy._core (scipy >= 1.15); "
+        f"installed scipy is {scipy.__version__}"
+    ) from exc
 
 from repro import perf
 from repro.net.demands import Demand
 from repro.net.topology import Topology
 from repro.te.solution import EPSILON, FlowAssignment, TeSolution
+
+
+#: the options ``linprog(method="highs")`` sets away from HiGHS's
+#: defaults (dual simplex is also the default; set for clarity).  One
+#: shared object: ``passOptions`` copies it into each solver instance.
+_HIGHS_OPTIONS = _highs.HighsOptions()
+_HIGHS_OPTIONS.presolve = "on"
+_HIGHS_OPTIONS.simplex_strategy = int(
+    _highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+)
+_HIGHS_OPTIONS.output_flag = False
+_HIGHS_OPTIONS.log_to_console = False
+
+#: linprog's post-solve feasibility tolerance (``_check_result`` turns
+#: its default ``tol=1e-9`` into ``sqrt(tol) * 10``)
+FEASIBILITY_TOL = float(np.sqrt(1e-9) * 10)
+
+
+class HighsModel:
+    """The fixed part of ``min c @ x`` s.t. ``A_ub @ x <= b_ub``,
+    ``A_eq @ x == b_eq``, ``0 <= x <= col_upper``.
+
+    Everything except the objective and ``b_ub``, in HiGHS's column-wise
+    form: ``[A_ub; A_eq]`` stacked into one CSC matrix by the same
+    conversions ``linprog(method="highs")`` applies, so HiGHS receives a
+    byte-identical model.  Build one per LP structure and reuse it;
+    ``col_upper`` uses ``inf`` for "no upper bound".
+    """
+
+    __slots__ = ("n_ub", "matrix", "b_eq", "row_lower", "col_lower", "col_upper")
+
+    def __init__(self, a_ub, a_eq, b_eq: np.ndarray, col_upper: np.ndarray):
+        a_ub = sparse.coo_array(a_ub, dtype=float)
+        n_cols = a_ub.shape[1]
+        a_eq = sparse.coo_array((0, n_cols) if a_eq is None else a_eq, dtype=float)
+        self.n_ub = a_ub.shape[0]
+        self.matrix = sparse.csc_array(sparse.vstack((a_ub, a_eq)))
+        self.b_eq = np.asarray(b_eq, dtype=float)
+        self.row_lower = np.concatenate([np.full(self.n_ub, -np.inf), self.b_eq])
+        self.col_lower = np.zeros(n_cols)
+        self.col_upper = np.asarray(col_upper, dtype=float)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.matrix.shape
+
+
+def solution_violation(
+    x: np.ndarray,
+    objective: float,
+    row_value: np.ndarray,
+    row_upper: np.ndarray,
+    model: HighsModel,
+) -> str | None:
+    """Why a reportedly optimal vector is unusable, or ``None`` if it is fine.
+
+    The checks ``linprog`` runs after HiGHS (``_check_result``): no NaN
+    in ``x``, the objective or the row values; column bounds, inequality
+    slacks and equality residuals all within :data:`FEASIBILITY_TOL`.
+    """
+    tol = FEASIBILITY_TOL
+    slack = row_upper[: model.n_ub] - row_value[: model.n_ub]
+    residual = row_upper[model.n_ub :] - row_value[model.n_ub :]
+    if np.isnan(x).any() or np.isnan(objective) or np.isnan(row_value).any():
+        return "NaN in the solution"
+    outside = (x < model.col_lower - tol) | (x > model.col_upper + tol)
+    checks = (
+        ("column(s) outside their bounds", outside),
+        ("inequality row(s) violated", slack < -tol),
+        ("equality row(s) violated", np.abs(residual) > tol),
+    )
+    for what, bad in checks:
+        if bad.any():
+            return f"{int(bad.sum())} {what}"
+    return None
+
+
+def solve_highs(model: HighsModel, c: np.ndarray, b_ub: np.ndarray) -> np.ndarray:
+    """Solve ``model`` with objective ``c`` and inequality RHS ``b_ub``.
+
+    Returns the primal vector ``linprog(method="highs")`` would return
+    for the same LP.  Each call uses a fresh HiGHS instance: a warm
+    start could land on a different optimal vertex of these degenerate
+    LPs.  Raises ``RuntimeError`` unless HiGHS reports an optimum that
+    passes :func:`solution_violation`.
+    """
+    n_rows, n_cols = model.shape
+    row_upper = np.concatenate([b_ub, model.b_eq])
+    lp = _highs.HighsLp()
+    lp.num_col_ = n_cols
+    lp.num_row_ = n_rows
+    lp.col_cost_ = c
+    lp.col_lower_ = model.col_lower
+    lp.col_upper_ = model.col_upper
+    lp.row_lower_ = model.row_lower
+    lp.row_upper_ = row_upper
+    matrix = lp.a_matrix_
+    matrix.format_ = _highs.MatrixFormat.kColwise
+    matrix.num_col_ = n_cols
+    matrix.num_row_ = n_rows
+    matrix.start_ = model.matrix.indptr
+    matrix.index_ = model.matrix.indices
+    matrix.value_ = model.matrix.data
+    highs = _highs._Highs()
+    highs.passOptions(_HIGHS_OPTIONS)
+    if highs.passModel(lp) == _highs.HighsStatus.kError:
+        status = _highs.HighsModelStatus.kModelError
+    else:
+        highs.run()
+        status = highs.getModelStatus()
+    objective = highs.getInfo().objective_function_value
+    problem = None
+    if status == _highs.HighsModelStatus.kOptimal:
+        solution = highs.getSolution()
+        x = np.array(solution.col_value)
+        problem = solution_violation(
+            x, objective, np.array(solution.row_value), row_upper, model
+        )
+        if problem is None:
+            return x
+    reason = f"model status {highs.modelStatusToString(status)}"
+    if problem is not None:
+        reason += f" but {problem}"
+    raise RuntimeError(
+        f"LP failed: {reason} ({n_rows} rows x {n_cols} columns, "
+        f"objective {objective:.6g})"
+    )
+
+
+def _widened(block: sparse.coo_matrix, n: int) -> sparse.coo_matrix:
+    """``block`` with its column count widened to ``n``."""
+    return sparse.coo_matrix(
+        (block.data, (block.row, block.col)), shape=(block.shape[0], n)
+    )
 
 
 @dataclass(frozen=True)
@@ -72,6 +227,9 @@ class MultiCommodityLp:
         self._node_index = {n: i for i, n in enumerate(self.nodes)}
         self.n_links = len(self.links)
         self.n_demands = len(self.demands)
+        self._volumes = np.fromiter(
+            (d.volume_gbps for d in self.demands), dtype=float, count=self.n_demands
+        )
         # x variables: commodity-major layout; t variables appended
         self.n_flow_vars = self.n_demands * self.n_links
         # per-link index arrays: all constraint blocks are assembled from
@@ -92,10 +250,9 @@ class MultiCommodityLp:
         self._conservation_cache: tuple[sparse.coo_matrix, np.ndarray] | None = None
         self._capacity_cache: tuple[sparse.coo_matrix, np.ndarray] | None = None
         self._penalty_cache: np.ndarray | None = None
-        # the CSR conversions linprog needs are deterministic and as
-        # reusable as the COO blocks themselves; cache them alongside
-        self._conservation_csr: sparse.csr_matrix | None = None
-        self._capacity_csr: sparse.csr_matrix | None = None
+        # solver-ready models per program; none depends on capacities
+        # (they enter each solve as b_ub), so rebind keeps them all
+        self._models: dict[Hashable, HighsModel] = {}
 
     def rebind(self, topology: Topology) -> None:
         """Re-point this assembled LP at a structurally identical topology.
@@ -106,7 +263,7 @@ class MultiCommodityLp:
         only per-link capacities and penalties may differ.  The capacity
         RHS is rewritten in place (O(n_links)) and the penalty vector is
         dropped for lazy rebuild; every assembled constraint block and
-        its CSR form is reused as-is, so a rebound instance solves with
+        solver model is reused as-is, so a rebound instance solves with
         matrices value-identical to fresh assembly.
         """
         self.topology = topology
@@ -194,26 +351,20 @@ class MultiCommodityLp:
                 self._capacity_cache = (a_ub, b_ub)
         return self._capacity_cache
 
-    def _conservation_matrix(self) -> sparse.csr_matrix:
-        """The conservation block in the CSR form linprog consumes."""
-        if self._conservation_csr is None:
-            self._conservation_csr = self._conservation()[0].tocsr()
-        return self._conservation_csr
+    def _col_upper(self, *, cap_throughput: bool = True) -> np.ndarray:
+        """Column upper bounds: flows unbounded, ``t_k <= volume_k``."""
+        upper = np.full(self.n_vars, np.inf)
+        if cap_throughput:
+            upper[self.n_flow_vars :] = self._volumes
+        return upper
 
-    def _capacity_matrix(self) -> sparse.csr_matrix:
-        """The capacity block in the CSR form linprog consumes."""
-        if self._capacity_csr is None:
-            self._capacity_csr = self._capacity()[0].tocsr()
-        return self._capacity_csr
-
-    def _bounds(self, *, cap_throughput: bool = True) -> list[tuple[float, float | None]]:
-        bounds: list[tuple[float, float | None]] = [
-            (0.0, None) for _ in range(self.n_flow_vars)
-        ]
-        for demand in self.demands:
-            upper = demand.volume_gbps if cap_throughput else None
-            bounds.append((0.0, upper))
-        return bounds
+    def _cached_model(
+        self, key: Hashable, build: Callable[[], HighsModel]
+    ) -> HighsModel:
+        model = self._models.get(key)
+        if model is None:
+            model = self._models[key] = build()
+        return model
 
     def _penalty_vector(self) -> np.ndarray:
         """Per-variable penalty costs (a fresh copy — callers mutate it)."""
@@ -228,22 +379,11 @@ class MultiCommodityLp:
 
     # -- solves -------------------------------------------------------------
 
-    def _run(self, c, a_ub, b_ub, a_eq, b_eq, bounds):
+    def _solve(self, model: HighsModel, c: np.ndarray, b_ub: np.ndarray) -> np.ndarray:
         with perf.timer(
             "lp.solve", n_vars=len(c), n_demands=self.n_demands
         ):
-            result = linprog(
-                c,
-                A_ub=a_ub.tocsr(),
-                b_ub=b_ub,
-                A_eq=a_eq.tocsr(),
-                b_eq=b_eq,
-                bounds=bounds,
-                method="highs",
-            )
-        if not result.success:
-            raise RuntimeError(f"LP failed: {result.message}")
-        return result
+            return solve_highs(model, c, b_ub)
 
     def _extract(self, x: np.ndarray) -> TeSolution:
         """Read a solver vector back into a TeSolution.
@@ -283,26 +423,36 @@ class MultiCommodityLp:
         approximation of the two-phase program.  Keep it well below
         1/max_path_length or it will start sacrificing throughput.
         """
-        b_eq = self._conservation()[1]
-        b_ub = self._capacity()[1]
+        model = self._cached_model(
+            "max_throughput",
+            lambda: HighsModel(
+                self._capacity()[0], *self._conservation(), self._col_upper()
+            ),
+        )
         c = penalty_weight * self._penalty_vector()
         # tiny per-unit-flow cost keeps solutions off pointless cycles
         c[: self.n_flow_vars] += 1e-9
-        c[self.n_flow_vars :] = -1.0  # linprog minimises; t vars fill the tail
-        result = self._run(
-            c,
-            self._capacity_matrix(),
-            b_ub,
-            self._conservation_matrix(),
-            b_eq,
-            self._bounds(),
-        )
-        solution = self._extract(result.x)
+        c[self.n_flow_vars :] = -1.0  # HiGHS minimises; t vars fill the tail
+        x = self._solve(model, c, self._capacity()[1])
+        solution = self._extract(x)
         return LpOutcome(
             solution=solution,
             objective_value=solution.total_allocated_gbps,
             status="optimal",
-            x=result.x,
+            x=x,
+        )
+
+    def _phase2_model(self) -> HighsModel:
+        """The max-throughput model plus one row: ``-sum_k t_k <= -T*``."""
+        k = np.arange(self.n_demands, dtype=np.int64)
+        floor = sparse.coo_matrix(
+            (-np.ones(self.n_demands), (np.zeros_like(k), self.n_flow_vars + k)),
+            shape=(1, self.n_vars),
+        )
+        return HighsModel(
+            sparse.vstack([self._capacity()[0], floor]),
+            *self._conservation(),
+            self._col_upper(),
         )
 
     def min_penalty_at_max_throughput(self) -> LpOutcome:
@@ -314,35 +464,19 @@ class MultiCommodityLp:
         """
         phase1 = self.max_throughput()
         t_star = phase1.objective_value
-
-        b_eq = self._conservation()[1]
-        b_ub = self._capacity()[1]
-        # extra row: -sum_k t_k <= -(T* - eps)
-        extra = sparse.coo_matrix(
-            (
-                -np.ones(self.n_demands),
-                (
-                    np.zeros(self.n_demands, dtype=np.int64),
-                    self.n_flow_vars + np.arange(self.n_demands, dtype=np.int64),
-                ),
-            ),
-            shape=(1, self.n_vars),
-        )
+        model = self._cached_model("phase2", self._phase2_model)
         slack = max(1e-7 * max(t_star, 1.0), 1e-9)
-        a_ub_full = sparse.vstack([self._capacity_matrix(), extra])
-        b_ub_full = np.concatenate([b_ub, [-(t_star - slack)]])
+        b_ub = np.concatenate([self._capacity()[1], [-(t_star - slack)]])
         c = self._penalty_vector()
         # tiny tie-break keeps flow off zero-penalty cycles
         c[: self.n_flow_vars] += 1e-9
-        result = self._run(
-            c, a_ub_full, b_ub_full, self._conservation_matrix(), b_eq, self._bounds()
-        )
-        solution = self._extract(result.x)
+        x = self._solve(model, c, b_ub)
+        solution = self._extract(x)
         return LpOutcome(
             solution=solution,
             objective_value=solution.penalty_cost,
             status="optimal",
-            x=result.x,
+            x=x,
         )
 
     def min_max_utilization(self) -> LpOutcome:
@@ -354,28 +488,22 @@ class MultiCommodityLp:
         as possible.  ``objective_value`` is the achieved MLU; values
         above 1.0 mean the demand does not fit and links would be
         oversubscribed proportionally.
+
+        The capacities sit in the matrix here (the ``mu`` column), so
+        this model is assembled per solve rather than cached.
         """
         n = self.n_vars + 1  # mu (the MLU) is the last variable
         mu = self.n_vars
 
-        a_eq_base, _ = self._conservation()
-        a_eq_base = sparse.coo_matrix(
-            (a_eq_base.data, (a_eq_base.row, a_eq_base.col)),
-            shape=(a_eq_base.shape[0], n),
-        )
         # pin every commodity at full demand: t_k = d_k
         k = np.arange(self.n_demands, dtype=np.int64)
         pin = sparse.coo_matrix(
             (np.ones(self.n_demands), (k, self.n_flow_vars + k)),
             shape=(self.n_demands, n),
         )
+        a_eq_base = _widened(self._conservation()[0], n)
         a_eq = sparse.vstack([a_eq_base, pin])
-        b_eq = np.concatenate(
-            [
-                np.zeros(a_eq_base.shape[0]),
-                [d.volume_gbps for d in self.demands],
-            ]
-        )
+        b_eq = np.concatenate([np.zeros(a_eq_base.shape[0]), self._volumes])
 
         # capacity rows become: sum_k x_ke - cap_e * mu <= 0
         cap, cap_b = self._capacity()
@@ -383,24 +511,48 @@ class MultiCommodityLp:
             (-cap_b, (list(range(self.n_links)), [mu] * self.n_links)),
             shape=(self.n_links, n),
         )
-        cap = sparse.coo_matrix(
-            (cap.data, (cap.row, cap.col)), shape=(self.n_links, n)
-        )
-        a_ub = (cap + mu_col).tocoo()
-        b_ub = np.zeros(self.n_links)
+        a_ub = (_widened(cap, n) + mu_col).tocoo()
 
-        bounds = self._bounds(cap_throughput=False)
-        bounds.append((0.0, None))  # mu free upward: report oversubscription
+        # mu free upward: report oversubscription
+        col_upper = np.append(self._col_upper(cap_throughput=False), np.inf)
         c = np.zeros(n)
         c[: self.n_flow_vars] += 1e-9  # cycle suppression
         c[mu] = 1.0
-        result = self._run(c, a_ub, b_ub, a_eq, b_eq, bounds)
-        solution = self._extract(result.x[: self.n_vars])
+        model = HighsModel(a_ub, a_eq, b_eq, col_upper)
+        x = self._solve(model, c, np.zeros(self.n_links))
+        solution = self._extract(x[: self.n_vars])
         return LpOutcome(
             solution=solution,
-            objective_value=float(result.x[mu]),
+            objective_value=float(x[mu]),
             status="optimal",
-            x=result.x,
+            x=x,
+        )
+
+    def _concurrent_model(self, cap_at_one: bool) -> HighsModel:
+        """Conservation plus ``t_k - d_k * lambda = 0`` rows, capacity rows."""
+        n = self.n_vars + 1  # lambda is the last variable
+        k = np.arange(self.n_demands, dtype=np.int64)
+        tie = sparse.coo_matrix(
+            (
+                np.concatenate([np.ones(self.n_demands), -self._volumes]),
+                (
+                    np.concatenate([k, k]),
+                    np.concatenate(
+                        [self.n_flow_vars + k, np.full(self.n_demands, self.n_vars)]
+                    ),
+                ),
+            ),
+            shape=(self.n_demands, n),
+        )
+        a_eq = sparse.vstack([_widened(self._conservation()[0], n), tie])
+        col_upper = np.append(
+            self._col_upper(cap_throughput=False), 1.0 if cap_at_one else np.inf
+        )
+        return HighsModel(
+            _widened(self._capacity()[0], n),
+            a_eq,
+            np.zeros(a_eq.shape[0]),
+            col_upper,
         )
 
     def max_concurrent_flow(self, *, cap_at_one: bool = True) -> LpOutcome:
@@ -412,50 +564,20 @@ class MultiCommodityLp:
         """
         # replace the per-commodity t_k with t_k = lambda * d_k by adding
         # equality rows t_k - d_k * lambda = 0 and one extra variable.
-        n = self.n_vars + 1  # lambda is the last variable
+        model = self._cached_model(
+            ("max_concurrent_flow", cap_at_one),
+            lambda: self._concurrent_model(cap_at_one),
+        )
         lam = self.n_vars
-
-        a_eq_base, _ = self._conservation()
-        a_eq_base = sparse.coo_matrix(
-            (a_eq_base.data, (a_eq_base.row, a_eq_base.col)),
-            shape=(a_eq_base.shape[0], n),
-        )
-        k = np.arange(self.n_demands, dtype=np.int64)
-        volumes = np.fromiter(
-            (d.volume_gbps for d in self.demands), dtype=float, count=self.n_demands
-        )
-        tie = sparse.coo_matrix(
-            (
-                np.concatenate([np.ones(self.n_demands), -volumes]),
-                (
-                    np.concatenate([k, k]),
-                    np.concatenate(
-                        [self.n_flow_vars + k, np.full(self.n_demands, lam)]
-                    ),
-                ),
-            ),
-            shape=(self.n_demands, n),
-        )
-        a_eq = sparse.vstack([a_eq_base, tie])
-        b_eq = np.zeros(a_eq.shape[0])
-
-        a_ub, b_ub = self._capacity()
-        a_ub = sparse.coo_matrix(
-            (a_ub.data, (a_ub.row, a_ub.col)), shape=(self.n_links, n)
-        )
-
-        bounds = self._bounds(cap_throughput=False)
-        bounds.append((0.0, 1.0 if cap_at_one else None))
-
-        c = np.zeros(n)
+        c = np.zeros(self.n_vars + 1)
         c[: self.n_flow_vars] += 1e-9  # cycle suppression, as above
         c[lam] = -1.0
-        result = self._run(c, a_ub, b_ub, a_eq, b_eq, bounds)
-        solution = self._extract(result.x[: self.n_vars])
+        x = self._solve(model, c, self._capacity()[1])
+        solution = self._extract(x[: self.n_vars])
         return LpOutcome(
             solution=solution,
-            objective_value=float(result.x[lam]),
+            objective_value=float(x[lam]),
             status="optimal",
-            concurrency=float(result.x[lam]),
-            x=result.x,
+            concurrency=float(x[lam]),
+            x=x,
         )

@@ -19,11 +19,11 @@ from typing import Sequence
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import linprog
 
 from repro.net.demands import Demand
 from repro.net.paths import LinkPath, k_shortest_paths
 from repro.net.topology import Topology
+from repro.te.lp import HighsModel, solve_highs
 from repro.te.solution import EPSILON, FlowAssignment, TeSolution
 
 
@@ -126,29 +126,29 @@ class PathBasedLp:
             tunnels=tuple(tuple(p) for p in self.paths),
         )
 
+    def _solve(
+        self, c: np.ndarray, *extra: tuple[sparse.coo_matrix, np.ndarray]
+    ) -> np.ndarray:
+        """``min c @ x`` over the capacity and demand rows plus ``extra``."""
+        blocks = [self._capacity_rows(), self._demand_rows(), *extra]
+        model = HighsModel(
+            sparse.vstack([a for a, _ in blocks]),
+            None,
+            np.zeros(0),
+            np.full(self.n_vars, np.inf),
+        )
+        return solve_highs(model, c, np.concatenate([b for _, b in blocks]))
+
     def max_throughput(self, *, penalty_weight: float = 0.0) -> PathLpOutcome:
         """Maximise total allocated volume over the tunnel sets."""
         if self.n_vars == 0:
             return self._extract(np.zeros(0))
-        cap_a, cap_b = self._capacity_rows()
-        dem_a, dem_b = self._demand_rows()
-        a_ub = sparse.vstack([cap_a, dem_a]).tocsr()
-        b_ub = np.concatenate([cap_b, dem_b])
         c = np.full(self.n_vars, -1.0)
         if penalty_weight:
             for k, paths in enumerate(self.paths):
                 for p, path in enumerate(paths):
                     c[self._var(k, p)] += penalty_weight * path.penalty
-        result = linprog(
-            c,
-            A_ub=a_ub,
-            b_ub=b_ub,
-            bounds=[(0.0, None)] * self.n_vars,
-            method="highs",
-        )
-        if not result.success:
-            raise RuntimeError(f"path LP failed: {result.message}")
-        return self._extract(result.x)
+        return self._extract(self._solve(c))
 
     def min_penalty_at_max_throughput(self) -> PathLpOutcome:
         """Two-phase: maximum throughput first, then least total penalty."""
@@ -156,8 +156,6 @@ class PathBasedLp:
         t_star = phase1.objective_value
         if self.n_vars == 0:
             return phase1
-        cap_a, cap_b = self._capacity_rows()
-        dem_a, dem_b = self._demand_rows()
         floor = sparse.coo_matrix(
             (
                 [-1.0] * self.n_vars,
@@ -166,19 +164,8 @@ class PathBasedLp:
             shape=(1, self.n_vars),
         )
         slack = max(1e-7 * max(t_star, 1.0), 1e-9)
-        a_ub = sparse.vstack([cap_a, dem_a, floor]).tocsr()
-        b_ub = np.concatenate([cap_b, dem_b, [-(t_star - slack)]])
         c = np.zeros(self.n_vars)
         for k, paths in enumerate(self.paths):
             for p, path in enumerate(paths):
                 c[self._var(k, p)] = path.penalty + 1e-9 * len(path)
-        result = linprog(
-            c,
-            A_ub=a_ub,
-            b_ub=b_ub,
-            bounds=[(0.0, None)] * self.n_vars,
-            method="highs",
-        )
-        if not result.success:
-            raise RuntimeError(f"path LP phase 2 failed: {result.message}")
-        return self._extract(result.x)
+        return self._extract(self._solve(c, (floor, np.array([-(t_star - slack)]))))
