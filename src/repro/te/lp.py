@@ -20,26 +20,28 @@ Three objectives are exposed:
 * **max concurrent flow** — maximise ``lambda`` with every commodity
   served ``lambda * volume`` (the classic fairness LP).
 
-Matrices are assembled sparse (COO) — an augmented 21-node backbone with
-~420 commodities stays comfortably within HiGHS territory.
+Constraint blocks are plain COO triplets (:class:`Block`) built with
+numpy index arithmetic — an augmented 21-node backbone with ~420
+commodities stays comfortably within HiGHS territory.
 
 Every solve goes through one seam, :func:`solve_highs`, which hands a
 :class:`HighsModel` straight to HiGHS (scipy's bundled binding) instead
-of through ``scipy.optimize.linprog``.  A model holds the stacked
-constraint matrix, column bounds and equality right-hand side, built
-once per LP structure exactly as ``linprog(method="highs")`` would build
-them; a solve supplies only the objective and the inequality
-right-hand side, and gets back the same vector ``linprog`` returns.
+of through ``scipy.optimize.linprog``.  A model holds the column-wise
+constraint arrays, column bounds and equality right-hand side, built
+once per LP structure and identical to the canonical CSC matrix
+``linprog(method="highs")`` would build; a solve supplies only the
+objective and the inequality right-hand side, and gets back the same
+vector ``linprog`` returns.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
-from typing import Callable, Hashable, Sequence
+from typing import Callable, Hashable, NamedTuple, Sequence
 
 import numpy as np
 import scipy
-from scipy import sparse
 
 # Not called here: ``linprog`` is the reference the seam is tested
 # against, and the name stays bound because external profilers wrap
@@ -76,33 +78,73 @@ _HIGHS_OPTIONS.log_to_console = False
 FEASIBILITY_TOL = float(np.sqrt(1e-9) * 10)
 
 
+class Block(NamedTuple):
+    """A sparse constraint block as COO triplets: ``data[i]`` at
+    ``(row[i], col[i])``.  Anything with these four attributes — a scipy
+    COO matrix included — can stand in for one."""
+
+    row: np.ndarray
+    col: np.ndarray
+    data: np.ndarray
+    shape: tuple[int, int]
+
+
+def vstack(*blocks) -> Block:
+    """``blocks`` (sharing a column count) stacked top to bottom."""
+    offsets = np.cumsum([0] + [b.shape[0] for b in blocks])
+    return Block(
+        np.concatenate([np.asarray(b.row) + o for b, o in zip(blocks, offsets)]),
+        np.concatenate([b.col for b in blocks]),
+        np.concatenate([b.data for b in blocks]).astype(float, copy=False),
+        (int(offsets[-1]), blocks[0].shape[1]),
+    )
+
+
+def _widened(block, n: int) -> Block:
+    """``block`` with its column count widened to ``n``."""
+    return Block(block.row, block.col, block.data, (block.shape[0], n))
+
+
 class HighsModel:
     """The fixed part of ``min c @ x`` s.t. ``A_ub @ x <= b_ub``,
     ``A_eq @ x == b_eq``, ``0 <= x <= col_upper``.
 
-    Everything except the objective and ``b_ub``, in HiGHS's column-wise
-    form: ``[A_ub; A_eq]`` stacked into one CSC matrix by the same
-    conversions ``linprog(method="highs")`` applies, so HiGHS receives a
-    byte-identical model.  Build one per LP structure and reuse it;
-    ``col_upper`` uses ``inf`` for "no upper bound".
+    Everything except the objective and ``b_ub``, as the arrays HiGHS's
+    column-wise ``passModel`` takes: ``[A_ub; A_eq]`` in ``start`` /
+    ``index`` / ``value`` form, entries sorted by column then row — the
+    canonical CSC matrix ``linprog(method="highs")`` builds, so HiGHS
+    receives an identical model.  The blocks are anything exposing
+    ``row``/``col``/``data``/``shape`` (``a_eq`` may be ``None``); a
+    repeated ``(row, col)`` raises ``ValueError`` rather than being
+    summed.  Build one per LP structure and reuse it; ``col_upper``
+    uses ``inf`` for "no upper bound".
     """
 
-    __slots__ = ("n_ub", "matrix", "b_eq", "row_lower", "col_lower", "col_upper")
+    __slots__ = (
+        "shape", "n_ub", "b_eq", "row_lower", "col_lower", "col_upper",
+        "start", "index", "value", "integrality",
+    )
 
     def __init__(self, a_ub, a_eq, b_eq: np.ndarray, col_upper: np.ndarray):
-        a_ub = sparse.coo_array(a_ub, dtype=float)
-        n_cols = a_ub.shape[1]
-        a_eq = sparse.coo_array((0, n_cols) if a_eq is None else a_eq, dtype=float)
+        stacked = vstack(a_ub) if a_eq is None else vstack(a_ub, a_eq)
+        n_cols = stacked.shape[1]
+        self.shape = stacked.shape
+        order = np.lexsort((stacked.row, stacked.col))
+        rows, cols = stacked.row[order], stacked.col[order]
+        repeated = (rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1])
+        if repeated.any():
+            i = int(np.argmax(repeated))
+            raise ValueError(f"duplicate entry at ({rows[i]}, {cols[i]})")
+        self.start = np.zeros(n_cols + 1, dtype=np.int32)
+        np.cumsum(np.bincount(cols, minlength=n_cols), out=self.start[1:])
+        self.index = rows.astype(np.int32)
+        self.value = stacked.data[order]
+        self.integrality = np.zeros(n_cols, dtype=np.int32)
         self.n_ub = a_ub.shape[0]
-        self.matrix = sparse.csc_array(sparse.vstack((a_ub, a_eq)))
         self.b_eq = np.asarray(b_eq, dtype=float)
         self.row_lower = np.concatenate([np.full(self.n_ub, -np.inf), self.b_eq])
         self.col_lower = np.zeros(n_cols)
         self.col_upper = np.asarray(col_upper, dtype=float)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.matrix.shape
 
 
 def solution_violation(
@@ -135,35 +177,61 @@ def solution_violation(
     return None
 
 
+#: one HiGHS instance per thread, reused by every solve on that thread
+_local = threading.local()
+
+
+def _solver():
+    """This thread's HiGHS instance, created with the options once."""
+    highs = getattr(_local, "highs", None)
+    if highs is None:
+        highs = _local.highs = _highs._Highs()
+        highs.passOptions(_HIGHS_OPTIONS)
+    return highs
+
+
 def solve_highs(model: HighsModel, c: np.ndarray, b_ub: np.ndarray) -> np.ndarray:
     """Solve ``model`` with objective ``c`` and inequality RHS ``b_ub``.
 
     Returns the primal vector ``linprog(method="highs")`` would return
-    for the same LP.  Each call uses a fresh HiGHS instance: a warm
-    start could land on a different optimal vertex of these degenerate
-    LPs.  Raises ``RuntimeError`` unless HiGHS reports an optimum that
-    passes :func:`solution_violation`.
+    for the same LP.  Raises ``RuntimeError`` unless HiGHS reports an
+    optimum that passes :func:`solution_violation`.
+
+    Each thread reuses one HiGHS instance, and the model goes in as
+    plain arrays through the column-wise ``passModel`` overload.  On
+    the ~0.5 ms Figure-7 plant LP (2-vCPU shared VM) a fresh instance
+    with its options cost ~55 µs and filling a ``HighsLp`` attribute
+    by attribute more again; ``clearModel`` plus ``passModel`` on the
+    kept instance costs ~15 µs.  Reuse is safe because no state carries
+    over: ``clearModel`` drops the previous model and ``passModel``
+    installs the new one, invalidating any basis and solution, so every
+    solve starts cold exactly like a fresh instance.  A warm start
+    (``changeRowBounds`` on a kept model) would not be safe: these LPs
+    are degenerate, and a warm start can land on a different optimal
+    vertex.
     """
     n_rows, n_cols = model.shape
     row_upper = np.concatenate([b_ub, model.b_eq])
-    lp = _highs.HighsLp()
-    lp.num_col_ = n_cols
-    lp.num_row_ = n_rows
-    lp.col_cost_ = c
-    lp.col_lower_ = model.col_lower
-    lp.col_upper_ = model.col_upper
-    lp.row_lower_ = model.row_lower
-    lp.row_upper_ = row_upper
-    matrix = lp.a_matrix_
-    matrix.format_ = _highs.MatrixFormat.kColwise
-    matrix.num_col_ = n_cols
-    matrix.num_row_ = n_rows
-    matrix.start_ = model.matrix.indptr
-    matrix.index_ = model.matrix.indices
-    matrix.value_ = model.matrix.data
-    highs = _highs._Highs()
-    highs.passOptions(_HIGHS_OPTIONS)
-    if highs.passModel(lp) == _highs.HighsStatus.kError:
+    highs = _solver()
+    highs.clearModel()
+    passed = highs.passModel(
+        n_cols,
+        n_rows,
+        len(model.value),
+        _highs.MatrixFormat.kColwise,
+        _highs.ObjSense.kMinimize,
+        0.0,
+        c,
+        model.col_lower,
+        model.col_upper,
+        model.row_lower,
+        row_upper,
+        model.start,
+        model.index,
+        model.value,
+        model.integrality,
+    )
+    if passed == _highs.HighsStatus.kError:
         status = _highs.HighsModelStatus.kModelError
     else:
         highs.run()
@@ -184,13 +252,6 @@ def solve_highs(model: HighsModel, c: np.ndarray, b_ub: np.ndarray) -> np.ndarra
     raise RuntimeError(
         f"LP failed: {reason} ({n_rows} rows x {n_cols} columns, "
         f"objective {objective:.6g})"
-    )
-
-
-def _widened(block: sparse.coo_matrix, n: int) -> sparse.coo_matrix:
-    """``block`` with its column count widened to ``n``."""
-    return sparse.coo_matrix(
-        (block.data, (block.row, block.col)), shape=(block.shape[0], n)
     )
 
 
@@ -247,8 +308,8 @@ class MultiCommodityLp:
         self._link_ids = [l.link_id for l in self.links]
         # constraint blocks are identical across the solve methods (and
         # across both phases of the Theorem-1 program), so build each once
-        self._conservation_cache: tuple[sparse.coo_matrix, np.ndarray] | None = None
-        self._capacity_cache: tuple[sparse.coo_matrix, np.ndarray] | None = None
+        self._conservation_cache: tuple[Block, np.ndarray] | None = None
+        self._capacity_cache: tuple[Block, np.ndarray] | None = None
         self._penalty_cache: np.ndarray | None = None
         # solver-ready models per program; none depends on capacities
         # (they enter each solve as b_ub), so rebind keeps them all
@@ -287,10 +348,10 @@ class MultiCommodityLp:
 
     # -- constraint blocks --------------------------------------------------
 
-    def _conservation(self) -> tuple[sparse.coo_matrix, np.ndarray]:
+    def _conservation(self) -> tuple[Block, np.ndarray]:
         """A_eq x = 0 rows: one per (commodity, node).
 
-        Assembled once per instance as four COO blocks built with index
+        Assembled once per instance as four runs of triplets built with index
         arithmetic (+1 at each link's source row, -1 at its destination
         row, -/+1 tying t_k to its commodity's source/sink); every solve
         method reuses the cached matrix.
@@ -328,13 +389,11 @@ class MultiCommodityLp:
                         np.ones(n_k),
                     ]
                 )
-                a_eq = sparse.coo_matrix(
-                    (vals, (rows, cols)), shape=(n_k * n_n, self.n_vars)
-                )
+                a_eq = Block(rows, cols, vals, (n_k * n_n, self.n_vars))
                 self._conservation_cache = (a_eq, np.zeros(n_k * n_n))
         return self._conservation_cache
 
-    def _capacity(self) -> tuple[sparse.coo_matrix, np.ndarray]:
+    def _capacity(self) -> tuple[Block, np.ndarray]:
         """A_ub x <= cap rows: one per link, summed over commodities."""
         if self._capacity_cache is None:
             with perf.timer("lp.assemble.capacity"):
@@ -343,10 +402,7 @@ class MultiCommodityLp:
                 e = np.arange(n_e, dtype=np.int64)
                 rows = np.tile(e, n_k)
                 cols = (k[:, None] * n_e + e[None, :]).ravel()
-                a_ub = sparse.coo_matrix(
-                    (np.ones(n_k * n_e), (rows, cols)),
-                    shape=(n_e, self.n_vars),
-                )
+                a_ub = Block(rows, cols, np.ones(n_k * n_e), (n_e, self.n_vars))
                 b_ub = np.array([l.capacity_gbps for l in self.links])
                 self._capacity_cache = (a_ub, b_ub)
         return self._capacity_cache
@@ -445,12 +501,12 @@ class MultiCommodityLp:
     def _phase2_model(self) -> HighsModel:
         """The max-throughput model plus one row: ``-sum_k t_k <= -T*``."""
         k = np.arange(self.n_demands, dtype=np.int64)
-        floor = sparse.coo_matrix(
-            (-np.ones(self.n_demands), (np.zeros_like(k), self.n_flow_vars + k)),
-            shape=(1, self.n_vars),
+        floor = Block(
+            np.zeros_like(k), self.n_flow_vars + k, -np.ones(self.n_demands),
+            (1, self.n_vars),
         )
         return HighsModel(
-            sparse.vstack([self._capacity()[0], floor]),
+            vstack(self._capacity()[0], floor),
             *self._conservation(),
             self._col_upper(),
         )
@@ -497,21 +553,23 @@ class MultiCommodityLp:
 
         # pin every commodity at full demand: t_k = d_k
         k = np.arange(self.n_demands, dtype=np.int64)
-        pin = sparse.coo_matrix(
-            (np.ones(self.n_demands), (k, self.n_flow_vars + k)),
-            shape=(self.n_demands, n),
+        pin = Block(
+            k, self.n_flow_vars + k, np.ones(self.n_demands), (self.n_demands, n)
         )
         a_eq_base = _widened(self._conservation()[0], n)
-        a_eq = sparse.vstack([a_eq_base, pin])
+        a_eq = vstack(a_eq_base, pin)
         b_eq = np.concatenate([np.zeros(a_eq_base.shape[0]), self._volumes])
 
-        # capacity rows become: sum_k x_ke - cap_e * mu <= 0
+        # capacity rows become: sum_k x_ke - cap_e * mu <= 0 (a dark
+        # link's zero coefficient is left out of the matrix)
         cap, cap_b = self._capacity()
-        mu_col = sparse.coo_matrix(
-            (-cap_b, (list(range(self.n_links)), [mu] * self.n_links)),
-            shape=(self.n_links, n),
+        lit = np.flatnonzero(cap_b)
+        a_ub = Block(
+            np.concatenate([cap.row, lit]),
+            np.concatenate([cap.col, np.full(lit.size, mu)]),
+            np.concatenate([cap.data, -cap_b[lit]]),
+            (self.n_links, n),
         )
-        a_ub = (_widened(cap, n) + mu_col).tocoo()
 
         # mu free upward: report oversubscription
         col_upper = np.append(self._col_upper(cap_throughput=False), np.inf)
@@ -532,19 +590,13 @@ class MultiCommodityLp:
         """Conservation plus ``t_k - d_k * lambda = 0`` rows, capacity rows."""
         n = self.n_vars + 1  # lambda is the last variable
         k = np.arange(self.n_demands, dtype=np.int64)
-        tie = sparse.coo_matrix(
-            (
-                np.concatenate([np.ones(self.n_demands), -self._volumes]),
-                (
-                    np.concatenate([k, k]),
-                    np.concatenate(
-                        [self.n_flow_vars + k, np.full(self.n_demands, self.n_vars)]
-                    ),
-                ),
-            ),
-            shape=(self.n_demands, n),
+        tie = Block(
+            np.concatenate([k, k]),
+            np.concatenate([self.n_flow_vars + k, np.full(self.n_demands, self.n_vars)]),
+            np.concatenate([np.ones(self.n_demands), -self._volumes]),
+            (self.n_demands, n),
         )
-        a_eq = sparse.vstack([_widened(self._conservation()[0], n), tie])
+        a_eq = vstack(_widened(self._conservation()[0], n), tie)
         col_upper = np.append(
             self._col_upper(cap_throughput=False), 1.0 if cap_at_one else np.inf
         )

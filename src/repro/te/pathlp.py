@@ -23,7 +23,7 @@ from scipy import sparse
 from repro.net.demands import Demand
 from repro.net.paths import LinkPath, k_shortest_paths
 from repro.net.topology import Topology
-from repro.te.lp import HighsModel, solve_highs
+from repro.te.lp import HighsModel, solve_highs, vstack
 from repro.te.solution import EPSILON, FlowAssignment, TeSolution
 
 
@@ -132,7 +132,7 @@ class PathBasedLp:
         """``min c @ x`` over the capacity and demand rows plus ``extra``."""
         blocks = [self._capacity_rows(), self._demand_rows(), *extra]
         model = HighsModel(
-            sparse.vstack([a for a, _ in blocks]),
+            vstack(*(a for a, _ in blocks)),
             None,
             np.zeros(0),
             np.full(self.n_vars, np.inf),

@@ -5,13 +5,17 @@
 matrices, right-hand sides and bounds the LP layer used to pass it, so
 every objective's solver vector is compared bit for bit — on generated
 topologies (dark links, penalties, unreachable demands included), after
-a structure-hit rebind, and for the path formulation.  The post-solve
-checks are tested on their own, on doctored vectors and an infeasible
-LP.
+a structure-hit rebind, and for the path formulation.  The model arrays
+are checked against the CSC matrix scipy builds from the same blocks,
+and the per-thread solver instance against fresh instances: reuse must
+never carry state from one solve to the next.  The post-solve checks
+are tested on their own, on doctored vectors and an infeasible LP.
 """
 
 import subprocess
 import sys
+import threading
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,18 +24,26 @@ from hypothesis import strategies as st
 from scipy import sparse
 from scipy.optimize import linprog
 
-from repro.net.demands import Demand
+import repro.parallel
+from repro.net.demands import Demand, gravity_demands
+from repro.net.srlg import duplex_srlgs
+from repro.net.topologies import abilene
 from repro.net.topology import Topology
+from repro.optics.impairments import RootCause
+from repro.sim.whatif import replay_tickets
 from repro.state import NetworkState
+from repro.te import pathlp
 from repro.te.incremental import SOLVE_METHODS, TeSolveCache
 from repro.te.lp import (
     FEASIBILITY_TOL,
+    Block,
     HighsModel,
     MultiCommodityLp,
     solution_violation,
     solve_highs,
 )
 from repro.te.pathlp import PathBasedLp
+from repro.tickets.model import Ticket
 
 
 def _linprog(c, a_ub, b_ub, a_eq, b_eq, bounds):
@@ -59,10 +71,21 @@ def _widen(block, n):
     return sparse.coo_matrix((block.data, (block.row, block.col)), shape=(block.shape[0], n))
 
 
+def _coo(block):
+    """A triplet block as the scipy COO matrix it stands for."""
+    return _widen(block, block.shape[1])
+
+
+def _matrix(model):
+    """``[A_ub; A_eq]`` of a :class:`HighsModel` as a scipy CSC matrix."""
+    return sparse.csc_array((model.value, model.index, model.start), shape=model.shape)
+
+
 def _reference_x(lp: MultiCommodityLp, method: str) -> np.ndarray:
     """The solver vector of ``method`` solved through ``linprog``."""
     cap, cap_b = lp._capacity()
     cons, cons_b = lp._conservation()
+    cap, cons = _coo(cap), _coo(cons)
     flows = slice(0, lp.n_flow_vars)
     k = np.arange(lp.n_demands)
     volumes = [d.volume_gbps for d in lp.demands]
@@ -261,7 +284,7 @@ class TestSolutionViolation:
 
     @staticmethod
     def _violation(model, x, row_upper):
-        return solution_violation(x, -x.sum(), model.matrix @ x, row_upper, model)
+        return solution_violation(x, -x.sum(), _matrix(model) @ x, row_upper, model)
 
     def test_clean_solution_passes(self, solved):
         assert self._violation(*solved) is None
@@ -273,7 +296,7 @@ class TestSolutionViolation:
 
     def test_nan_objective(self, solved):
         model, x, row_upper = solved
-        assert "NaN" in solution_violation(x, np.nan, model.matrix @ x, row_upper, model)
+        assert "NaN" in solution_violation(x, np.nan, _matrix(model) @ x, row_upper, model)
 
     def test_bound(self, solved):
         model, x, row_upper = solved
@@ -330,3 +353,198 @@ def test_missing_binding_names_module_and_scipy_version():
 
     assert "scipy.optimize._highspy._core" in out
     assert scipy.__version__ in out
+
+
+def _scipy_csc(a_ub, a_eq=None):
+    """``[A_ub; A_eq]`` stacked and converted the way ``linprog`` does."""
+    a_ub = sparse.coo_array(a_ub, dtype=float)
+    n_cols = a_ub.shape[1]
+    a_eq = sparse.coo_array((0, n_cols) if a_eq is None else a_eq, dtype=float)
+    return sparse.csc_array(sparse.vstack((a_ub, a_eq)))
+
+
+def _assert_model_arrays(model, a_ub, a_eq=None):
+    ref = _scipy_csc(a_ub, a_eq)
+    assert model.shape == ref.shape
+    assert np.array_equal(model.start, ref.indptr)
+    assert np.array_equal(model.index, ref.indices)
+    assert np.array_equal(model.value, ref.data)
+
+
+def _reference_blocks(lp: MultiCommodityLp) -> dict:
+    """``(A_ub, A_eq)`` of every program, assembled with scipy.sparse the
+    way the LP layer used to build them."""
+    cap, cap_b = lp._capacity()
+    cap, cons = _coo(cap), _coo(lp._conservation()[0])
+    k = np.arange(lp.n_demands)
+    n, last = lp.n_vars + 1, lp.n_vars
+    volumes = np.array([d.volume_gbps for d in lp.demands])
+    floor = sparse.coo_matrix(
+        (-np.ones(lp.n_demands), (np.zeros_like(k), lp.n_flow_vars + k)),
+        shape=(1, lp.n_vars),
+    )
+    tie = sparse.coo_matrix(
+        (
+            np.concatenate([np.ones(lp.n_demands), -volumes]),
+            (np.concatenate([k, k]), np.concatenate([lp.n_flow_vars + k, [last] * lp.n_demands])),
+        ),
+        shape=(lp.n_demands, n),
+    )
+    pin = sparse.coo_matrix(
+        (np.ones(lp.n_demands), (k, lp.n_flow_vars + k)), shape=(lp.n_demands, n)
+    )
+    mu_col = sparse.coo_matrix(
+        (-cap_b, (list(range(lp.n_links)), [last] * lp.n_links)), shape=(lp.n_links, n)
+    )
+    concurrent = (_widen(cap, n), sparse.vstack([_widen(cons, n), tie]))
+    return {
+        "max_throughput": (cap, cons),
+        "phase2": (sparse.vstack([cap.tocsr(), floor]), cons),
+        ("max_concurrent_flow", True): concurrent,
+        ("max_concurrent_flow", False): concurrent,
+        "min_max_utilization": (
+            (_widen(cap, n) + mu_col).tocoo(),
+            sparse.vstack([_widen(cons, n), pin]),
+        ),
+    }
+
+
+@_SETTINGS
+@given(instance=instances())
+def test_model_arrays_match_scipy_csc(instance):
+    """Every program's (start, index, value) is scipy's canonical CSC of
+    the same stacked blocks — dark links' zero MLU coefficients
+    dropped, as scipy's sparse addition dropped them."""
+    topo, demands = instance
+    lp = MultiCommodityLp(topo, demands)
+    lp.min_penalty_at_max_throughput()
+    lp.max_concurrent_flow(cap_at_one=True)
+    lp.max_concurrent_flow(cap_at_one=False)
+    with mock.patch.object(lp, "_solve", wraps=lp._solve) as solve:
+        _solve_or_none(lp.min_max_utilization)
+    models = dict(lp._models, min_max_utilization=solve.call_args.args[0])
+    for key, blocks in _reference_blocks(lp).items():
+        _assert_model_arrays(models[key], *blocks)
+
+    paths = PathBasedLp(topo, demands, k_paths=3)
+    if paths.n_vars == 0:
+        return
+    with mock.patch.object(pathlp, "solve_highs", wraps=solve_highs) as solve:
+        paths.min_penalty_at_max_throughput()
+    phase1, phase2 = (call.args[0] for call in solve.call_args_list)
+    rows = sparse.vstack([paths._capacity_rows()[0], paths._demand_rows()[0]])
+    _assert_model_arrays(phase1, rows)
+    _assert_model_arrays(phase2, sparse.vstack([rows, -np.ones((1, paths.n_vars))]))
+
+
+def test_duplicate_entry_raises():
+    twice = Block(np.array([0, 1, 0]), np.array([1, 0, 1]), np.ones(3), (2, 2))
+    with pytest.raises(ValueError, match=r"duplicate entry at \(0, 1\)"):
+        HighsModel(twice, None, np.zeros(0), np.full(2, np.inf))
+    # ... also in a scipy COO block, which scipy itself would sum
+    summed = sparse.coo_matrix(([1.0, 2.0], ([0, 0], [1, 1])), shape=(1, 2))
+    with pytest.raises(ValueError, match=r"duplicate entry at \(1, 1\)"):
+        HighsModel(sparse.coo_matrix([[1.0, 0.0]]), summed, np.zeros(1), np.full(2, np.inf))
+
+
+def _infeasible_lp():
+    # x0 == 5 but x0 <= 1
+    model = HighsModel(
+        sparse.coo_matrix([[1.0, 0.0]]),
+        sparse.coo_matrix([[1.0, 0.0]]),
+        np.array([5.0]),
+        np.array([np.inf, np.inf]),
+    )
+    return model, np.array([1.0, 1.0]), np.array([1.0])
+
+
+def _recorded_solves(topo, demands) -> list:
+    """``(model, c, b_ub)`` of every solve the four objectives make."""
+    lp = MultiCommodityLp(topo, demands)
+    calls = []
+    with mock.patch.object(lp, "_solve", wraps=lp._solve) as solve:
+        for method in SOLVE_METHODS:
+            _solve_or_none(getattr(lp, method))
+    for call in solve.call_args_list:
+        model, c, b_ub = call.args
+        calls.append((model, c.copy(), b_ub.copy()))
+    return calls
+
+
+@st.composite
+def solve_sequences(draw):
+    """Solves mixing LP shapes and same-structure RHS drifts, with an
+    infeasible LP somewhere in the middle."""
+    programs = []
+    for _ in range(draw(st.integers(1, 3))):
+        programs += _recorded_solves(*draw(instances()))
+    runs = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, len(programs) - 1),
+                st.lists(st.sampled_from([1.0, 0.25, 0.5, 2.0]), min_size=1, max_size=4),
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    sequence = []
+    for i, factors in runs:
+        model, c, b_ub = programs[i]
+        sequence += [(model, c, b_ub * factor) for factor in factors]
+    at = draw(st.integers(0, len(sequence)))
+    sequence.insert(at, _infeasible_lp())
+    return sequence, at
+
+
+def _outcome(model, c, b_ub):
+    """The solver vector, or None where the solve raised RuntimeError."""
+    try:
+        return solve_highs(model, c, b_ub)
+    except RuntimeError:
+        return None
+
+
+def _on_fresh_instance(model, c, b_ub):
+    """:func:`_outcome` on a new thread, hence a new HiGHS instance."""
+    box = []
+    worker = threading.Thread(target=lambda: box.append(_outcome(model, c, b_ub)))
+    worker.start()
+    worker.join()
+    return box[0]
+
+
+@_SETTINGS
+@given(drawn=solve_sequences())
+def test_reused_solver_matches_fresh_instance(drawn):
+    sequence, infeasible_at = drawn
+    for i, (model, c, b_ub) in enumerate(sequence):
+        ours = _outcome(model, c, b_ub)
+        fresh = _on_fresh_instance(model, c, b_ub)
+        if i == infeasible_at:
+            assert ours is None
+        assert (ours is None) == (fresh is None)
+        if fresh is not None:
+            assert np.array_equal(ours, fresh)
+
+
+def test_thread_pool_replay_matches_serial(monkeypatch):
+    """Four threads, each reusing its own solver, agree with one."""
+    monkeypatch.setattr(repro.parallel, "_process_pool_ok", False)
+    topology = abilene()
+    srlgs = duplex_srlgs(topology)
+    causes = (RootCause.HARDWARE, RootCause.FIBER_CUT, RootCause.MAINTENANCE)
+    tickets = [
+        Ticket(
+            ticket_id=f"TKT-{i:06d}",
+            root_cause=causes[i % len(causes)],
+            opened_s=1_000.0 * i,
+            duration_s=3_600.0,
+            element=cable,
+        )
+        for i, cable in enumerate(srlgs.cables())
+    ]
+    demands = gravity_demands(topology, 2_000.0, np.random.default_rng(3), sparsity=0.7)
+    serial = replay_tickets(topology, demands, tickets, srlgs, workers=1)
+    threaded = replay_tickets(topology, demands, tickets, srlgs, workers=4)
+    assert threaded == serial

@@ -18,6 +18,11 @@ from repro.net.topology import Topology
 from repro.te.lp import MultiCommodityLp
 
 
+def _coo(block):
+    """A triplet block as the scipy COO matrix it stands for."""
+    return sparse.coo_matrix((block.data, (block.row, block.col)), shape=block.shape)
+
+
 class _SeedAssembly:
     """The original loop-based constraint assembly, kept as the oracle."""
 
@@ -97,6 +102,7 @@ class TestMatricesMatchSeed:
     def test_conservation(self, topo, demands):
         lp = MultiCommodityLp(topo, demands)
         a_eq, b_eq = lp._conservation()
+        a_eq = _coo(a_eq)
         seed = _SeedAssembly(lp).conservation()
         np.testing.assert_array_equal(a_eq.toarray(), seed.toarray())
         np.testing.assert_array_equal(b_eq, np.zeros(seed.shape[0]))
@@ -104,6 +110,7 @@ class TestMatricesMatchSeed:
     def test_capacity(self, topo, demands):
         lp = MultiCommodityLp(topo, demands)
         a_ub, b_ub = lp._capacity()
+        a_ub = _coo(a_ub)
         seed = _SeedAssembly(lp).capacity()
         np.testing.assert_array_equal(a_ub.toarray(), seed.toarray())
         np.testing.assert_array_equal(
