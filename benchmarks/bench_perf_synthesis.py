@@ -14,9 +14,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro import perf
 from repro.net.demands import gravity_demands
 from repro.net.topologies import abilene
+from repro.obs import metrics
 from repro.te.lp import MultiCommodityLp
 from repro.telemetry import cache as summary_cache
 from repro.telemetry.dataset import BackboneConfig, BackboneDataset
@@ -36,26 +36,27 @@ def _bench_config() -> BackboneConfig:
 def test_perf_synthesis_and_lp(tmp_path, monkeypatch):
     monkeypatch.setenv(summary_cache.CACHE_DIR_ENV, str(tmp_path / "cache"))
     monkeypatch.delenv(summary_cache.NO_CACHE_ENV, raising=False)
-    perf.reset()
+    reg = metrics.current()
+    reg.reset()
 
     dataset = BackboneDataset(_bench_config())
     n_links = dataset.n_links()
 
     # cold: cache miss -> full synthesis + store
-    with perf.timer("bench.synthesis.cold", n_links=n_links):
+    with metrics.summary("bench.synthesis.cold").time(n_links=n_links):
         cold = dataset.summaries()
     # warm: pure cache hit
-    with perf.timer("bench.synthesis.warm", n_links=n_links):
+    with metrics.summary("bench.synthesis.warm").time(n_links=n_links):
         warm = dataset.summaries()
     assert warm == cold
-    assert perf.event_count("synthesis.cache_hit") == 1
+    assert reg.counter_value("synthesis.cache_hit") == 1
     # the warm run must not have re-entered the synthesis path
-    assert perf.timer_stat("synthesis.summaries").count == 1
+    assert reg.get_summary("synthesis.summaries").count == 1
 
-    with perf.timer("bench.synthesis.serial", n_links=n_links):
+    with metrics.summary("bench.synthesis.serial").time(n_links=n_links):
         serial = dataset.summaries(cache=False, workers=1)
     workers = max(os.cpu_count() or 1, 2)
-    with perf.timer("bench.synthesis.parallel", workers=workers):
+    with metrics.summary("bench.synthesis.parallel").time(workers=workers):
         parallel = dataset.summaries(cache=False, workers=workers)
     assert parallel == serial == cold
 
@@ -63,18 +64,17 @@ def test_perf_synthesis_and_lp(tmp_path, monkeypatch):
     topo = abilene()
     demands = gravity_demands(topo, 5000.0, np.random.default_rng(0))
     lp = MultiCommodityLp(topo, demands)
-    with perf.timer(
-        "bench.lp.min_penalty_at_max_throughput",
+    with metrics.summary("bench.lp.min_penalty_at_max_throughput").time(
         n_demands=lp.n_demands,
         n_links=lp.n_links,
     ):
         outcome = lp.min_penalty_at_max_throughput()
     assert outcome.solution.is_valid()
     # memoization: one conservation + one capacity assembly across both phases
-    assert perf.timer_stat("lp.assemble.conservation").count == 1
-    assert perf.timer_stat("lp.assemble.capacity").count == 1
+    assert reg.get_summary("lp.assemble.conservation").count == 1
+    assert reg.get_summary("lp.assemble.capacity").count == 1
 
-    path = perf.write_bench(
+    path = metrics.write_bench(
         BENCH_JSON,
         extra={
             "workload": {
@@ -87,7 +87,7 @@ def test_perf_synthesis_and_lp(tmp_path, monkeypatch):
             }
         },
     )
-    report = perf.collect()
+    report = metrics.collect()
     print(f"\nwrote {path}")
     for name, stat in report["timers"].items():
         if name.startswith("bench."):

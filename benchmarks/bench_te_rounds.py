@@ -25,10 +25,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro import perf
 from repro.core.controller import DynamicCapacityController
 from repro.net.demands import gravity_demands
 from repro.net.topologies import abilene, line_topology
+from repro.obs import metrics
 from repro.seeds import component_rng
 from repro.sim.replay import replay_controller
 from repro.te.incremental import TeSolveCache
@@ -61,21 +61,22 @@ def _round_topologies():
 def test_te_round_regimes():
     rounds = _round_topologies()
     demands = gravity_demands(rounds[0], 5000.0, np.random.default_rng(0))
+    reg = metrics.current()
 
     # cold: assemble + solve from scratch every round
     cold = []
     for topo in rounds:
-        with perf.timer("bench.te.round_cold"):
+        with metrics.summary("bench.te.round_cold").time():
             cold.append(getattr(MultiCommodityLp(topo, demands), METHOD)())
 
     # warm: structure reuse, memo miss (capacities differ every round)
     cache = TeSolveCache()
-    hits0 = perf.event_count("te.cache.structure_hit")
+    hits0 = reg.counter_value("te.cache.structure_hit")
     warm = []
     for topo in rounds:
-        with perf.timer("bench.te.round_warm"):
+        with metrics.summary("bench.te.round_warm").time():
             warm.append(cache.solve(topo, demands, method=METHOD))
-    assert perf.event_count("te.cache.structure_hit") - hits0 == N_ROUNDS - 1
+    assert reg.counter_value("te.cache.structure_hit") - hits0 == N_ROUNDS - 1
 
     # the cached solves must match the cold ones exactly
     for a, b in zip(cold, warm):
@@ -83,19 +84,19 @@ def test_te_round_regimes():
         assert a.solution.assignments == b.solution.assignments
 
     # memo: the same state round after round -> replay, no solve
-    memo_hits0 = perf.event_count("te.cache.memo_hit")
+    memo_hits0 = reg.counter_value("te.cache.memo_hit")
     memo = []
     for _ in range(N_ROUNDS):
-        with perf.timer("bench.te.round_memo"):
+        with metrics.summary("bench.te.round_memo").time():
             memo.append(cache.solve(rounds[0], demands, method=METHOD))
-    assert perf.event_count("te.cache.memo_hit") - memo_hits0 == N_ROUNDS
+    assert reg.counter_value("te.cache.memo_hit") - memo_hits0 == N_ROUNDS
     for outcome in memo:
         assert outcome.objective_value == cold[0].objective_value
         assert outcome.solution.assignments == cold[0].solution.assignments
 
-    cold_mean = perf.timer_stat("bench.te.round_cold").mean_s
-    warm_mean = perf.timer_stat("bench.te.round_warm").mean_s
-    memo_mean = perf.timer_stat("bench.te.round_memo").mean_s
+    cold_mean = reg.get_summary("bench.te.round_cold").mean_s
+    warm_mean = reg.get_summary("bench.te.round_warm").mean_s
+    memo_mean = reg.get_summary("bench.te.round_memo").mean_s
     print(
         f"\n  cold {1e3 * cold_mean:.2f} ms  warm {1e3 * warm_mean:.2f} ms  "
         f"memo {1e3 * memo_mean:.3f} ms  "
@@ -128,11 +129,11 @@ def _stable_replay(te_cache: bool):
 
 
 def test_te_replay_hit_rate_and_equivalence():
-    with perf.isolated() as reg:
+    with metrics.isolated() as reg:
         cached = _stable_replay(te_cache=True)
-        hits = reg.event_count("te.cache.memo_hit")
-        misses = reg.event_count("te.cache.memo_miss")
-        rate = reg.hit_rate("te.cache.memo_hit", "te.cache.memo_miss")
+        hits = int(reg.counter_value("te.cache.memo_hit"))
+        misses = int(reg.counter_value("te.cache.memo_miss"))
+    rate = hits / (hits + misses) if hits + misses else 0.0
     uncached = _stable_replay(te_cache=False)
 
     # byte-identical series either way
@@ -149,16 +150,18 @@ def test_te_replay_hit_rate_and_equivalence():
     assert rate > 0.5
 
     # surface the realistic hit rate in BENCH.json
-    perf.event("bench.te.replay.memo_hit", hits)
-    perf.event("bench.te.replay.memo_miss", misses)
-    perf.record("bench.te.replay.hit_rate", rate, rounds=cached.n_rounds)
+    metrics.counter("bench.te.replay.memo_hit").inc(hits)
+    metrics.counter("bench.te.replay.memo_miss").inc(misses)
+    metrics.summary("bench.te.replay.hit_rate").add(
+        rate, {"rounds": cached.n_rounds}
+    )
 
 
 def test_write_bench_report():
     lp = MultiCommodityLp(abilene(), gravity_demands(
         abilene(), 5000.0, np.random.default_rng(0)
     ))
-    path = perf.write_bench(
+    path = metrics.write_bench(
         BENCH_JSON,
         extra={
             "te_workload": {

@@ -9,14 +9,14 @@ Synthesis goes through the performance layer: ``REPRO_WORKERS=N``
 parallelises cable synthesis, and warm runs hit the on-disk summary
 cache (``REPRO_CACHE_DIR``, disable with ``REPRO_NO_CACHE=1``) and skip
 synthesis entirely — the fixture prints which path was taken, backed by
-the ``repro.perf`` timers.
+the :mod:`repro.obs.metrics` counters and summaries.
 """
 
 import os
 
 import pytest
 
-from repro import perf
+from repro.obs import metrics
 from repro.telemetry.dataset import BackboneConfig, BackboneDataset
 
 
@@ -33,12 +33,13 @@ def backbone_dataset():
 
 @pytest.fixture(scope="session")
 def backbone_summaries(backbone_dataset):
-    hits_before = perf.event_count("synthesis.cache_hit")
+    reg = metrics.current()
+    hits_before = reg.counter_value("synthesis.cache_hit")
     summaries = backbone_dataset.summaries()
-    if perf.event_count("synthesis.cache_hit") > hits_before:
+    if reg.counter_value("synthesis.cache_hit") > hits_before:
         print("\n[conftest] warm summary cache: synthesis skipped")
     else:
-        stat = perf.timer_stat("synthesis.summaries")
+        stat = reg.get_summary("synthesis.summaries")
         print(f"\n[conftest] cold synthesis: {stat.total_s:.1f} s "
               f"(workers={stat.meta.get('workers')})")
     return summaries

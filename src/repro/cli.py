@@ -35,7 +35,7 @@ and after the subcommand.  ``--workers N`` spreads work over N processes (also t
 cache (``REPRO_CACHE_DIR``); ``--no-te-cache`` disables the in-memory
 incremental TE solve cache (:mod:`repro.te.incremental`; also the
 ``REPRO_TE_NO_CACHE`` env var — results are byte-identical either way);
-``--bench-json PATH`` writes the run's timing report (:mod:`repro.perf`)
+``--bench-json PATH`` writes the run's timing report (:func:`repro.obs.metrics.collect`)
 to a machine-readable JSON file; ``--journal DIR`` journals controller
 state durably under DIR (:mod:`repro.recovery`) so a crashed run
 resumes instead of restarting — results are byte-identical either way;
@@ -436,7 +436,7 @@ def _global_flags(parser: argparse.ArgumentParser, *, suppress: bool) -> None:
     )
     parser.add_argument(
         "--bench-json", type=str, metavar="PATH", default=default(""),
-        help="write the run's timing report (repro.perf) to PATH",
+        help="write the run's timing report (BENCH.json schema) to PATH",
     )
     parser.add_argument(
         "--trace", type=str, metavar="DIR", default=default(""),
@@ -698,9 +698,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     else:
         status = args.handler(args)
     if args.bench_json:
-        from repro import perf
+        from repro.obs import metrics
 
-        path = perf.write_bench(args.bench_json, extra={"command": args.command})
+        path = metrics.write_bench(
+            args.bench_json, extra={"command": args.command}
+        )
         print(f"wrote {path}")
     return status
 

@@ -38,22 +38,10 @@ from repro.core.controller import (
     ControllerReport,
     DynamicCapacityController,
 )
-from repro.core.updates import (
-    DrainPlan,
-    MigrationStage,
-    drain_plan,
-    max_stage_churn_gbps,
-    migration_stages,
-)
 from repro.core.scheduler import (
     ReconfigurationBatch,
     ReconfigurationSchedule,
     schedule_reconfigurations,
-)
-from repro.core.capacity_planner import (
-    ExhaustionForecast,
-    deferral_quarters,
-    forecast_exhaustion,
 )
 
 __all__ = [
@@ -77,15 +65,7 @@ __all__ = [
     "walk_policy",
     "ControllerReport",
     "DynamicCapacityController",
-    "DrainPlan",
-    "MigrationStage",
-    "drain_plan",
-    "max_stage_churn_gbps",
-    "migration_stages",
     "ReconfigurationBatch",
     "ReconfigurationSchedule",
     "schedule_reconfigurations",
-    "ExhaustionForecast",
-    "deferral_quarters",
-    "forecast_exhaustion",
 ]

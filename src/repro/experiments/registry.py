@@ -7,13 +7,14 @@ addressable:
 
 * ``defaults`` — the full parameter set, so a spec only has to name
   what it changes;
-* ``modules`` — the source modules whose bytes determine the result;
-  :func:`spec_key` hashes them (via :mod:`repro.fingerprint`) into the
-  artifact key, so editing experiment code transparently invalidates
-  stored artifacts, exactly like the telemetry summary cache;
 * ``render`` — the human-readable text the CLI prints, derived from the
   metrics dict alone (so ``repro sweep show`` can re-render an artifact
   years later without re-running anything).
+
+Every artifact key also hashes the source of this module's static
+import closure (:func:`code_fingerprint`), so editing any code an
+experiment can reach transparently invalidates stored artifacts, exactly
+like the telemetry summary cache.
 
 Metrics dicts contain only JSON scalars, lists and string-keyed dicts.
 Execution knobs that must *not* change the artifact key (worker count,
@@ -30,7 +31,7 @@ from typing import Any, Callable, Mapping
 import numpy as np
 
 from repro.experiments.spec import ScenarioSpec
-from repro.fingerprint import fingerprint_modules
+from repro.fingerprint import fingerprint_modules, import_closure
 from repro.seeds import component_rng
 
 _KEY_SCHEMA = 1
@@ -61,8 +62,6 @@ class Experiment:
     description: str
     run: Callable[..., dict[str, Any]]
     defaults: tuple[tuple[str, Any], ...]
-    #: modules whose source bytes determine the result
-    modules: tuple[str, ...]
     render: Callable[[dict[str, Any]], str]
 
     def defaults_dict(self) -> dict[str, Any]:
@@ -107,19 +106,30 @@ def resolve_params(spec: ScenarioSpec) -> dict[str, Any]:
     return defaults
 
 
+def code_fingerprint() -> str:
+    """Hash of every module an experiment can reach (memoised).
+
+    The modules are the static import closure of this registry, lazy
+    ``run``-body imports included, minus the result-inert layers
+    exempted in ``repro/lint/layers.toml`` (see
+    :func:`repro.fingerprint.import_closure`).  All experiments share
+    it: their closures meet at the package re-export hubs.
+    """
+    return fingerprint_modules(import_closure(__name__))
+
+
 def spec_key(spec: ScenarioSpec) -> str:
     """Content hash of (resolved spec, experiment code fingerprint).
 
     Two specs that resolve to the same parameters share a key even if
     one spells defaults out and the other relies on them; any edit to
-    the experiment's source modules changes every key.
+    code the experiments can reach changes every key.
     """
-    experiment = get_experiment(spec.experiment)
     payload = {
         "schema": _KEY_SCHEMA,
         "experiment": spec.experiment,
         "params": resolve_params(spec),
-        "code": fingerprint_modules(experiment.modules),
+        "code": code_fingerprint(),
     }
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:32]
@@ -141,161 +151,6 @@ def render_result(experiment_name: str, metrics: Mapping[str, Any]) -> str:
 # ---------------------------------------------------------------------------
 # The headline experiments
 # ---------------------------------------------------------------------------
-
-# Every experiment's artifact key covers the full *static import
-# closure* of its entry point — lint rule F001 proves each list closed
-# against the import graph, so a module can no longer change a result
-# without changing the key (PRs 7-8 hit exactly that drift by hand).
-# The nine closures all meet at the package re-export hubs (telemetry,
-# net, sim, engine, ...), so in practice they collapse to one shared
-# set, spelled out below grouped by package.  Presentation and
-# observability layers proven byte-inert are exempted in
-# ``repro/lint/layers.toml`` ``[fingerprint]`` rather than here.
-
-_ANALYSIS_MODULES = (
-    "repro.analysis",
-    "repro.analysis.cdf",
-    "repro.analysis.figures",
-    "repro.analysis.margins",
-    "repro.analysis.report",
-)
-
-_BVT_MODULES = (
-    "repro.bvt",
-    "repro.bvt.dsp",
-    "repro.bvt.laser",
-    "repro.bvt.mdio",
-    "repro.bvt.testbed",
-    "repro.bvt.transceiver",
-)
-
-_CORE_MODULES = (
-    "repro.core",
-    "repro.core.augmentation",
-    "repro.core.capacity_planner",
-    "repro.core.controller",
-    "repro.core.gadgets",
-    "repro.core.penalties",
-    "repro.core.policies",
-    "repro.core.scheduler",
-    "repro.core.theorem",
-    "repro.core.translation",
-    "repro.core.updates",
-)
-
-_ENGINE_MODULES = (
-    "repro.engine",
-    "repro.engine.clock",
-    "repro.engine.kernel",
-    "repro.engine.sources",
-)
-
-_FAULTS_MODULES = (
-    "repro.faults.chaos",
-    "repro.faults.inject",
-    "repro.faults.spec",
-)
-
-_NET_MODULES = (
-    "repro.net",
-    "repro.net.demands",
-    "repro.net.paths",
-    "repro.net.plant",
-    "repro.net.srlg",
-    "repro.net.topologies",
-    "repro.net.topology",
-    "repro.net.validate",
-)
-
-_OPTICS_MODULES = (
-    "repro.optics.constellation",
-    "repro.optics.fiber",
-    "repro.optics.impairments",
-    "repro.optics.modulation",
-    "repro.optics.spectrum",
-    "repro.optics.units",
-)
-
-_RECOVERY_MODULES = (
-    "repro.recovery.invariants",
-    "repro.recovery.journal",
-    "repro.recovery.reports",
-)
-
-_SIM_MODULES = (
-    "repro.sim",
-    "repro.sim.availability",
-    "repro.sim.economics",
-    "repro.sim.network_availability",
-    "repro.sim.reactive",
-    "repro.sim.replay",
-    "repro.sim.throughput",
-    "repro.sim.whatif",
-)
-
-_STATE_MODULES = (
-    "repro.state",
-    "repro.state.delta",
-    "repro.state.digest",
-    "repro.state.model",
-    "repro.state.serialize",
-    "repro.state.store",
-)
-
-_TE_MODULES = (
-    "repro.te.incremental",
-    "repro.te.lp",
-    "repro.te.maxflow",
-    "repro.te.solution",
-)
-
-_TELEMETRY_MODULES = (
-    "repro.telemetry",
-    "repro.telemetry.anomaly",
-    "repro.telemetry.cache",
-    "repro.telemetry.dataset",
-    "repro.telemetry.events",
-    "repro.telemetry.hdr",
-    "repro.telemetry.io",
-    "repro.telemetry.stats",
-    "repro.telemetry.timebase",
-    "repro.telemetry.traces",
-)
-
-_TICKETS_MODULES = (
-    "repro.tickets",
-    "repro.tickets.analysis",
-    "repro.tickets.correlate",
-    "repro.tickets.generator",
-    "repro.tickets.model",
-    "repro.tickets.mttr",
-)
-
-_BASE_MODULES = (
-    "repro.experiments.registry",
-    "repro.experiments.spec",
-    "repro.fingerprint",
-    "repro.parallel",
-    "repro.seeds",
-)
-
-#: the one closed fingerprint set shared by all registered experiments
-_FINGERPRINT_MODULES = (
-    _ANALYSIS_MODULES
-    + _BASE_MODULES
-    + _BVT_MODULES
-    + _CORE_MODULES
-    + _ENGINE_MODULES
-    + _FAULTS_MODULES
-    + _NET_MODULES
-    + _OPTICS_MODULES
-    + _RECOVERY_MODULES
-    + _SIM_MODULES
-    + _STATE_MODULES
-    + _TE_MODULES
-    + _TELEMETRY_MODULES
-    + _TICKETS_MODULES
-)
 
 
 def _run_study(
@@ -350,7 +205,6 @@ register(
         description="Section-2 telemetry study (Figures 2a/2b/4c)",
         run=_run_study,
         defaults=(("cables", 14), ("years", 1.0), ("seed", 2017)),
-        modules=_FINGERPRINT_MODULES,
         render=_render_study,
     )
 )
@@ -385,7 +239,6 @@ register(
         description="Figure-6b BVT modulation-change experiment",
         run=_run_testbed,
         defaults=(("changes", 200), ("seed", 68)),
-        modules=_FINGERPRINT_MODULES,
         render=_render_testbed,
     )
 )
@@ -426,7 +279,6 @@ register(
         description="Figure-4 root-cause shares of the ticket corpus",
         run=_run_tickets,
         defaults=(("seed", 2017),),
-        modules=_FINGERPRINT_MODULES,
         render=_render_tickets,
     )
 )
@@ -490,7 +342,6 @@ register(
             ("scales", (0.5, 1.0, 2.0)),
             ("seed", 1),
         ),
-        modules=_FINGERPRINT_MODULES,
         render=_render_throughput,
     )
 )
@@ -535,7 +386,6 @@ register(
         description="binary failures vs dynamic capacity flaps",
         run=_run_availability,
         defaults=(("cables", 10), ("years", 1.0), ("seed", 42)),
-        modules=_FINGERPRINT_MODULES,
         render=_render_availability,
     )
 )
@@ -584,7 +434,6 @@ register(
         description="Theorem-1 equivalence check on a random WAN",
         run=_run_theorem,
         defaults=(("nodes", 8), ("penalty", 100.0), ("seed", 0)),
-        modules=_FINGERPRINT_MODULES,
         render=_render_theorem,
     )
 )
@@ -670,7 +519,6 @@ register(
             ("fallback_gbps", 50.0),
             ("seed", 2017),
         ),
-        modules=_FINGERPRINT_MODULES,
         render=_render_whatif,
     )
 )
@@ -823,7 +671,6 @@ register(
             ("te_interval_h", 4.0),
             ("retries", 3),
         ),
-        modules=_FINGERPRINT_MODULES,
         render=_render_chaos,
     )
 )
@@ -845,7 +692,6 @@ register(
             ("dip_db", 10.0),
             ("dip_hours", 6.0),
         ),
-        modules=_FINGERPRINT_MODULES,
         render=_render_reactive,
     )
 )

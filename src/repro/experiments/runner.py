@@ -10,11 +10,10 @@ line — so killing the process at any moment loses at most the points
 still in flight; :func:`resume_sweep` (or simply re-running the same
 spec file) picks up exactly the missing ones.
 
-Every run executes inside :func:`repro.perf.isolated`, so its artifact
-carries its *own* timing report instead of an accumulation of whatever
-ran earlier in the process — and, since the perf layer records into a
-:class:`~repro.obs.metrics.MetricsRegistry`, each artifact also ships
-its metrics in mergeable form.  The sweep folds every completed
+Every run executes inside :func:`repro.obs.metrics.isolated`, so its
+artifact carries its *own* timing report instead of an accumulation of
+whatever ran earlier in the process, and also ships its
+:class:`~repro.obs.metrics.MetricsRegistry` in mergeable form.  The sweep folds every completed
 point's registry into one fleet-wide view
 (:attr:`SweepReport.metrics`); merged totals are invariant to the
 worker count.  With ``trace=True`` each point additionally runs under
@@ -32,7 +31,6 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Callable
 
-from repro import perf
 from repro.experiments.registry import ExecutionContext, run_spec, spec_key
 from repro.experiments.spec import ScenarioSpec, Sweep
 from repro.experiments.store import ManifestEntry, RunStore, run_dir_for
@@ -109,7 +107,7 @@ def _execute_point(payload: dict[str, Any]) -> dict[str, Any]:
     # repro: allow[D001] -- elapsed_s is operational metadata, never keyed
     start = time.perf_counter()
     try:
-        with perf.isolated() as registry:
+        with obs_metrics.isolated() as registry:
             if tracer is not None:
                 with obs_trace.tracing(tracer):
                     with tracer.span("sweep.point", spec=spec.name):
@@ -120,8 +118,8 @@ def _execute_point(payload: dict[str, Any]) -> dict[str, Any]:
             "spec": spec.to_payload(),
             "experiment": spec.experiment,
             "result": result,
-            "perf": registry.collect(),
-            "metrics": registry.metrics.to_payload(),
+            "perf": obs_metrics.collect(registry),
+            "metrics": registry.to_payload(),
             "elapsed_s": time.perf_counter() - start,  # repro: allow[D001]
             "created_unix": obs_metrics.timestamp_unix(),
         }
@@ -204,7 +202,9 @@ def run_sweep(
         for spec, key in todo
     ]
     n_workers = resolve_workers(workers)
-    with perf.timer("sweep.run", workers=n_workers, n_points=n_total):
+    with obs_metrics.summary("sweep.run").time(
+        workers=n_workers, n_points=n_total
+    ):
         if n_workers <= 1 or len(payloads) <= 1:
             artifacts = map(_execute_point, payloads)
         else:
@@ -217,7 +217,7 @@ def run_sweep(
                     ManifestEntry(spec.name, key, "failed", elapsed, error)
                 )
                 records.append(RunRecord(spec.name, key, "failed", elapsed, error))
-                perf.event("sweep.point_failed")
+                obs_metrics.counter("sweep.point_failed").inc()
                 say(
                     f"[{len(records)}/{n_total}] {spec.name}: FAILED "
                     f"({error.strip().splitlines()[-1]})"
@@ -237,7 +237,7 @@ def run_sweep(
                 ManifestEntry(spec.name, key, "fresh", elapsed, obs=obs_ref)
             )
             records.append(RunRecord(spec.name, key, "fresh", elapsed))
-            perf.event("sweep.point_fresh")
+            obs_metrics.counter("sweep.point_fresh").inc()
             say(
                 f"[{len(records)}/{n_total}] {spec.name}: ok "
                 f"({elapsed:.1f}s, fresh {key[:12]})"

@@ -5,15 +5,21 @@ Both caches in the repository — the telemetry summary cache
 (:mod:`repro.experiments.store`) — key their entries on a hash that
 includes the *code* that produced the value, so editing any module in
 the producing chain transparently invalidates old entries.  This
-module holds the one hashing primitive they share.
+module holds the hashing primitive they share and derives the module
+set to hash from the static import graph (:func:`import_closure`), so
+no cache keeps a hand-written list that can drift from the code.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import importlib
 from pathlib import Path
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
+
+if TYPE_CHECKING:  # pragma: no cover - the graph is built lazily
+    from repro.lint.imports import ImportGraph
 
 _fingerprint_cache: dict[tuple[str, ...], str] = {}
 
@@ -42,3 +48,30 @@ def fingerprint_modules(module_names: Iterable[str]) -> str:
     result = digest.hexdigest()
     _fingerprint_cache[key] = result
     return result
+
+
+@functools.cache
+def _package_graph() -> ImportGraph:
+    from repro.lint.imports import build_import_graph
+
+    return build_import_graph(Path(__file__).resolve().parent)
+
+
+@functools.cache
+def import_closure(root: str) -> tuple[str, ...]:
+    """Every ``repro`` module statically reachable from ``root``, sorted.
+
+    Walks the AST import graph the layering rules use
+    (:func:`repro.lint.imports.build_import_graph`), so lazy
+    function-body imports count like module-level ones.  Modules under
+    ``[fingerprint] exempt`` in ``repro/lint/layers.toml`` (observability
+    and presentation layers proven result-inert) are left out.
+    """
+    from repro.lint.layers import load_contract
+
+    contract = load_contract()
+    return tuple(
+        sorted(
+            m for m in _package_graph().closure([root]) if not contract.is_exempt(m)
+        )
+    )

@@ -14,8 +14,6 @@ new dependencies):
 * **L001-L003** import-DAG layering, declared in ``layers.toml``
   (state below sim/controller, engine below experiments, obs
   non-invasive) — checked transitively, lazy imports included;
-* **F001** artifact-fingerprint module lists validated against each
-  experiment's static import closure;
 * **T001** trace/metric names dotted lowercase and declared in the
   :mod:`repro.obs.names` catalog.
 

@@ -3,9 +3,9 @@
 Built purely from the AST — every ``import``/``from ... import`` in a
 module, including the lazy function-body imports the codebase uses to
 keep startup cheap, becomes an edge.  The graph powers both the
-layering rules (L001-L003 check the transitive closure, generalizing
-PR 7's runtime ``sys.modules`` probe) and F001's fingerprint-closure
-validation.
+layering rules (L001-L003 check the transitive closure) and the
+artifact fingerprints (:func:`repro.fingerprint.import_closure` hashes
+the closure of an entry module).
 
 Only edges *inside* the linted package (``repro.*``) are recorded:
 stdlib and third-party imports are irrelevant to layering and are

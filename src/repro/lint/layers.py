@@ -39,6 +39,10 @@ class LayerContract:
     rules: tuple[LayerRule, ...]
     fingerprint_exempt: tuple[str, ...]
 
+    def is_exempt(self, module: str) -> bool:
+        """True when ``module`` is left out of artifact fingerprints."""
+        return _under(module, self.fingerprint_exempt)
+
 
 def _parse_toml_minimal(text: str) -> dict[str, Any]:
     """Parse the restricted TOML subset ``layers.toml`` uses.

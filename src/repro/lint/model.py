@@ -91,10 +91,11 @@ _rule(
     "derived from simulated time only: a time.time()/datetime.now()/"
     "perf_counter() value baked into a result makes two identical runs "
     "byte-diff dirty and breaks crash-recovery byte-equivalence.  Only "
-    "repro.obs and repro.perf may read the wall clock (profiling tracks "
-    "are stripped before CI diffs them).",
+    "repro.obs may read the wall clock (profiling tracks are stripped "
+    "before CI diffs them).",
     "Use the engine's SimClock for anything that lands in a result; for "
-    "profiling, route through repro.perf timers or repro.obs spans.",
+    "profiling, route through repro.obs summaries (Summary.time) or "
+    "spans.",
 )
 _rule(
     "D002",
@@ -165,24 +166,9 @@ _rule(
     "repro/lint/layers.toml.",
 )
 _rule(
-    "F001",
-    "artifact-fingerprint module list misses a reachable module",
-    "Experiment artifact keys hash the source bytes of a declared "
-    "module list; a module that the experiment can reach but does not "
-    "declare can change behaviour without invalidating stored "
-    "artifacts — the exact drift that forced manual _STATE_MODULES/"
-    "_RECOVERY_MODULES updates in PRs 7-8.  The declared list must "
-    "cover the static import closure of the experiment's roots "
-    "(modulo the exempt, proven-inert modules in layers.toml).",
-    "Add the missing modules to the experiment's modules= tuple in "
-    "repro/experiments/registry.py (group shared runs into _*_MODULES "
-    "constants), or — if genuinely result-inert — add them to "
-    "[fingerprint].exempt in repro/lint/layers.toml with a comment.",
-)
-_rule(
     "T001",
     "trace/metric name off-catalog or not dotted lowercase",
-    "Span, point-event, metric, perf-timer and engine-event names are "
+    "Span, point-event, metric and engine-event names are "
     "a public, grep-able surface (Perfetto tracks, Prometheus series, "
     "events.jsonl).  Names must be dotted lowercase "
     "(component.thing[.detail]) and declared in the central catalog "

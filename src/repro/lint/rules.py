@@ -15,8 +15,8 @@ way the determinism contract is scoped:
 * **D004** — ``json.dump(s)`` without ``sort_keys=True``, inside
   serialization modules (dotted name containing a
   :data:`CANONICAL_JSON_MODULES` component);
-* **T001** — string-literal names passed to span/point/metric/timer
-  and engine publish/subscribe calls must be dotted lowercase and in
+* **T001** — string-literal names passed to span/point/metric and
+  engine publish/subscribe calls must be dotted lowercase and in
   the :mod:`repro.obs.names` catalog.
 """
 
@@ -30,7 +30,7 @@ from typing import Iterator
 from repro.lint.model import RULES, Finding
 
 #: modules (by dotted prefix) that own the wall clock
-WALL_CLOCK_ALLOWED = ("repro.obs", "repro.perf")
+WALL_CLOCK_ALLOWED = ("repro.obs",)
 
 #: wall-clock callables, by origin module
 _WALL_CLOCK_FNS = {
@@ -65,7 +65,6 @@ NAME_BEARING_CALLS = frozenset(
     {
         "span", "point",                       # repro.obs.trace
         "counter", "gauge", "histogram", "summary",  # repro.obs.metrics
-        "timer", "record", "event",            # repro.perf
         "publish", "subscribe",                # repro.engine kernel
     }
 )

@@ -6,8 +6,8 @@ result cache is *content-keyed*: a file's per-file findings are stored
 under ``sha256(source bytes + rule configuration + analyzer
 fingerprint)``, so a cache hit is exact by definition and editing any
 analyzer module (or the name catalog) invalidates every entry, the same
-contract the telemetry summary cache follows.  Graph rules (L001-L003,
-F001) always run fresh — they are whole-package properties, cheap next
+contract the telemetry summary cache follows.  Graph rules (L001-L003)
+always run fresh — they are whole-package properties, cheap next
 to parsing.
 
 ``REPRO_NO_CACHE=1`` (or ``cache=False``) bypasses the cache, as
@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.lint.baseline import Baseline, apply_baseline, load_baseline
-from repro.lint.fingerprints import check_fingerprints
 from repro.lint.layers import LayerContract, check_layers, load_contract
 from repro.lint.model import PRAGMA_RE, RULES, Finding, parse_pragmas, split_suppressed
 from repro.lint.rules import RuleConfig, check_file
@@ -124,7 +123,6 @@ def _analyzer_fingerprint() -> str:
         _ANALYZER_FINGERPRINT = fingerprint_modules(
             [
                 "repro.lint.baseline",
-                "repro.lint.fingerprints",
                 "repro.lint.imports",
                 "repro.lint.layers",
                 "repro.lint.model",
@@ -255,10 +253,8 @@ def lint_paths(
     raw: list[Finding] = []
     pragma_suppressed: list[Finding] = []
     strict_extras: list[Finding] = []
-    sources: dict[Path, str] = {}
     for path in files:
         source = path.read_text(encoding="utf-8")
-        sources[path] = source
         module = module_name_of(path)
         relpath = rel(path)
         per_file = [
@@ -288,7 +284,6 @@ def lint_paths(
     if graph_rules:
         from repro.lint.imports import build_import_graph
 
-        linted = set(files)
         linted_rel = {rel(p) for p in files}
         for root in _package_roots(files):
             graph = build_import_graph(root)
@@ -303,20 +298,6 @@ def lint_paths(
                 if f.path in linted_rel
             ]
             raw.extend(layer_findings)
-            registry_name = f"{root.name}.experiments.registry"
-            registry_path = graph.files.get(registry_name)
-            if registry_path is not None and registry_path in linted:
-                fp = check_fingerprints(
-                    graph,
-                    registry_path,
-                    rel(registry_path),
-                    contract.fingerprint_exempt,
-                )
-                # graph-rule findings honour pragmas on their line too
-                pragmas = parse_pragmas(sources[registry_path])
-                active, suppressed = split_suppressed(fp, pragmas)
-                raw.extend(active)
-                pragma_suppressed.extend(suppressed)
 
     active, baselined, stale = apply_baseline(raw, baseline, strict=strict)
     findings = sorted(active + stale + (strict_extras if strict else []))

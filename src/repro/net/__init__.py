@@ -33,7 +33,6 @@ from repro.net.paths import LinkPath, k_shortest_paths, path_capacity, shortest_
 from repro.net.srlg import SrlgMap, degrade_cable, duplex_srlgs, fail_cable
 from repro.net.plant import FiberPlant, PlantConfig, PlantSegment
 from repro.net.topologies import SITE_COORDINATES, site_coordinates
-from repro.net.validate import Finding, assert_deployable, validate_topology
 
 __all__ = [
     "Link",
@@ -63,7 +62,4 @@ __all__ = [
     "PlantSegment",
     "SITE_COORDINATES",
     "site_coordinates",
-    "Finding",
-    "assert_deployable",
-    "validate_topology",
 ]

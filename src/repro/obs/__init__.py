@@ -7,8 +7,8 @@ Three pillars (see DESIGN.md §5f):
   ``perf_counter``), attached to the engine via the observer hook and
   zero-cost when disabled;
 * :mod:`repro.obs.metrics` — labelled counters / gauges / fixed-bucket
-  histograms / summaries, mergeable across sweep workers
-  (:mod:`repro.perf` is now a back-compat shim over this registry);
+  histograms / summaries, mergeable across sweep workers, and the
+  ``BENCH.json`` timing report (:func:`~repro.obs.metrics.collect`);
 * :mod:`repro.obs.export` — Chrome-trace/Perfetto ``trace.json``,
   JSONL event log, Prometheus textfile and a terminal run summary.
 

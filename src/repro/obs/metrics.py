@@ -12,9 +12,10 @@ families, all addressable by ``(name, labels)``:
 * **histogram** — observations bucketed into *fixed* upper bounds, so
   two registries filled on different workers can be merged bucket by
   bucket without resampling;
-* **summary** — count/total/min/max of a stream of durations; this is
-  exactly the aggregate :mod:`repro.perf` has always written into
-  ``BENCH.json``, so the perf layer now records through here.
+* **summary** — count/total/min/max of a stream of durations
+  (:meth:`Summary.time` times a block into one); these are the
+  ``timers`` of the ``BENCH.json`` report (:func:`collect`,
+  :func:`write_bench`).
 
 Registries are **mergeable**: :meth:`MetricsRegistry.merge` folds
 another registry in (counters add, histograms add bucket-wise,
@@ -24,19 +25,24 @@ plain JSON so a sweep worker can ship its registry back to the parent
 process.  Merged totals are independent of how points were sharded
 over workers — the worker-count-invariance test pins that.
 
-A process-wide *current* registry plus thread-local
-:func:`isolated` blocks mirror the :mod:`repro.perf` conventions (the
-perf module is now a thin view over this machinery).
+Instrumentation records into a process-wide *current* registry;
+:func:`isolated` swaps in a fresh one for the enclosed block (per
+thread, so pool workers in the thread-fallback mode cannot bleed into
+each other).  The sweep runner wraps every run in it so back-to-back
+runs in one process each report their own numbers.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import os
+import platform
 import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Any, Iterator, Mapping
 
 #: default histogram upper bounds (seconds-flavoured, but unit-free)
@@ -45,6 +51,9 @@ DEFAULT_BUCKETS = (
 )
 
 _PAYLOAD_SCHEMA = 1
+
+#: ``BENCH.json`` report schema (see :func:`collect`)
+BENCH_SCHEMA = 1
 
 
 def timestamp_unix() -> float:
@@ -136,14 +145,22 @@ class Histogram:
                 return
         self.inf_count += 1
 
+    def as_dict(self) -> dict[str, Any]:
+        return {
+            "buckets": list(self.buckets),
+            "counts": list(self.counts),
+            "inf_count": self.inf_count,
+            "total": self.total,
+            "n": self.n,
+        }
+
 
 @dataclass
 class Summary:
     """count/total/min/max aggregate of one timer-style stream.
 
-    This is the ``BENCH.json`` timer aggregate, lifted out of
-    :mod:`repro.perf`; ``meta`` keeps the most recent record's
-    free-form annotations (workers, cache state, ...).
+    This is the ``BENCH.json`` timer aggregate; ``meta`` keeps the most
+    recent record's free-form annotations (workers, cache state, ...).
     """
 
     count: int = 0
@@ -161,6 +178,22 @@ class Summary:
         self.max_s = max(self.max_s, elapsed_s)
         if meta:
             self.meta = dict(meta)
+
+    @contextmanager
+    def time(self, **meta: Any) -> Iterator[None]:
+        """Time the enclosed block (``perf_counter``) and :meth:`add` it.
+
+        >>> reg = MetricsRegistry()
+        >>> with reg.summary("doc.work").time(workers=2):
+        ...     pass
+        >>> reg.get_summary("doc.work").count, reg.get_summary("doc.work").meta
+        (1, {'workers': 2})
+        """
+        start = time.perf_counter()
+        try:
+            yield
+        finally:
+            self.add(time.perf_counter() - start, meta)
 
     @property
     def mean_s(self) -> float:
@@ -335,16 +368,7 @@ class MetricsRegistry:
             "schema": _PAYLOAD_SCHEMA,
             "counters": rows(self._counters, lambda c: {"value": c.value}),
             "gauges": rows(self._gauges, lambda g: {"value": g.value}),
-            "histograms": rows(
-                self._histograms,
-                lambda h: {
-                    "buckets": list(h.buckets),
-                    "counts": list(h.counts),
-                    "inf_count": h.inf_count,
-                    "total": h.total,
-                    "n": h.n,
-                },
-            ),
+            "histograms": rows(self._histograms, Histogram.as_dict),
             "summaries": rows(
                 self._summaries,
                 lambda s: {
@@ -386,7 +410,7 @@ class MetricsRegistry:
         return registry
 
 
-#: Process-wide default registry (mirrors ``repro.perf.REGISTRY``).
+#: Process-wide default registry.
 REGISTRY = MetricsRegistry()
 
 _isolation = threading.local()
@@ -430,3 +454,57 @@ def histogram(
 
 def summary(name: str, **labels: Any) -> Summary:
     return current().summary(name, **labels)
+
+
+def collect(
+    registry: MetricsRegistry | None = None,
+    *,
+    extra: Mapping[str, Any] | None = None,
+) -> dict[str, Any]:
+    """The ``BENCH.json`` report over ``registry`` (default: current).
+
+    Stable keys and plain JSON types: summaries under ``timers`` keyed
+    by series name with count/total/mean/min/max, counters under
+    ``events``; gauges and histograms appear as extra sections when
+    present.  ``generated_unix`` honours ``SOURCE_DATE_EPOCH`` so two
+    reports from identical runs byte-diff clean.
+    """
+    reg = registry if registry is not None else current()
+    events: dict[str, Any] = {}
+    for name, value in reg.counters().items():
+        events[name] = int(value) if value == int(value) else value
+    report: dict[str, Any] = {
+        "schema": BENCH_SCHEMA,
+        "generated_unix": timestamp_unix(),
+        "host": {
+            "platform": platform.platform(),
+            "python": platform.python_version(),
+        },
+        "timers": {
+            name: stat.as_dict() for name, stat in reg.summaries().items()
+        },
+        "events": events,
+    }
+    gauges = reg.gauges()
+    if gauges:
+        report["gauges"] = gauges
+    histograms = reg.histograms()
+    if histograms:
+        report["histograms"] = {
+            name: h.as_dict() for name, h in histograms.items()
+        }
+    if extra:
+        report["extra"] = dict(extra)
+    return report
+
+
+def write_bench(
+    path: str | Path = "BENCH.json",
+    registry: MetricsRegistry | None = None,
+    *,
+    extra: Mapping[str, Any] | None = None,
+) -> Path:
+    """Persist :func:`collect` as indented JSON; returns the path."""
+    path = Path(path)
+    path.write_text(json.dumps(collect(registry, extra=extra), indent=2) + "\n")
+    return path

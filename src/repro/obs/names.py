@@ -2,7 +2,7 @@
 
 Every string a run can emit as an observability name — span and
 point-event names (:mod:`repro.obs.trace`), metric series
-(:mod:`repro.obs.metrics` / :mod:`repro.perf`) and engine event kinds
+(:mod:`repro.obs.metrics`) and engine event kinds
 (``Engine.publish`` / ``EventSource`` kinds) — is declared here once,
 with a one-line description.  The exporters read the catalog (Prometheus
 ``# HELP`` lines come from it), and ``repro lint`` rule **T001** checks
@@ -43,7 +43,7 @@ POINTS: dict[str, str] = {
     "te.retry": "TE solve failed; retry with backoff scheduled",
 }
 
-#: metric series — counters / gauges / histograms / perf timers
+#: metric series — counters / gauges / histograms / summaries
 METRICS: dict[str, str] = {
     "controller.reconfig_downtime_s": "histogram of per-link reconfiguration downtime",
     "controller.reconfig_failures": "reconfigurations that exhausted their retries",

@@ -23,7 +23,7 @@ handlers of every event and cannot reorder them.  The golden suite
 runs all five committed scenarios with tracing on and demands
 byte-identical results.
 
-Enablement is ambient, like :func:`repro.perf.isolated`: code under
+Enablement is ambient, like :func:`repro.obs.metrics.isolated`: code under
 ``with tracing(tracer):`` sees the tracer through
 :func:`current_tracer`; instrumented call sites go through the
 module-level :func:`span` / :func:`point` helpers, which collapse to a

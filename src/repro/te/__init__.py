@@ -30,13 +30,6 @@ from repro.te.incremental import (
 )
 from repro.te.pathlp import PathBasedLp, PathLpOutcome
 from repro.te.maxflow import max_flow, min_cost_max_flow, SingleCommodityResult
-from repro.te.decompose import (
-    Decomposition,
-    PathFlow,
-    decompose_assignment,
-    decompose_solution,
-)
-from repro.te.churn import ChurnReport, cumulative_churn, solution_churn
 from repro.te.swan import swan_allocate
 from repro.te.b4 import b4_allocate
 from repro.te.cspf import cspf_allocate
@@ -57,13 +50,6 @@ __all__ = [
     "max_flow",
     "min_cost_max_flow",
     "SingleCommodityResult",
-    "Decomposition",
-    "PathFlow",
-    "decompose_assignment",
-    "decompose_solution",
-    "ChurnReport",
-    "cumulative_churn",
-    "solution_churn",
     "swan_allocate",
     "b4_allocate",
     "cspf_allocate",

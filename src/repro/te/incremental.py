@@ -46,9 +46,9 @@ from typing import Callable, Hashable, Sequence
 
 import numpy as np
 
-from repro import perf
 from repro.net.demands import Demand
 from repro.net.topology import Topology
+from repro.obs import metrics as _metrics
 from repro.parallel import pool_map, resolve_workers
 from repro.state import NetworkState, capacity_digest, demand_digest, structure_digest
 from repro.te.lp import LpOutcome, MultiCommodityLp
@@ -182,13 +182,13 @@ class TeSolveCache:
     ) -> MultiCommodityLp:
         lp = self._structures.get(skey)
         if lp is None:
-            perf.event("te.cache.structure_miss")
+            _metrics.counter("te.cache.structure_miss").inc()
             lp = MultiCommodityLp(topology, demands)
             self._structures[skey] = lp
             while len(self._structures) > self.structure_size:
                 self._structures.popitem(last=False)
         else:
-            perf.event("te.cache.structure_hit")
+            _metrics.counter("te.cache.structure_hit").inc()
             self._structures.move_to_end(skey)
             lp.rebind(topology)
         return lp
@@ -220,10 +220,10 @@ class TeSolveCache:
         mkey = (skey, numeric_key(topology, state=state), method)
         entry = self._memo.get(mkey)
         if entry is not None:
-            perf.event("te.cache.memo_hit")
+            _metrics.counter("te.cache.memo_hit").inc()
             self._memo.move_to_end(mkey)
             lp = self._lp_for(skey, topology, demands)
-            with perf.timer("te.cache.replay"):
+            with _metrics.summary("te.cache.replay").time():
                 solution = lp._extract(entry.x)
             return LpOutcome(
                 solution=solution,
@@ -232,7 +232,7 @@ class TeSolveCache:
                 concurrency=entry.concurrency,
                 x=entry.x,
             )
-        perf.event("te.cache.memo_miss")
+        _metrics.counter("te.cache.memo_miss").inc()
         lp = self._lp_for(skey, topology, demands)
         outcome: LpOutcome = getattr(lp, method)()
         if self.memo_size and outcome.x is not None:
@@ -371,8 +371,8 @@ def batch_throughput(
         (scenario, demands, te_algorithm, use_cache) for scenario in scenarios
     ]
     n_workers = resolve_workers(workers)
-    with perf.timer(
-        "te.batch.throughput", n_scenarios=len(jobs), workers=n_workers
+    with _metrics.summary("te.batch.throughput").time(
+        n_scenarios=len(jobs), workers=n_workers
     ):
         if n_workers > 1 and len(jobs) > 1:
             return list(pool_map(_throughput_job, jobs, n_workers))

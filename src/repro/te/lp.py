@@ -56,9 +56,9 @@ except ImportError as exc:  # scipy < 1.15 kept HiGHS elsewhere
         f"installed scipy is {scipy.__version__}"
     ) from exc
 
-from repro import perf
 from repro.net.demands import Demand
 from repro.net.topology import Topology
+from repro.obs import metrics as _metrics
 from repro.te.solution import EPSILON, FlowAssignment, TeSolution
 
 
@@ -357,7 +357,7 @@ class MultiCommodityLp:
         method reuses the cached matrix.
         """
         if self._conservation_cache is None:
-            with perf.timer("lp.assemble.conservation"):
+            with _metrics.summary("lp.assemble.conservation").time():
                 n_k, n_e = self.n_demands, self.n_links
                 n_n = len(self.nodes)
                 k = np.arange(n_k, dtype=np.int64)
@@ -396,7 +396,7 @@ class MultiCommodityLp:
     def _capacity(self) -> tuple[Block, np.ndarray]:
         """A_ub x <= cap rows: one per link, summed over commodities."""
         if self._capacity_cache is None:
-            with perf.timer("lp.assemble.capacity"):
+            with _metrics.summary("lp.assemble.capacity").time():
                 n_k, n_e = self.n_demands, self.n_links
                 k = np.arange(n_k, dtype=np.int64)
                 e = np.arange(n_e, dtype=np.int64)
@@ -436,8 +436,8 @@ class MultiCommodityLp:
     # -- solves -------------------------------------------------------------
 
     def _solve(self, model: HighsModel, c: np.ndarray, b_ub: np.ndarray) -> np.ndarray:
-        with perf.timer(
-            "lp.solve", n_vars=len(c), n_demands=self.n_demands
+        with _metrics.summary("lp.solve").time(
+            n_vars=len(c), n_demands=self.n_demands
         ):
             return solve_highs(model, c, b_ub)
 

@@ -27,7 +27,7 @@ import tempfile
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
-from repro.fingerprint import fingerprint_modules
+from repro.fingerprint import fingerprint_modules, import_closure
 from repro.optics.modulation import ModulationTable
 from repro.telemetry.io import load_summaries, save_summaries
 from repro.telemetry.stats import LinkSummary
@@ -42,20 +42,6 @@ NO_CACHE_ENV = "REPRO_NO_CACHE"
 
 _SCHEMA = 1
 _PREFIX = "summaries-"
-
-#: Modules whose source determines the synthesis output byte-for-byte.
-SYNTHESIS_MODULES = (
-    "repro.optics.fiber",
-    "repro.optics.impairments",
-    "repro.optics.modulation",
-    "repro.seeds",
-    "repro.telemetry.dataset",
-    "repro.telemetry.events",
-    "repro.telemetry.hdr",
-    "repro.telemetry.stats",
-    "repro.telemetry.timebase",
-    "repro.telemetry.traces",
-)
 
 
 def cache_enabled(override: bool | None = None) -> bool:
@@ -80,11 +66,13 @@ def cache_dir() -> Path:
 def code_fingerprint() -> str:
     """Hash of the source files that determine synthesis output.
 
-    Editing any module in the synthesis chain (trace generation, event
-    processes, summary statistics, the optical budget, or the modulation
+    The modules are the static import closure of
+    :mod:`repro.telemetry.dataset` (:func:`repro.fingerprint.import_closure`):
+    editing any module in the synthesis chain (trace generation, event
+    processes, summary statistics, the optical budget, the modulation
     ladder) changes this digest and therefore every cache key.
     """
-    return fingerprint_modules(SYNTHESIS_MODULES)
+    return fingerprint_modules(import_closure("repro.telemetry.dataset"))
 
 
 def _table_signature(table: ModulationTable) -> list[list[float | str]]:

@@ -31,7 +31,7 @@ from typing import Callable, Iterator, TypeVar
 
 import numpy as np
 
-from repro import perf
+from repro.obs import metrics as _metrics
 from repro.parallel import WORKERS_ENV, pool_map, resolve_workers
 from repro.optics.fiber import FiberCable, LineSystem
 from repro.optics.modulation import DEFAULT_MODULATIONS, ModulationTable
@@ -305,12 +305,12 @@ class BackboneDataset:
             key = summary_cache.dataset_key(cfg, table)
             cached = summary_cache.load(key)
             if cached is not None:
-                perf.event("synthesis.cache_hit")
+                _metrics.counter("synthesis.cache_hit").inc()
                 return cached
-            perf.event("synthesis.cache_miss")
+            _metrics.counter("synthesis.cache_miss").inc()
         fn = functools.partial(_summarize_cable, cfg, table=table)
-        with perf.timer(
-            "synthesis.summaries", workers=n_workers, n_cables=cfg.n_cables
+        with _metrics.summary("synthesis.summaries").time(
+            workers=n_workers, n_cables=cfg.n_cables
         ):
             out = [
                 summary

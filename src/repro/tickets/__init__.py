@@ -18,26 +18,8 @@ from repro.tickets.analysis import (
     opportunity_area,
     shares_by_cause,
 )
-from repro.tickets.correlate import (
-    TicketMatch,
-    match_ticket_to_episodes,
-    tickets_from_dataset,
-)
-from repro.tickets.mttr import (
-    ReliabilityStats,
-    mttr_improvement_with_dynamic_capacity,
-    reliability_by_cause,
-    reliability_stats,
-)
 
 __all__ = [
-    "TicketMatch",
-    "match_ticket_to_episodes",
-    "tickets_from_dataset",
-    "ReliabilityStats",
-    "mttr_improvement_with_dynamic_capacity",
-    "reliability_by_cause",
-    "reliability_stats",
     "Ticket",
     "TicketConfig",
     "TicketGenerator",

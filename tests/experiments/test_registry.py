@@ -121,34 +121,13 @@ class TestRunSpec:
         assert json.loads(payload)["mode"] == "reactive"
 
 
-class TestFingerprintCompleteness:
-    """Satellite of lint rule F001: the registry's module lists are closed."""
-
-    def test_every_declared_module_resolves(self):
-        for name in experiment_names():
-            experiment = get_experiment(name)
-            # fingerprint_modules raises on any module it cannot load
-            assert registry_mod.fingerprint_modules(experiment.modules)
-
-    def test_registry_is_f001_clean(self):
-        from pathlib import Path
-
-        from repro.lint.fingerprints import check_fingerprints
-        from repro.lint.imports import build_import_graph
+class TestCodeFingerprint:
+    def test_derived_closure(self):
+        from repro.fingerprint import import_closure
         from repro.lint.layers import load_contract
 
-        src_repro = Path(registry_mod.__file__).resolve().parents[1]
-        graph = build_import_graph(src_repro)
-        findings = check_fingerprints(
-            graph,
-            Path(registry_mod.__file__),
-            "src/repro/experiments/registry.py",
-            load_contract().fingerprint_exempt,
-        )
-        assert [f.message for f in findings] == []
-
-    def test_all_experiments_share_one_closed_set(self):
-        sets = {get_experiment(n).modules for n in experiment_names()}
-        assert len(sets) == 1
-        (modules,) = sets
-        assert len(modules) == len(set(modules))  # no duplicates
+        modules = import_closure(registry_mod.__name__)
+        contract = load_contract()
+        assert [m for m in modules if contract.is_exempt(m)] == []
+        # imported only inside _run_whatif's body
+        assert "repro.sim.whatif" in modules

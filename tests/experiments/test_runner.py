@@ -36,10 +36,10 @@ class TestRunSweep:
         assert report.n_reused == 2
 
     def test_artifact_carries_isolated_perf_report(self, tmp_path):
-        from repro import perf
+        from repro.obs import metrics
 
-        with perf.isolated():  # outer noise must not leak into artifacts
-            perf.record("outer.noise", 1.0)
+        with metrics.isolated():  # outer noise must not leak into artifacts
+            metrics.summary("outer.noise").add(1.0)
             run_sweep(quick_sweep(), tmp_path / "run", workers=1)
         store = RunStore(tmp_path / "run")
         for artifact in store.artifacts():

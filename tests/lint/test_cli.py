@@ -59,7 +59,7 @@ class TestExitCodes:
 
 
 class TestExplain:
-    @pytest.mark.parametrize("code", ["D001", "d003", "F001", "T001", "B001"])
+    @pytest.mark.parametrize("code", ["D001", "d003", "T001", "B001"])
     def test_known_codes(self, code, capsys):
         assert main(["--explain", code]) == 0
         out = capsys.readouterr().out
@@ -68,6 +68,11 @@ class TestExplain:
 
     def test_unknown_code_exit_2(self, capsys):
         assert main(["--explain", "Z999"]) == 2
+        assert "unknown rule code" in capsys.readouterr().err
+
+    def test_retired_f001_exit_2(self, capsys):
+        # artifact fingerprints are derived from the import graph now
+        assert main(["--explain", "F001"]) == 2
         assert "unknown rule code" in capsys.readouterr().err
 
 

@@ -25,7 +25,7 @@ class TestD001WallClock:
 
     def test_silent_inside_observability_modules(self):
         assert run_fixture("wall_clock.py", "repro.obs.trace") == []
-        assert run_fixture("wall_clock.py", "repro.perf") == []
+        assert run_fixture("wall_clock.py", "repro.obs.metrics") == []
 
 
 class TestD002Randomness:

@@ -1,6 +1,8 @@
-"""Tests for the mergeable metrics registry."""
+"""Tests for the mergeable metrics registry and its BENCH.json report."""
 
+import json
 import math
+import threading
 
 import pytest
 
@@ -197,3 +199,56 @@ class TestAmbientRegistry:
     def test_timestamp_ignores_garbage_epoch(self, monkeypatch):
         monkeypatch.setenv("SOURCE_DATE_EPOCH", "not-a-number")
         assert metrics.timestamp_unix() > 1700000000.0
+
+
+class TestBenchReport:
+    def test_time_records_on_exception(self):
+        reg = MetricsRegistry()
+        with pytest.raises(RuntimeError):
+            with reg.summary("work").time(workers=2):
+                raise RuntimeError("boom")
+        assert reg.get_summary("work").count == 1
+        assert reg.get_summary("work").meta == {"workers": 2}
+
+    def test_collect_schema(self):
+        reg = MetricsRegistry()
+        reg.summary("a").add(0.5, {"workers": 2})
+        reg.counter("hit").inc()
+        report = metrics.collect(reg, extra={"note": "x"})
+        assert report["schema"] == metrics.BENCH_SCHEMA
+        assert "generated_unix" in report and "host" in report
+        assert report["timers"]["a"]["count"] == 1
+        assert report["timers"]["a"]["meta"] == {"workers": 2}
+        assert report["events"] == {"hit": 1}
+        assert report["extra"] == {"note": "x"}
+        assert "gauges" not in report and "histograms" not in report
+
+    def test_collect_defaults_to_current_registry(self):
+        with metrics.isolated():
+            metrics.summary("inner").add(0.1)
+            assert list(metrics.collect()["timers"]) == ["inner"]
+
+    def test_write_bench_round_trips(self, tmp_path):
+        reg = MetricsRegistry()
+        reg.summary("a").add(0.25)
+        path = metrics.write_bench(tmp_path / "BENCH.json", reg)
+        payload = json.loads(path.read_text())
+        assert payload["timers"]["a"]["total_s"] == pytest.approx(0.25)
+
+    def test_isolated_threads_are_independent(self):
+        seen = {}
+
+        def worker(tag):
+            with metrics.isolated() as reg:
+                for _ in range(50):
+                    metrics.counter(tag).inc()
+            seen[tag] = reg.counters()
+
+        threads = [
+            threading.Thread(target=worker, args=(f"t{i}",)) for i in range(2)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert seen == {"t0": {"t0": 50.0}, "t1": {"t1": 50.0}}

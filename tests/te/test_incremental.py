@@ -11,13 +11,13 @@ import pathlib
 import numpy as np
 import pytest
 
-from repro import perf
 from repro.core.controller import DynamicCapacityController, default_te_algorithm
 from repro.core.policies import run_policy
 from repro.faults.spec import FaultPlan, FaultSpec
 from repro.net.demands import Demand, gravity_demands
 from repro.net.srlg import duplex_srlgs, fail_cable
 from repro.net.topologies import abilene, figure7_topology, line_topology
+from repro.obs import metrics
 from repro.optics.impairments import AmplifierDegradation
 from repro.sim.replay import replay_controller
 from repro.te.incremental import (
@@ -61,11 +61,11 @@ class TestMemoization:
     def test_memo_hit_is_bit_identical(self):
         topo, demands = _wan(), _demands(_wan())
         cache = TeSolveCache()
-        with perf.isolated() as reg:
+        with metrics.isolated() as reg:
             first = cache.solve(topo, demands)
             second = cache.solve(topo, demands)
-        assert reg.event_count("te.cache.memo_miss") == 1
-        assert reg.event_count("te.cache.memo_hit") == 1
+        assert reg.counter_value("te.cache.memo_miss") == 1
+        assert reg.counter_value("te.cache.memo_hit") == 1
         fresh = MultiCommodityLp(topo, demands).min_penalty_at_max_throughput()
         _assert_identical(first, fresh)
         _assert_identical(second, fresh)
@@ -73,11 +73,11 @@ class TestMemoization:
     def test_methods_memoized_independently(self):
         topo, demands = _wan(), _demands(_wan())
         cache = TeSolveCache()
-        with perf.isolated() as reg:
+        with metrics.isolated() as reg:
             cache.solve(topo, demands, method="max_throughput")
             cache.solve(topo, demands, method="min_penalty_at_max_throughput")
-        assert reg.event_count("te.cache.memo_miss") == 2
-        assert reg.event_count("te.cache.memo_hit") == 0
+        assert reg.counter_value("te.cache.memo_miss") == 2
+        assert reg.counter_value("te.cache.memo_hit") == 0
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError, match="unknown solve method"):
@@ -91,14 +91,14 @@ class TestStructureReuse:
         topo, demands = _wan(), _demands(_wan())
         flapped = _scaled(topo, 0.8)
         cache = TeSolveCache()
-        with perf.isolated() as reg:
+        with metrics.isolated() as reg:
             cache.solve(topo, demands)
             warm = cache.solve(flapped, demands)
             # one assembly serves both rounds: the flap is RHS-only
-            assert reg.timer_stat("lp.assemble.conservation").count == 1
-            assert reg.timer_stat("lp.assemble.capacity").count == 1
-            assert reg.event_count("te.cache.structure_hit") == 1
-            assert reg.event_count("te.cache.memo_miss") == 2
+            assert reg.get_summary("lp.assemble.conservation").count == 1
+            assert reg.get_summary("lp.assemble.capacity").count == 1
+            assert reg.counter_value("te.cache.structure_hit") == 1
+            assert reg.counter_value("te.cache.memo_miss") == 2
         fresh = MultiCommodityLp(flapped, demands).min_penalty_at_max_throughput()
         _assert_identical(warm, fresh)
 
@@ -108,11 +108,11 @@ class TestStructureReuse:
         cut = fail_cable(topo, srlgs, srlgs.cables()[0])
         demands = [Demand("A", "D", 150.0), Demand("B", "C", 80.0)]
         cache = TeSolveCache()
-        with perf.isolated() as reg:
+        with metrics.isolated() as reg:
             cache.solve(topo, demands)
             after = cache.solve(cut, demands)
-            assert reg.event_count("te.cache.structure_miss") == 2
-            assert reg.event_count("te.cache.structure_hit") == 0
+            assert reg.counter_value("te.cache.structure_miss") == 2
+            assert reg.counter_value("te.cache.structure_hit") == 0
         _assert_identical(
             after, MultiCommodityLp(cut, demands).min_penalty_at_max_throughput()
         )
@@ -121,10 +121,10 @@ class TestStructureReuse:
     def test_demand_change_misses_structure(self):
         topo = _wan()
         cache = TeSolveCache()
-        with perf.isolated() as reg:
+        with metrics.isolated() as reg:
             cache.solve(topo, _demands(topo, seed=0))
             cache.solve(topo, _demands(topo, seed=1))
-            assert reg.event_count("te.cache.structure_miss") == 2
+            assert reg.counter_value("te.cache.structure_miss") == 2
 
     def test_lru_eviction_keeps_answers_exact(self):
         small = TeSolveCache(memo_size=1, structure_size=1)
@@ -233,11 +233,11 @@ class TestInvalidationUnderReplay:
     def test_dark_link_misses_structure_and_matches_uncached(self):
         # a 14 dB dip from a 16 dB baseline is below every rung: the
         # link goes dark mid-run and the working topology loses an edge
-        with perf.isolated() as reg:
+        with metrics.isolated() as reg:
             cached = _dip_replay(True, dip_db=14.0)
             # at least: first round, dark round, recovery round
-            assert reg.event_count("te.cache.structure_miss") >= 3
-            assert reg.event_count("te.cache.memo_hit") > 0
+            assert reg.counter_value("te.cache.structure_miss") >= 3
+            assert reg.counter_value("te.cache.memo_hit") > 0
         uncached = _dip_replay(False, dip_db=14.0)
         assert np.any(uncached.n_failed > 0)  # the cut really happened
         _assert_replays_identical(cached, uncached)

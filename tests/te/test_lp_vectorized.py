@@ -195,17 +195,17 @@ class TestMemoization:
         assert c1 is c2
 
     def test_two_phase_assembles_once(self):
-        from repro import perf
+        from repro.obs import metrics
 
-        perf.reset()
-        lp = MultiCommodityLp(
-            _penalized_topology(), [Demand("A", "C", 180.0)]
-        )
-        lp.min_penalty_at_max_throughput()
-        assert perf.timer_stat("lp.assemble.conservation").count == 1
-        assert perf.timer_stat("lp.assemble.capacity").count == 1
+        with metrics.isolated() as reg:
+            lp = MultiCommodityLp(
+                _penalized_topology(), [Demand("A", "C", 180.0)]
+            )
+            lp.min_penalty_at_max_throughput()
+        assert reg.get_summary("lp.assemble.conservation").count == 1
+        assert reg.get_summary("lp.assemble.capacity").count == 1
         # ... and both phases actually solved
-        assert perf.timer_stat("lp.solve").count == 2
+        assert reg.get_summary("lp.solve").count == 2
 
     def test_penalty_vector_returns_fresh_copy(self):
         lp = MultiCommodityLp(

@@ -60,6 +60,15 @@ class TestKeys:
         monkeypatch.setattr(cache, "code_fingerprint", lambda: "different")
         assert cache.dataset_key(tiny_config, DEFAULT_MODULATIONS) != before
 
+    def test_code_fingerprint_covers_optics_units(self, monkeypatch):
+        # repro.optics.fiber takes its dB conversions from repro.optics.units
+        hashed: list[str] = []
+        monkeypatch.setattr(
+            cache, "fingerprint_modules", lambda modules: hashed.extend(modules) or "x"
+        )
+        cache.code_fingerprint()
+        assert "repro.optics.units" in hashed
+
 
 class TestRoundTrip:
     def test_miss_on_empty_cache(self):
@@ -95,14 +104,14 @@ class TestDatasetIntegration:
         assert warm == cold
 
     def test_warm_run_skips_synthesis(self, tiny_config):
-        from repro import perf
+        from repro.obs import metrics
 
         dataset = BackboneDataset(tiny_config)
         dataset.summaries()
-        perf.reset()
-        dataset.summaries()
-        assert perf.event_count("synthesis.cache_hit") == 1
-        assert perf.timer_stat("synthesis.summaries") is None
+        with metrics.isolated() as reg:
+            dataset.summaries()
+        assert reg.counter_value("synthesis.cache_hit") == 1
+        assert reg.get_summary("synthesis.summaries") is None
 
     def test_no_cache_keeps_disk_untouched(self, tiny_config, isolated_cache):
         BackboneDataset(tiny_config).summaries(cache=False)

@@ -5,13 +5,19 @@ import doctest
 import pytest
 
 import repro.analysis.cdf
+import repro.obs.metrics
 import repro.optics.units
 import repro.telemetry.timebase
 
 
 @pytest.mark.parametrize(
     "module",
-    [repro.optics.units, repro.telemetry.timebase, repro.analysis.cdf],
+    [
+        repro.optics.units,
+        repro.telemetry.timebase,
+        repro.analysis.cdf,
+        repro.obs.metrics,
+    ],
     ids=lambda m: m.__name__,
 )
 def test_module_doctests(module):
