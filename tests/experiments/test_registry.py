@@ -121,8 +121,23 @@ class TestRunSpec:
         assert json.loads(payload)["mode"] == "reactive"
 
 
-class TestCodeFingerprint:
-    def test_derived_closure(self):
+class TestFingerprintCompleteness:
+    """The experiment fingerprint covers the registry's whole import closure."""
+
+    def test_every_declared_module_resolves(self):
+        from pathlib import Path
+
+        from repro.fingerprint import import_closure
+        from repro.lint.imports import build_import_graph
+
+        modules = import_closure(registry_mod.__name__)
+        src_repro = Path(registry_mod.__file__).resolve().parents[1]
+        assert set(modules) <= set(build_import_graph(src_repro).files)
+        # fingerprint_modules raises on any module it cannot load
+        assert registry_mod.code_fingerprint()
+
+    def test_registry_is_f001_clean(self):
+        # what lint rule F001 used to police now holds by construction
         from repro.fingerprint import import_closure
         from repro.lint.layers import load_contract
 
@@ -131,3 +146,22 @@ class TestCodeFingerprint:
         assert [m for m in modules if contract.is_exempt(m)] == []
         # imported only inside _run_whatif's body
         assert "repro.sim.whatif" in modules
+
+    def test_all_experiments_share_one_closed_set(self):
+        from pathlib import Path
+
+        from repro.fingerprint import import_closure
+        from repro.lint.imports import build_import_graph
+        from repro.lint.layers import load_contract
+
+        modules = import_closure(registry_mod.__name__)
+        assert len(modules) == len(set(modules))  # no duplicates
+        contract = load_contract()
+        graph = build_import_graph(Path(registry_mod.__file__).resolve().parents[1])
+        for module in modules:
+            for edge in graph.imports_of(module):
+                assert edge.imported in modules or contract.is_exempt(
+                    edge.imported
+                ), (module, edge.imported)
+        for name in experiment_names():
+            assert get_experiment(name).run.__module__ in modules
