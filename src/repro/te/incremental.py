@@ -9,28 +9,32 @@ LP it has already seen.  This module exploits that in three layers:
    MultiCommodityLp` (conservation/capacity blocks, the HiGHS models
    built from them, the variable layout) is cached keyed on the
    *structure* of the instance: node set, link ids/endpoints in
-   insertion order, and the demand list.  A round that only changed link capacities rebinds the
-   cached instance (an O(n_links) RHS update) instead of reassembling
-   O(n_demands x n_links) constraint blocks.
+   insertion order, and each demand's ``(src, dst)`` in list order.
+   A round or query that changed only link capacities or demand
+   volumes rebinds the cached instance (an O(n_links + n_demands)
+   in-place bounds update; only the max-concurrent-flow models, which
+   hold volumes in their matrix, are reassembled) instead of
+   reassembling O(n_demands x n_links) constraint blocks.
 2. **Exact solution memoization** — when the full numeric state
-   (capacities, penalties, demands, objective) matches a recent round,
-   the stored solver vector is replayed through the LP's own
-   extraction, skipping the solve entirely.  The solver is
-   deterministic, so identical inputs produce identical outputs and a
-   memo hit is *bit-identical* to a fresh solve — the golden
-   equivalence suite runs with the cache on.  A bounded LRU (not just
-   the previous round) catches run/walk/crawl-style oscillation
-   between a few recurring states.
+   (capacities, penalties, demand volumes and priorities, objective)
+   matches a recent round, the stored solver vector is replayed
+   through the LP's own extraction, skipping the solve entirely.  The
+   solver is deterministic, so identical inputs produce identical
+   outputs and a memo hit is *bit-identical* to a fresh solve — the
+   golden equivalence suite runs with the cache on.  A bounded LRU
+   (not just the previous round) catches run/walk/crawl-style
+   oscillation between a few recurring states.
 3. **Batched what-if** — independent scenario solves (ticket replays,
    per-cable failure drills) fan out over the shared
    :mod:`repro.parallel` pool; every worker keeps its own structure
-   cache, so "the same cable, degraded" reuses the assembled blocks
-   worker-locally.
+   cache, so "the same cable, degraded" and "the same plant, a new
+   traffic matrix" reuse the assembled blocks worker-locally.
 
 Invalidation needs no explicit hooks: any link appearing, disappearing
-(e.g. forced dark by a fault) or changing endpoints changes the
-structure key; any capacity/penalty/demand change changes the memo
-key.  Both fall out of keying on values instead of mutating state.
+(e.g. forced dark by a fault) or changing endpoints, and any demand
+endpoint change, changes the structure key; any capacity, penalty,
+volume or priority change changes the memo key.  Both fall out of
+keying on values instead of mutating state.
 
 ``REPRO_TE_NO_CACHE=1`` (or the blanket ``REPRO_NO_CACHE=1``) disables
 every layer; the CLI's ``--no-te-cache`` flag sets it for a run.
@@ -96,20 +100,20 @@ def structure_key(
     *,
     state: NetworkState | None = None,
 ) -> Hashable:
-    """What determines the LP's *shape*: nodes, link wiring, demand list.
+    """What determines the LP's *shape*: nodes, link wiring, demand pairs.
 
-    Link order matters (it is the variable layout), so the key keeps
-    insertion order.  Demand volumes are included because they set the
-    throughput-variable bounds; two demand sets differing only in
-    volume could share constraint blocks, but keeping volumes in the
-    structure key makes the memo key below a pure numeric suffix.
+    Link and demand order matter (they are the variable layout), so the
+    key keeps both in list order.  Demand volumes and priorities are
+    left out: volumes only bound the throughput variables, which
+    :meth:`MultiCommodityLp.rebind` rewrites in place, so they belong
+    to the memo key with the capacities.
 
     The wiring half of the key is :attr:`NetworkState.structure_id` —
     passing the ``state`` a topology was materialized from reuses its
     cached digest and, by construction, produces the identical tuple.
     """
     wiring = structure_digest(topology) if state is None else state.structure_id
-    return wiring + (demand_digest(demands),)
+    return wiring + (tuple((d.src, d.dst) for d in demands),)
 
 
 def numeric_key(
@@ -138,14 +142,15 @@ class TeSolveCache:
     would interleave their LRU orders non-deterministically.
 
     Determinism argument, in full: a structure hit rebinds the cached
-    ``MultiCommodityLp`` to the round's topology — the constraint
-    blocks are value-identical to what fresh assembly would build
-    (same index arithmetic over the same wiring; the capacity RHS is
-    rewritten in place, the penalty vector lazily rebuilt) — so HiGHS
-    sees the same matrices and returns the same vector.  A memo hit
-    replays a stored solver vector through ``_extract`` against the
-    rebound topology, which is exactly what the original solve did
-    with the same numbers.  Either way the result is bit-identical to
+    ``MultiCommodityLp`` to the round's topology and demands — the
+    model arrays are value-identical to what fresh assembly would build
+    (same index arithmetic over the same wiring and demand pairs; the
+    capacity RHS and the throughput bounds are rewritten in place, the
+    penalty vector and any model with volumes in its matrix lazily
+    rebuilt) — so HiGHS sees the same matrices and returns the same
+    vector.  A memo hit replays a stored solver vector through
+    ``_extract`` against the rebound topology and demands, which is
+    exactly what the original solve did with the same numbers.  Either way the result is bit-identical to
     an uncached solve; the golden suite and the ``te-cache`` CI job
     enforce it byte-for-byte.
     """
@@ -190,7 +195,7 @@ class TeSolveCache:
         else:
             _metrics.counter("te.cache.structure_hit").inc()
             self._structures.move_to_end(skey)
-            lp.rebind(topology)
+            lp.rebind(topology, demands)
         return lp
 
     # -- memo layer --------------------------------------------------------
@@ -217,7 +222,12 @@ class TeSolveCache:
                 f"unknown solve method {method!r} (valid: {SOLVE_METHODS})"
             )
         skey = structure_key(topology, demands, state=state)
-        mkey = (skey, numeric_key(topology, state=state), method)
+        mkey = (
+            skey,
+            numeric_key(topology, state=state),
+            demand_digest(demands),
+            method,
+        )
         entry = self._memo.get(mkey)
         if entry is not None:
             _metrics.counter("te.cache.memo_hit").inc()
@@ -315,6 +325,32 @@ def worker_cache() -> TeSolveCache:
     return cache
 
 
+def solve_throughput(
+    scenario: Topology | NetworkState,
+    demands: Sequence[Demand],
+    *,
+    te_cache: bool | None = None,
+) -> LpOutcome:
+    """One scenario's max-throughput LP, solved on the calling thread.
+
+    The default-objective path of :func:`batch_throughput`, returning
+    the whole :class:`LpOutcome` (its ``solution.topology`` fixes the
+    link order of the flow block of ``x``).  A :class:`NetworkState` is
+    materialized here and its cached digests key the calling worker's
+    :func:`worker_cache`; ``te_cache=False`` assembles a fresh LP.
+    """
+    if isinstance(scenario, NetworkState):
+        state: NetworkState | None = scenario
+        topology = scenario.to_topology()
+    else:
+        state, topology = None, scenario
+    if te_cache_enabled(te_cache):
+        return worker_cache().solve(
+            topology, demands, method="max_throughput", state=state
+        )
+    return MultiCommodityLp(topology, demands).max_throughput()
+
+
 def _throughput_job(
     job: tuple[
         Topology | NetworkState,
@@ -325,22 +361,11 @@ def _throughput_job(
 ) -> float:
     """One scenario's total throughput (module-level: picklable)."""
     scenario, demands, te_algorithm, use_cache = job
+    if te_algorithm is None:
+        return solve_throughput(scenario, demands, te_cache=use_cache).objective_value
     if isinstance(scenario, NetworkState):
-        # materialize in the worker; the state's cached digests key the
-        # worker-local cache without re-walking the topology
-        state: NetworkState | None = scenario
-        topology = scenario.to_topology()
-    else:
-        state, topology = None, scenario
-    if te_algorithm is not None:
-        return te_algorithm(topology, demands).total_allocated_gbps
-    if use_cache:
-        outcome = worker_cache().solve(
-            topology, demands, method="max_throughput", state=state
-        )
-    else:
-        outcome = MultiCommodityLp(topology, demands).max_throughput()
-    return outcome.objective_value
+        scenario = scenario.to_topology()
+    return te_algorithm(scenario, demands).total_allocated_gbps
 
 
 def batch_throughput(

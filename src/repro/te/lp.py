@@ -312,27 +312,46 @@ class MultiCommodityLp:
         self._capacity_cache: tuple[Block, np.ndarray] | None = None
         self._penalty_cache: np.ndarray | None = None
         # solver-ready models per program; none depends on capacities
-        # (they enter each solve as b_ub), so rebind keeps them all
+        # (they enter each solve as b_ub), so rebind keeps them all, and
+        # only the max-concurrent-flow models hold volumes in the matrix
         self._models: dict[Hashable, HighsModel] = {}
 
-    def rebind(self, topology: Topology) -> None:
-        """Re-point this assembled LP at a structurally identical topology.
+    def rebind(self, topology: Topology, demands: Sequence[Demand]) -> None:
+        """Re-point this assembled LP at a structurally identical instance.
 
         The caller (see :mod:`repro.te.incremental`) guarantees
         ``topology`` has the same nodes and the same links — ids,
-        endpoints, insertion order — as the instance was built from;
-        only per-link capacities and penalties may differ.  The capacity
-        RHS is rewritten in place (O(n_links)) and the penalty vector is
-        dropped for lazy rebuild; every assembled constraint block and
-        solver model is reused as-is, so a rebound instance solves with
-        matrices value-identical to fresh assembly.
+        endpoints, insertion order — as the instance was built from,
+        and ``demands`` the same ``(src, dst)`` pairs in the same order;
+        only per-link capacities and penalties and per-demand volumes
+        and priorities may differ.  The capacity RHS is rewritten in
+        place (O(n_links)) and the penalty vector is dropped for lazy
+        rebuild.  When a volume changed, the ``t_k <= volume_k`` tail of
+        ``col_upper`` is rewritten in place (O(n_demands)) on the cached
+        max-throughput and phase-2 models, and the max-concurrent-flow
+        models, whose matrix holds the volumes, are dropped for lazy
+        reassembly.  Every other
+        constraint block and solver model is reused as-is, so a rebound
+        instance solves with arrays value-identical to fresh assembly.
         """
         self.topology = topology
         self.links = list(topology.links)
+        self.demands = tuple(demands)
         if self._capacity_cache is not None:
             b_ub = self._capacity_cache[1]
             b_ub[:] = [l.capacity_gbps for l in self.links]
         self._penalty_cache = None
+        volumes = np.fromiter(
+            (d.volume_gbps for d in self.demands), dtype=float, count=self.n_demands
+        )
+        # compared bitwise: a fresh assembly would copy these exact bits
+        if volumes.tobytes() != self._volumes.tobytes():
+            self._volumes = volumes
+            for key in list(self._models):
+                if key in ("max_throughput", "phase2"):
+                    self._models[key].col_upper[self.n_flow_vars :] = volumes
+                else:
+                    del self._models[key]
 
     # -- variable layout --------------------------------------------------
 

@@ -1,12 +1,18 @@
 """Tests for the ticket what-if replay."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.net.demands import Demand
 from repro.net.srlg import duplex_srlgs
-from repro.net.topologies import figure7_topology, line_topology
+from repro.net.topologies import abilene, figure7_topology, line_topology
+from repro.net.topology import Topology
+from repro.obs import metrics
 from repro.optics.impairments import RootCause
-from repro.sim.whatif import replay_tickets
+from repro.sim.whatif import TicketVerdict, replay_tickets
+from repro.state import NetworkState
+from repro.te.incremental import batch_throughput
 from repro.tickets.model import Ticket
 
 
@@ -94,6 +100,18 @@ class TestReplayTickets:
                 topo, [Demand("n0", "n2", 1.0)], [ticket("ghost")], srlgs
             )
 
+    def test_non_positive_fallback_rejected(self):
+        # even where a certificate would settle the flap without a solve
+        topo = line_topology(3)
+        with pytest.raises(ValueError, match="positive"):
+            replay_tickets(
+                topo,
+                [Demand("n0", "n1", 1.0)],
+                [ticket("fiber:n1--n2")],
+                duplex_srlgs(topo),
+                fallback_capacity_gbps=0.0,
+            )
+
     def test_empty_corpus_rejected(self):
         topo = line_topology(3)
         with pytest.raises(ValueError):
@@ -145,3 +163,157 @@ class TestDeterminism:
         assert (
             first.total_rescued_gbps_hours == second.total_rescued_gbps_hours
         )
+
+
+class TestCertificates:
+    """Scenarios whose value is known from the baseline are not solved.
+
+    With the TE cache on and one worker, every LP solve is one
+    ``te.cache.memo_miss``; each case below solves the baseline plus
+    exactly the scenarios no certificate covers.
+    """
+
+    @staticmethod
+    def _replay(topo, demands, tickets, **kwargs):
+        with metrics.isolated() as reg:
+            report = replay_tickets(
+                topo, demands, tickets, duplex_srlgs(topo),
+                workers=1, te_cache=True, **kwargs,
+            )
+        return report, reg.counter_value("te.cache.memo_miss"), reg.counter_value(
+            "sim.whatif.certified"
+        )
+
+    def test_idle_dark_cable_is_not_solved(self):
+        # n0 -> n1 never touches the n1--n2 cable
+        report, solves, certified = self._replay(
+            line_topology(3),
+            [Demand("n0", "n1", 40.0)],
+            [ticket("fiber:n1--n2", RootCause.FIBER_CUT)],
+        )
+        assert (solves, certified) == (1, 1)  # the baseline only
+        assert report.verdicts[0].binary_loss_gbps == 0.0
+
+    def test_flap_load_under_fallback_is_not_solved(self):
+        # 40 Gbps fits under the 50 Gbps fallback rate
+        report, solves, certified = self._replay(
+            line_topology(3),
+            [Demand("n0", "n2", 40.0)],
+            [ticket("fiber:n0--n1")],
+            fallback_capacity_gbps=50.0,
+        )
+        assert (solves, certified) == (2, 1)  # baseline + darkened
+        verdict = report.verdicts[0]
+        assert verdict.binary_loss_gbps == 40.0
+        assert verdict.dynamic_loss_gbps == 0.0
+
+    def test_flap_with_lossless_darkening_is_not_solved(self):
+        # 60 Gbps rides the direct A--C cable (fewest hops), over the
+        # 50 Gbps fallback; darkening it reroutes all 60 via B
+        topo = Topology("triangle")
+        for a, b in (("A", "B"), ("B", "C"), ("A", "C")):
+            topo.add_duplex_link(a, b, 100.0)
+        report, solves, certified = self._replay(
+            topo,
+            [Demand("A", "C", 60.0)],
+            [ticket("fiber:A--C")],
+            fallback_capacity_gbps=50.0,
+        )
+        assert (solves, certified) == (2, 1)  # baseline + darkened
+        verdict = report.verdicts[0]
+        assert verdict.binary_loss_gbps == verdict.dynamic_loss_gbps == 0.0
+
+
+_TOPOLOGIES = {
+    "line": line_topology(4),
+    "plant": figure7_topology(),
+    "abilene": abilene(),
+}
+
+
+@st.composite
+def queries(draw):
+    """A topology, random demands, a fallback rate and a ticket corpus."""
+    topo = _TOPOLOGIES[draw(st.sampled_from(sorted(_TOPOLOGIES)))]
+    srlgs = duplex_srlgs(topo)
+    nodes = st.sampled_from(topo.nodes)
+    pairs = st.tuples(nodes, nodes).filter(lambda p: p[0] != p[1])
+    volumes = st.one_of(
+        st.sampled_from([5.0, 40.0, 60.0, 150.0, 400.0]),
+        st.floats(0.5, 500.0, allow_nan=False, allow_infinity=False),
+    )
+    demands = [
+        Demand(src, dst, volume)
+        for (src, dst), volume in draw(
+            st.lists(st.tuples(pairs, volumes), min_size=1, max_size=8)
+        )
+    ]
+    fallback = draw(st.sampled_from([10.0, 25.0, 50.0, 75.0, 150.0]))
+    tickets = [
+        Ticket(
+            ticket_id=f"TKT-{i:06d}",
+            root_cause=cause,
+            opened_s=opened,
+            duration_s=3_600.0,
+            element=cable,
+        )
+        for i, (cable, cause, opened) in enumerate(
+            draw(
+                st.lists(
+                    st.tuples(
+                        st.sampled_from(srlgs.cables()),
+                        st.sampled_from(list(RootCause)),
+                        st.floats(0.0, 1e6, allow_nan=False),
+                    ),
+                    min_size=1,
+                    max_size=12,
+                )
+            )
+        )
+    ]
+    return topo, srlgs, demands, fallback, tickets
+
+
+def _solve_every_scenario(topo, srlgs, demands, fallback, tickets):
+    """The verdicts with every scenario solved, uncached and serial."""
+    base = NetworkState.from_topology(topo, label="base")
+    cables = sorted({t.element for t in tickets})
+    scenarios = [base]
+    for cable in cables:
+        links = sorted(srlgs.links_of(cable))
+        scenarios.append(base.darken(links, label=f"fail:{cable}"))
+        scenarios.append(base.flap(links, fallback, label=f"degrade:{cable}"))
+    values = batch_throughput(scenarios, demands, workers=1, te_cache=False)
+    baseline = values[0]
+    darkened = dict(zip(cables, values[1::2]))
+    flapped = dict(zip(cables, values[2::2]))
+    verdicts = []
+    for t in tickets:
+        binary = darkened[t.element]
+        dynamic = binary if t.is_binary_failure else flapped[t.element]
+        verdicts.append(
+            TicketVerdict(t, max(baseline - binary, 0.0), max(baseline - dynamic, 0.0))
+        )
+    return verdicts
+
+
+def _bits(verdict):
+    return (
+        verdict.ticket,
+        verdict.binary_loss_gbps.hex(),
+        verdict.dynamic_loss_gbps.hex(),
+    )
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+@pytest.mark.parametrize("te_cache", [True, False], ids=["cache", "no-cache"])
+@settings(max_examples=30, deadline=None)
+@given(query=queries())
+def test_certified_verdicts_equal_solving_every_scenario(te_cache, workers, query):
+    topo, srlgs, demands, fallback, tickets = query
+    report = replay_tickets(
+        topo, demands, tickets, srlgs,
+        fallback_capacity_gbps=fallback, workers=workers, te_cache=te_cache,
+    )
+    expected = _solve_every_scenario(topo, srlgs, demands, fallback, tickets)
+    assert [_bits(v) for v in report.verdicts] == [_bits(v) for v in expected]

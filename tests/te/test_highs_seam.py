@@ -7,6 +7,7 @@ every objective's solver vector is compared bit for bit — on generated
 topologies (dark links, penalties, unreachable demands included), after
 a structure-hit rebind, and for the path formulation.  The model arrays
 are checked against the CSC matrix scipy builds from the same blocks,
+and, after a rebind that moves volumes, against a fresh assembly,
 and the per-thread solver instance against fresh instances: reuse must
 never carry state from one solve to the next.  The post-solve checks
 are tested on their own, on doctored vectors and an infeasible LP.
@@ -229,6 +230,51 @@ def test_rebind_solve_matches_fresh_assembly(method, instance, factors):
     assert (hit is None) == (fresh is None)
     if fresh is not None:
         assert np.array_equal(hit, fresh)
+
+
+_MODEL_ARRAYS = ("start", "index", "value", "col_upper", "row_lower", "b_eq")
+
+
+def _solved_models(lp: MultiCommodityLp) -> list:
+    """The model of every solve the four objectives make on ``lp``."""
+    with mock.patch.object(lp, "_solve", wraps=lp._solve) as solve:
+        for method in SOLVE_METHODS:
+            _solve_or_none(getattr(lp, method))
+    return [call.args[0] for call in solve.call_args_list]
+
+
+@pytest.mark.parametrize("rescale_capacities", [False, True], ids=["volume", "capacity+volume"])
+@_SETTINGS
+@given(
+    instance=instances(),
+    volumes=st.lists(st.sampled_from([0.0, 10.0, 45.5, 120.0, 300.0]), min_size=1),
+    factors=st.lists(st.sampled_from([0.25, 0.5, 2.0]), min_size=1),
+)
+def test_rebound_models_equal_fresh_assembly(rescale_capacities, instance, volumes, factors):
+    """After a rebind that moves volumes (and capacities), every model
+    a solve hands HiGHS — the cached ones rewritten in place, the
+    max-concurrent-flow ones reassembled, the per-solve MLU one —
+    holds the arrays a fresh assembly would build."""
+    topo, demands = instance
+    moved = [
+        Demand(d.src, d.dst, volume) for d, volume in zip(demands, volumes * len(demands))
+    ]
+    scaled = topo.copy()
+    if rescale_capacities:
+        for link, factor in zip(scaled.links, factors * len(scaled.links)):
+            scaled.replace_link(link.link_id, capacity_gbps=link.capacity_gbps * factor)
+    cache = TeSolveCache()
+    lp = cache.lp(topo, demands)
+    _solved_models(lp)
+    assert cache.lp(scaled, moved) is lp
+    fresh = MultiCommodityLp(scaled, moved)
+    ours, theirs = _solved_models(lp), _solved_models(fresh)
+    assert len(ours) == len(theirs) >= len(SOLVE_METHODS)
+    assert lp._models.keys() == fresh._models.keys()
+    for model, ref in zip(ours, theirs):
+        assert model.shape == ref.shape
+        for name in _MODEL_ARRAYS:
+            assert np.array_equal(getattr(model, name), getattr(ref, name)), name
 
 
 @_SETTINGS

@@ -7,6 +7,7 @@ exactly the right layer (memo vs. structure) of the cache.
 """
 
 import pathlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from repro.sim.replay import replay_controller
 from repro.te.incremental import (
     NO_CACHE_ENV,
     NO_TE_CACHE_ENV,
+    SOLVE_METHODS,
     CachedTeAlgorithm,
     TeSolveCache,
     batch_throughput,
@@ -118,13 +120,43 @@ class TestStructureReuse:
         )
         assert cache.n_structures == 2
 
-    def test_demand_change_misses_structure(self):
+    def test_demand_endpoint_change_misses_structure(self):
         topo = _wan()
+        demands = _demands(topo)
+        first = demands[0]
+        other = next(n for n in topo.nodes if n not in (first.src, first.dst))
+        moved = [replace(first, dst=other)] + demands[1:]
         cache = TeSolveCache()
         with metrics.isolated() as reg:
-            cache.solve(topo, _demands(topo, seed=0))
-            cache.solve(topo, _demands(topo, seed=1))
+            cache.solve(topo, demands)
+            after = cache.solve(topo, moved)
             assert reg.counter_value("te.cache.structure_miss") == 2
+            assert reg.counter_value("te.cache.structure_hit") == 0
+        _assert_identical(
+            after, MultiCommodityLp(topo, moved).min_penalty_at_max_throughput()
+        )
+
+    def test_volume_change_hits_structure(self):
+        topo = _wan()
+        demands = _demands(topo, seed=0)
+        # same pairs in the same order, every volume moved (some saturate)
+        factors = (0.25, 3.0, 0.5, 7.0)
+        rescaled = [
+            replace(d, volume_gbps=d.volume_gbps * factors[i % len(factors)])
+            for i, d in enumerate(demands)
+        ]
+        cache = TeSolveCache()
+        with metrics.isolated() as reg:
+            for method in SOLVE_METHODS:
+                cache.solve(topo, demands, method)
+            for method in SOLVE_METHODS:
+                warm = cache.solve(topo, rescaled, method)
+                fresh = getattr(MultiCommodityLp(topo, rescaled), method)()
+                _assert_identical(warm, fresh)
+                assert np.array_equal(warm.x, fresh.x)
+            assert reg.counter_value("te.cache.structure_miss") == 1
+            assert reg.counter_value("te.cache.memo_hit") == 0
+        assert cache.n_structures == 1
 
     def test_lru_eviction_keeps_answers_exact(self):
         small = TeSolveCache(memo_size=1, structure_size=1)
