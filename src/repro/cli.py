@@ -28,13 +28,12 @@ canonical rendering — exactly what a sweep artifact would replay:
     repro sweep resume quick-1a2b3c4d            # finish a killed run
     repro sweep compare RUN [RUN_B]              # vs paper, or run vs run
 
-Global flags (``--workers``, ``--no-cache``, ``--no-te-cache``,
-``--bench-json``, ``--trace``, ``--journal``) are accepted both before
-and after the subcommand.  ``--workers N`` spreads work over N processes (also the
+Global flags (``--workers``, ``--no-cache``, ``--bench-json``,
+``--trace``, ``--journal``) are accepted both before and after the
+subcommand.  ``--workers N`` spreads work over N processes (also the
 ``REPRO_WORKERS`` env var); ``--no-cache`` bypasses the on-disk summary
-cache (``REPRO_CACHE_DIR``); ``--no-te-cache`` disables the in-memory
-incremental TE solve cache (:mod:`repro.te.incremental`; also the
-``REPRO_TE_NO_CACHE`` env var — results are byte-identical either way);
+cache (``REPRO_CACHE_DIR``), never the in-memory TE solve cache
+(:mod:`repro.te.incremental`), which is always on;
 ``--bench-json PATH`` writes the run's timing report (:func:`repro.obs.metrics.collect`)
 to a machine-readable JSON file; ``--journal DIR`` journals controller
 state durably under DIR (:mod:`repro.recovery`) so a crashed run
@@ -74,7 +73,6 @@ def _context(args: argparse.Namespace) -> "Any":
     return ExecutionContext(
         workers=args.workers,
         cache=not args.no_cache,
-        te_cache=False if args.no_te_cache else None,
         journal_dir=args.journal or None,
     )
 
@@ -428,13 +426,6 @@ def _global_flags(parser: argparse.ArgumentParser, *, suppress: bool) -> None:
         help="bypass the on-disk summary cache (see REPRO_CACHE_DIR)",
     )
     parser.add_argument(
-        "--no-te-cache", action="store_true", default=default(False),
-        help=(
-            "disable the incremental TE solve cache "
-            "(repro.te.incremental; also REPRO_TE_NO_CACHE)"
-        ),
-    )
-    parser.add_argument(
         "--bench-json", type=str, metavar="PATH", default=default(""),
         help="write the run's timing report (BENCH.json schema) to PATH",
     )
@@ -677,12 +668,6 @@ def _trace_dir(args: argparse.Namespace) -> str:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.no_te_cache:
-        # cover code paths that consult the environment rather than an
-        # ExecutionContext (default-constructed controllers, pool workers)
-        from repro.te.incremental import NO_TE_CACHE_ENV
-
-        os.environ[NO_TE_CACHE_ENV] = "1"
     trace_dir = _trace_dir(args)
     if trace_dir:
         from repro import obs

@@ -61,7 +61,7 @@ from repro.recovery.journal import ControllerCrash, StateJournal, journal_exists
 from repro.recovery.reports import report_payload, restore_solution
 from repro.seeds import component_rng
 from repro.state import NetworkState, StateStore
-from repro.te.incremental import CachedTeAlgorithm, te_cache_enabled
+from repro.te.incremental import CachedTeAlgorithm
 from repro.te.lp import MultiCommodityLp
 from repro.te.solution import TeSolution, TeSolverError, empty_solution
 
@@ -279,12 +279,11 @@ class DynamicCapacityController:
         no fault injector bound.
 
         ``te_cache`` governs the incremental TE accelerator
-        (:mod:`repro.te.incremental`): when on — the default, unless
-        ``REPRO_TE_NO_CACHE``/``REPRO_NO_CACHE`` is set — and the
-        controller runs the *default* TE objective, per-round solves go
-        through a private :class:`~repro.te.incremental.TeSolveCache`
-        (structure reuse + exact memoization, bit-identical to fresh
-        solves).  A custom ``te_algorithm`` is never wrapped: its
+        (:mod:`repro.te.incremental`): ``False`` turns it off, ``None``
+        (the default) and ``True`` on.  When on and the controller runs
+        the *default* TE objective, per-round solves go through a
+        private :class:`~repro.te.incremental.TeSolveCache` (structure
+        reuse + exact memoization, bit-identical to fresh solves).  A custom ``te_algorithm`` is never wrapped: its
         purity is unknown.  Each controller owns its cache, so paired
         chaos runs and side-by-side policy comparisons stay isolated.
         """
@@ -297,7 +296,7 @@ class DynamicCapacityController:
         )
         self._te_base = te_algorithm
         self.te_algorithm = te_algorithm
-        self.configure_te_cache(te_cache_enabled(te_cache))
+        self.configure_te_cache(te_cache is not False)
         self.table = table
         self.procedure = procedure
         self.drain_before_change = drain_before_change

@@ -43,10 +43,6 @@ class ExecutionContext:
 
     workers: int | None = None
     cache: bool | None = None
-    #: incremental TE solve cache override (None defers to the
-    #: environment); results are byte-identical either way, so this is
-    #: a how-to-run knob like the others
-    te_cache: bool | None = None
     #: durable state-journal directory (see :mod:`repro.recovery`);
     #: ``None`` runs unjournaled.  Results are byte-identical either
     #: way — a journaled run that crashes merely becomes *resumable* —
@@ -480,7 +476,6 @@ def _run_whatif(
         srlgs,
         fallback_capacity_gbps=fallback_gbps,
         workers=ctx.workers,
-        te_cache=ctx.te_cache,
     )
     return {
         "n_tickets": int(report.n_tickets),
@@ -578,9 +573,7 @@ def _run_reactive(
         topology, offered_gbps, component_rng(seed, "reactive.demands")
     )
     policy_fn = {"run": run_policy, "walk": walk_policy, "crawl": crawl_policy}[policy]
-    controller = DynamicCapacityController(
-        topology, policy=policy_fn(), seed=seed, te_cache=ctx.te_cache
-    )
+    controller = DynamicCapacityController(topology, policy=policy_fn(), seed=seed)
     result = reactive_replay(
         controller,
         dict(zip(link_ids, traces)),

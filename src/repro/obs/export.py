@@ -16,7 +16,8 @@ Four renderings of one run's observability record:
 
 :func:`export_run` writes the whole set into a directory:
 ``trace.json``, ``span_tree.json`` (sim-time-only, canonical — the
-file the trace-determinism CI job diffs), ``events.jsonl`` and
+file CI's ``determinism`` job diffs across two processes),
+``events.jsonl`` and
 ``metrics.prom``.  All stamped timestamps honour ``SOURCE_DATE_EPOCH``
 via :func:`repro.obs.metrics.timestamp_unix`.
 """

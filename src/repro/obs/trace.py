@@ -194,8 +194,8 @@ class Tracer:
         """The nested, sim-time-only view of the spans.
 
         Wall-clock fields are deliberately absent: for a fixed seed
-        this structure is byte-stable across runs, which is what the
-        trace-determinism CI job diffs.
+        this structure is byte-stable across runs, which is what CI's
+        ``determinism`` job diffs across two processes.
         """
         nodes: dict[int, dict[str, Any]] = {}
         roots: list[dict[str, Any]] = []

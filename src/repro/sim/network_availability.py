@@ -125,8 +125,8 @@ def cable_event_impacts(
             applies on fault-free runs: an armed injector draws its
             ``te_fails`` stream sequentially per scenario, so those
             runs keep the lazy per-event order.
-        te_cache: override the incremental TE cache (``None`` defers to
-            the environment).  Values are identical either way.
+        te_cache: ``False`` bypasses the incremental TE cache
+            (``None`` uses it).  Values are identical either way.
     """
     missing = srlgs.validate_against(topology)
     if missing:

@@ -37,16 +37,15 @@ from repro.engine import (
     Engine,
     Event,
     EwmaAlarmMonitor,
-    SimClock,
     TelemetryFeed,
     TelemetrySource,
 )
-from repro.faults.inject import FaultInjector, as_injector
+from repro.faults.inject import FaultInjector
 from repro.faults.spec import FaultPlan
 from repro.net.demands import Demand
 from repro.obs import trace as _trace
-from repro.recovery.invariants import InvariantMonitor
 from repro.recovery.reports import restore_report
+from repro.sim.wiring import controller_run
 from repro.telemetry.traces import SnrTrace
 
 _MODES = ("scheduled", "reactive", "proactive")
@@ -221,35 +220,22 @@ def reactive_replay(
         pessimism_db: extra dB subtracted from a dipping link's SNR
             when proactive mode hands it to the policy.
         detector_k_sigma: alarm threshold of the proactive detectors.
-        faults: optional :class:`~repro.faults.spec.FaultPlan` /
-            :class:`~repro.faults.inject.FaultInjector`; the per-sample
-            walk then sees faulted telemetry (dropouts arrive as NaN,
-            which the dip detectors skip and the controller's stale
-            handling absorbs) and the controller's BVT/TE hooks are
-            armed.  ``None`` is a byte-identical no-op.
-        te_cache: override the controller's incremental TE cache for
-            this run (see
-            :meth:`~repro.core.controller.DynamicCapacityController.configure_te_cache`);
-            ``None`` leaves the controller as constructed.  Results are
-            byte-identical either way.
-        journal_dir: journal every state transition and round to this
-            directory; ``None`` (the default) changes nothing.
-        resume: with ``journal_dir``, continue a crashed run: the
+        faults, te_cache, journal_dir, resume, invariants: the run
+            knobs, bound by :func:`repro.sim.wiring.controller_run`.
+            Under faults the walk sees faulted telemetry (dropouts
+            arrive as NaN, which the dip detectors skip and the
+            controller's stale handling absorbs).  On a resume the
             scenario's accounting (round counters, lag charges,
-            throughput history) is rebuilt from the journal, already-
-            committed samples pass through untouched, and the returned
+            throughput history) is rebuilt from the journal and
+            already-committed samples pass through untouched, so the
             :class:`ReactiveResult` is byte-identical to an
-            uninterrupted run.  ``"auto"`` resumes exactly when the
-            directory already holds a journal.
-        invariants: arm an
-            :class:`~repro.recovery.invariants.InvariantMonitor` with
-            this policy (``"record"``/``"degrade"``/``"abort"``);
-            ``None`` runs unmonitored.
+            uninterrupted run.
 
     Raises:
-        ValueError: for a ``mode`` outside :data:`_MODES` — validated
-            before any trace is touched, so a typo cannot silently run
-            as a different mode.
+        ValueError: for a ``mode`` outside :data:`_MODES`, or a
+            ``te_interval_s`` finer than the telemetry — both validated
+            before any journal is written, so a typo cannot silently
+            run as a different mode or leave a journal behind.
         repro.recovery.journal.ControllerCrash: when an armed
             ``controller.crash`` fault fires mid-run.
         repro.recovery.invariants.InvariantViolationError: when an
@@ -257,61 +243,43 @@ def reactive_replay(
     """
     if mode not in _MODES:
         raise ValueError(f"unknown mode {mode!r} (expected one of {_MODES})")
-    injector = as_injector(faults)
-    if te_cache is not None:
-        controller.configure_te_cache(te_cache)
-    feed = TelemetryFeed(traces_by_link)
-    if injector is not None:
-        feed = injector.wrap_feed(feed)
-        controller.bind_faults(injector)
-    restored: list[dict] = []
-    if journal_dir is not None:
-        restored = controller.bind_journal(journal_dir, resume=resume)
-    if te_interval_s < feed.timebase.interval_s:
-        raise ValueError("TE interval cannot be finer than the telemetry")
-    stride = max(int(te_interval_s // feed.timebase.interval_s), 1)
-
-    engine = Engine(clock=SimClock(start_s=feed.timebase.start_s))
-    monitor = (
+    detector = (
         EwmaAlarmMonitor(list(traces_by_link), k_sigma=detector_k_sigma)
         if mode == "proactive"
         else None
     )
-    scenario = _ReactionScenario(
-        engine,
+    with controller_run(
         controller,
-        demands,
-        mode=mode,
-        stride=stride,
-        interval_h=feed.timebase.interval_s / 3600.0,
-        pessimism_db=pessimism_db,
-        monitor=monitor,
-    )
-    if restored:
-        reports = [restore_report(r["report"]) for r in restored]
-        last_context = restored[-1]["context"]
-        scenario.n_scheduled = int(last_context["n_scheduled"])
-        scenario.n_emergency = int(last_context["n_emergency"])
-        scenario.lost_gbps_hours = float(last_context["lost_gbps_hours"])
-        scenario.throughputs = [r.throughput_gbps for r in reports]
-        scenario.last_solution = reports[-1].solution
-        scenario.skip_samples = int(last_context["sample_index"]) + 1
-    engine.subscribe(TelemetrySource.KIND, scenario.on_sample)
-    engine.add_source(TelemetrySource(feed))
-    monitor_iv = (
-        InvariantMonitor(controller, policy=invariants).attach(engine)
-        if invariants is not None
-        else None
-    )
-    _trace.observe_engine(engine)
-    try:
-        with _trace.span(
-            "sim.reactive", mode=mode, n_links=len(traces_by_link)
-        ):
+        TelemetryFeed(traces_by_link),
+        te_interval_s=te_interval_s,
+        faults=faults,
+        te_cache=te_cache,
+        journal_dir=journal_dir,
+        resume=resume,
+        invariants=invariants,
+    ) as (engine, feed, restored):
+        interval_s = feed.timebase.interval_s
+        scenario = _ReactionScenario(
+            engine,
+            controller,
+            demands,
+            mode=mode,
+            stride=max(int(te_interval_s // interval_s), 1),
+            interval_h=interval_s / 3600.0,
+            pessimism_db=pessimism_db,
+            monitor=detector,
+        )
+        if restored:
+            reports = [restore_report(r["report"]) for r in restored]
+            last_context = restored[-1]["context"]
+            scenario.n_scheduled = int(last_context["n_scheduled"])
+            scenario.n_emergency = int(last_context["n_emergency"])
+            scenario.lost_gbps_hours = float(last_context["lost_gbps_hours"])
+            scenario.throughputs = [r.throughput_gbps for r in reports]
+            scenario.last_solution = reports[-1].solution
+            scenario.skip_samples = int(last_context["sample_index"]) + 1
+        engine.subscribe(TelemetrySource.KIND, scenario.on_sample)
+        engine.add_source(TelemetrySource(feed))
+        with _trace.span("sim.reactive", mode=mode, n_links=len(traces_by_link)):
             engine.run()
-    finally:
-        if journal_dir is not None:
-            controller._journal.close()
-    if monitor_iv is not None:
-        monitor_iv.raise_if_fatal()
     return scenario.result()

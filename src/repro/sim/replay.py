@@ -22,13 +22,13 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from repro.core.controller import ControllerReport, DynamicCapacityController
-from repro.engine import Engine, ScheduledRounds, SimClock, TelemetryFeed
-from repro.faults.inject import FaultInjector, as_injector
+from repro.engine import ScheduledRounds, TelemetryFeed
+from repro.faults.inject import FaultInjector
 from repro.faults.spec import FaultPlan
 from repro.net.demands import Demand
 from repro.obs import trace as _trace
-from repro.recovery.invariants import InvariantMonitor
 from repro.recovery.reports import restore_report
+from repro.sim.wiring import controller_run
 from repro.telemetry.traces import SnrTrace
 
 
@@ -85,32 +85,12 @@ def replay_controller(
         te_interval_s: TE recomputation period (SWAN-style minutes-to-
             hours; default 4 h keeps long replays tractable).
         max_rounds: stop early after this many rounds.
-        faults: a :class:`~repro.faults.spec.FaultPlan` (or armed
-            :class:`~repro.faults.inject.FaultInjector`) to replay
-            under; the telemetry the controller sees is wrapped and the
-            controller's BVT/TE fault hooks are bound.  ``None`` (the
-            default) changes nothing — the run is bit-identical to one
-            without this parameter.
-        te_cache: override the controller's incremental TE cache for
-            this run (see
-            :meth:`~repro.core.controller.DynamicCapacityController.configure_te_cache`);
-            ``None`` leaves the controller as constructed.  Results are
-            byte-identical either way.
-        journal_dir: journal every state transition and round to this
-            directory (see
-            :meth:`~repro.core.controller.DynamicCapacityController.bind_journal`).
-            ``None`` (the default) changes nothing — the run is
-            bit-identical to one without this parameter.
-        resume: with ``journal_dir``, continue a crashed run from its
-            journal: recovered rounds are replayed into the result
-            arrays and the engine skips that many round events, so the
-            returned :class:`ReplayResult` is byte-identical to an
-            uninterrupted run.  ``"auto"`` resumes exactly when the
-            directory already holds a journal.
-        invariants: arm an
-            :class:`~repro.recovery.invariants.InvariantMonitor` with
-            this policy (``"record"``/``"degrade"``/``"abort"``);
-            ``None`` runs unmonitored.
+        faults, te_cache, journal_dir, resume, invariants: the run
+            knobs, bound by :func:`repro.sim.wiring.controller_run`.
+            On a resume the recovered rounds are replayed into the
+            result arrays and the engine skips that many round events,
+            so the :class:`ReplayResult` is byte-identical to an
+            uninterrupted run.
 
     Raises:
         repro.recovery.journal.ControllerCrash: when an armed
@@ -119,67 +99,49 @@ def replay_controller(
         repro.recovery.invariants.InvariantViolationError: when an
             ``abort``-policy monitor stopped the run.
     """
-    injector = as_injector(faults)
-    if te_cache is not None:
-        controller.configure_te_cache(te_cache)
-    feed = TelemetryFeed(traces_by_link)
-    if injector is not None:
-        feed = injector.wrap_feed(feed)
-        controller.bind_faults(injector)
-    restored: list[dict] = []
-    if journal_dir is not None:
-        restored = controller.bind_journal(journal_dir, resume=resume)
-    rounds = ScheduledRounds(
-        feed, te_interval_s=te_interval_s, max_rounds=max_rounds
-    )
+    with controller_run(
+        controller,
+        TelemetryFeed(traces_by_link),
+        te_interval_s=te_interval_s,
+        faults=faults,
+        te_cache=te_cache,
+        journal_dir=journal_dir,
+        resume=resume,
+        invariants=invariants,
+    ) as (engine, feed, restored):
+        times = [float(r["context"]["time_s"]) for r in restored]
+        reports = [restore_report(r["report"]) for r in restored]
+        handler = controller.make_round_handler(
+            demands,
+            engine=engine,
+            collect=lambda sample, report: (
+                times.append(sample.time_s), reports.append(report)
+            ),
+        )
+        if restored:
+            # the sources replay every sample from t=0 either way (that
+            # is what keeps positionally-keyed fault streams aligned);
+            # the recovered rounds themselves must not re-execute
+            skip = len(restored)
+            inner = handler
 
-    times: list[float] = [float(r["context"]["time_s"]) for r in restored]
-    reports: list[ControllerReport] = [
-        restore_report(r["report"]) for r in restored
-    ]
+            def handler(event):  # noqa: F811 - deliberate gated rebind
+                nonlocal skip
+                if skip > 0:
+                    skip -= 1
+                    return
+                inner(event)
 
-    engine = Engine(clock=SimClock(start_s=feed.timebase.start_s))
-    handler = controller.make_round_handler(
-        demands,
-        engine=engine,
-        collect=lambda sample, report: (
-            times.append(sample.time_s), reports.append(report)
-        ),
-    )
-    if restored:
-        # the sources replay every sample from t=0 either way (that is
-        # what keeps positionally-keyed fault streams aligned); the
-        # recovered rounds themselves must not re-execute
-        skip = len(restored)
-        inner = handler
-
-        def handler(event):  # noqa: F811 - deliberate gated rebind
-            nonlocal skip
-            if skip > 0:
-                skip -= 1
-                return
-            inner(event)
-
-    engine.subscribe(ScheduledRounds.KIND, handler)
-    engine.add_source(rounds)
-    monitor = (
-        InvariantMonitor(controller, policy=invariants).attach(engine)
-        if invariants is not None
-        else None
-    )
-    _trace.observe_engine(engine)
-    try:
+        engine.subscribe(ScheduledRounds.KIND, handler)
+        engine.add_source(
+            ScheduledRounds(feed, te_interval_s=te_interval_s, max_rounds=max_rounds)
+        )
         with _trace.span(
             "sim.replay", n_links=len(traces_by_link), te_interval_s=te_interval_s
         ) as sp:
             engine.run()
             if sp is not None:
                 sp.set(n_rounds=len(reports))
-    finally:
-        if journal_dir is not None:
-            controller._journal.close()
-    if monitor is not None:
-        monitor.raise_if_fatal()
 
     return ReplayResult(
         times_s=np.asarray(times),

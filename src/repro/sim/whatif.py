@@ -114,8 +114,8 @@ def replay_tickets(
     category flaps to ``fallback_capacity_gbps`` in the dynamic world.
 
     ``workers`` spreads the independent scenario solves over the shared
-    pool (``None`` defers to ``REPRO_WORKERS``); ``te_cache`` overrides
-    the incremental TE cache (``None`` defers to the environment).  The
+    pool (``None`` defers to ``REPRO_WORKERS``); ``te_cache=False``
+    bypasses the incremental TE cache (``None`` uses it).  The
     report is byte-identical for every combination of both knobs.
     """
     if not tickets:

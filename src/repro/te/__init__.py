@@ -22,12 +22,7 @@ some of which happen to carry a penalty, and demands:
 
 from repro.te.solution import FlowAssignment, TeSolution, TeSolverError, empty_solution
 from repro.te.lp import MultiCommodityLp, LpOutcome
-from repro.te.incremental import (
-    CachedTeAlgorithm,
-    TeSolveCache,
-    batch_throughput,
-    te_cache_enabled,
-)
+from repro.te.incremental import CachedTeAlgorithm, TeSolveCache, batch_throughput
 from repro.te.pathlp import PathBasedLp, PathLpOutcome
 from repro.te.maxflow import max_flow, min_cost_max_flow, SingleCommodityResult
 from repro.te.swan import swan_allocate
@@ -44,7 +39,6 @@ __all__ = [
     "CachedTeAlgorithm",
     "TeSolveCache",
     "batch_throughput",
-    "te_cache_enabled",
     "PathBasedLp",
     "PathLpOutcome",
     "max_flow",

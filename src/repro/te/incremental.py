@@ -36,13 +36,15 @@ endpoint change, changes the structure key; any capacity, penalty,
 volume or priority change changes the memo key.  Both fall out of
 keying on values instead of mutating state.
 
-``REPRO_TE_NO_CACHE=1`` (or the blanket ``REPRO_NO_CACHE=1``) disables
-every layer; the CLI's ``--no-te-cache`` flag sets it for a run.
+The ``te_cache=`` argument of the entry points is the one switch:
+``False`` bypasses every layer; ``None`` (the default) and ``True``
+use the cache.  Results are bit-identical either way — the golden
+knob matrix (``tests/engine/test_golden_equivalence.py``) runs every
+golden with the cache on and off.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -58,13 +60,6 @@ from repro.state import NetworkState, capacity_digest, demand_digest, structure_
 from repro.te.lp import LpOutcome, MultiCommodityLp
 from repro.te.solution import TeSolution
 
-#: disable only the TE solve cache
-NO_TE_CACHE_ENV = "REPRO_TE_NO_CACHE"
-#: the blanket cache kill-switch (shared with the telemetry summary cache)
-NO_CACHE_ENV = "REPRO_NO_CACHE"
-
-_TRUTHY = ("1", "true", "yes")
-
 #: objectives the memo layer may replay (all deterministic HiGHS solves)
 SOLVE_METHODS = (
     "max_throughput",
@@ -78,20 +73,6 @@ SOLVE_METHODS = (
 DEFAULT_MEMO_SIZE = 16
 #: assembled LP structures kept per cache (per distinct link/demand set)
 DEFAULT_STRUCTURE_SIZE = 8
-
-
-def te_cache_enabled(override: bool | None = None) -> bool:
-    """Should TE solves go through the cache?
-
-    An explicit ``override`` wins; otherwise the cache is on unless
-    ``REPRO_TE_NO_CACHE`` or ``REPRO_NO_CACHE`` is truthy.
-    """
-    if override is not None:
-        return override
-    for env in (NO_TE_CACHE_ENV, NO_CACHE_ENV):
-        if os.environ.get(env, "").lower() in _TRUTHY:
-            return False
-    return True
 
 
 def structure_key(
@@ -150,9 +131,9 @@ class TeSolveCache:
     rebuilt) — so HiGHS sees the same matrices and returns the same
     vector.  A memo hit replays a stored solver vector through
     ``_extract`` against the rebound topology and demands, which is
-    exactly what the original solve did with the same numbers.  Either way the result is bit-identical to
-    an uncached solve; the golden suite and the ``te-cache`` CI job
-    enforce it byte-for-byte.
+    exactly what the original solve did with the same numbers.  Either
+    way the result is bit-identical to an uncached solve; the golden
+    knob matrix enforces it byte-for-byte.
     """
 
     def __init__(
@@ -337,18 +318,19 @@ def solve_throughput(
     the whole :class:`LpOutcome` (its ``solution.topology`` fixes the
     link order of the flow block of ``x``).  A :class:`NetworkState` is
     materialized here and its cached digests key the calling worker's
-    :func:`worker_cache`; ``te_cache=False`` assembles a fresh LP.
+    :func:`worker_cache`; ``te_cache=False`` assembles a fresh LP
+    (``None`` caches, like ``True``).
     """
     if isinstance(scenario, NetworkState):
         state: NetworkState | None = scenario
         topology = scenario.to_topology()
     else:
         state, topology = None, scenario
-    if te_cache_enabled(te_cache):
-        return worker_cache().solve(
-            topology, demands, method="max_throughput", state=state
-        )
-    return MultiCommodityLp(topology, demands).max_throughput()
+    if te_cache is False:
+        return MultiCommodityLp(topology, demands).max_throughput()
+    return worker_cache().solve(
+        topology, demands, method="max_throughput", state=state
+    )
 
 
 def _throughput_job(
@@ -356,13 +338,13 @@ def _throughput_job(
         Topology | NetworkState,
         tuple[Demand, ...],
         Callable[[Topology, Sequence[Demand]], TeSolution] | None,
-        bool,
+        bool | None,
     ],
 ) -> float:
     """One scenario's total throughput (module-level: picklable)."""
-    scenario, demands, te_algorithm, use_cache = job
+    scenario, demands, te_algorithm, te_cache = job
     if te_algorithm is None:
-        return solve_throughput(scenario, demands, te_cache=use_cache).objective_value
+        return solve_throughput(scenario, demands, te_cache=te_cache).objective_value
     if isinstance(scenario, NetworkState):
         scenario = scenario.to_topology()
     return te_algorithm(scenario, demands).total_allocated_gbps
@@ -388,12 +370,12 @@ def batch_throughput(
     wiring with an earlier scenario skip reassembly.  A custom
     ``te_algorithm`` is called as-is (it must be picklable to benefit
     from a process pool).  Results are returned in input order and are
-    identical for any worker count, including serial.
+    identical for any worker count, including serial.  ``te_cache=False``
+    bypasses the structure caches; ``None`` uses them, like ``True``.
     """
-    use_cache = te_cache_enabled(te_cache)
     demands = tuple(demands)
     jobs = [
-        (scenario, demands, te_algorithm, use_cache) for scenario in scenarios
+        (scenario, demands, te_algorithm, te_cache) for scenario in scenarios
     ]
     n_workers = resolve_workers(workers)
     with _metrics.summary("te.batch.throughput").time(

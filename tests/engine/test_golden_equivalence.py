@@ -1,4 +1,4 @@
-"""Engine-vs-legacy golden equivalence.
+"""Engine-vs-legacy golden equivalence, under every how-to-run knob.
 
 The JSON files under ``tests/golden/`` were generated by the
 pre-engine, hand-rolled simulation loops (see that package's
@@ -8,32 +8,66 @@ reproduce those results *bit-identically* for fixed seeds: the
 comparison is on the canonical JSON text, so every float must match to
 the last bit.
 
-Set ``GOLDEN_OUT_DIR`` to also write the freshly computed metrics to
-disk; CI's determinism job runs this twice and diffs the two trees
-byte-for-byte.
+Every golden runs under every how-to-run knob that applies to it, all
+crossed in one matrix (see ``AXES``); a knob that changed a result
+would break the byte comparison.  The all-defaults case keeps the bare
+scenario name as its id.
 """
 
-import os
+import itertools
 import pathlib
+from contextlib import nullcontext
 
 import pytest
 
-from tests.golden.scenarios import SCENARIOS, canonical_json
+from repro.obs import Tracer, tracing
+from tests.golden.scenarios import JOURNAL_MODES, SCENARIOS, canonical_json
 
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent.parent / "golden"
 
+#: per golden, knob -> values (the default first)
+_TE_CACHE = {"te_cache": (None, False)}
+_TRACE = {"trace": (False, True)}
+AXES = {
+    "replay": {**_TE_CACHE, **_TRACE, "journal": JOURNAL_MODES},
+    "reactive": {**_TE_CACHE, **_TRACE, "journal": JOURNAL_MODES},
+    "whatif": {**_TE_CACHE, **_TRACE, "workers": (1, 4)},
+    "network_availability": {**_TE_CACHE, **_TRACE, "workers": (1, 4)},
+    "testbed": _TRACE,
+}
 
-@pytest.mark.parametrize("name", sorted(SCENARIOS))
-def test_engine_matches_legacy_golden(name):
-    got = canonical_json(SCENARIOS[name]())
-    out_dir = os.environ.get("GOLDEN_OUT_DIR")
-    if out_dir:
-        out = pathlib.Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / f"{name}.json").write_text(got)
+
+#: how a knob at a non-default value shows in the test id
+_LABEL = {
+    "te_cache": "nocache", "trace": "traced", "journal": "journal-{}", "workers": "workers{}"
+}
+
+
+def _cases():
+    for name in sorted(SCENARIOS):
+        axes = AXES[name]
+        for values in itertools.product(*axes.values()):
+            knobs = dict(zip(axes, values))
+            changed = [_LABEL[k].format(v) for k, v in knobs.items() if v != axes[k][0]]
+            yield pytest.param(name, knobs, id="-".join([name, *changed]))
+
+
+@pytest.mark.parametrize("name, knobs", _cases())
+def test_engine_matches_legacy_golden(name, knobs, tmp_path):
+    knobs = dict(knobs)
+    tracer = Tracer() if knobs.pop("trace") else None
+    if knobs.get("journal") is not None:
+        knobs["journal_dir"] = str(tmp_path)
+    with tracing(tracer) if tracer is not None else nullcontext():
+        got = canonical_json(SCENARIOS[name](**knobs))
     want = (GOLDEN_DIR / f"{name}.json").read_text()
     assert got == want, (
-        f"engine-hosted {name!r} diverged from the legacy-captured golden; "
-        "if the change is intentional, regenerate via "
-        "tests/golden/generate_goldens.py and explain why in the commit"
+        f"engine-hosted {name!r} under {knobs} (traced: {tracer is not None}) "
+        "diverged from the legacy-captured golden; if the change is "
+        "intentional, regenerate via tests/golden/generate_goldens.py and "
+        "explain why in the commit"
     )
+    if tracer is not None:
+        # the run really was traced: spans opened, engine observed
+        assert tracer.spans, f"{name!r} ran without opening a single span"
+        assert tracer.events, f"{name!r} ran without the engine being observed"

@@ -5,11 +5,17 @@ the public result dataclasses (``ReplayResult``, ``ReactiveResult``,
 ``WhatIfReport``, ``NetworkAvailabilityReport``, ``TestbedReport``).
 Floats go through :func:`canonical_json` unrounded, so a comparison of
 the serialized form is a bit-for-bit comparison of the results.
+
+Builders take the how-to-run knobs that apply to them and pass them
+through: ``te_cache``, ``journal``/``journal_dir`` (see
+:data:`JOURNAL_MODES`) and ``workers``.  Without knobs they run the
+defaults.
 """
 
 from __future__ import annotations
 
 import json
+import os
 
 import numpy as np
 
@@ -32,6 +38,34 @@ def _floats(array) -> list[float]:
 
 def _ints(array) -> list[int]:
     return [int(x) for x in np.asarray(array).ravel()]
+
+
+#: the journal knob of the controller replays: off, on, re-run over the
+#: finished journal, or crashed at round 1 at a commit seam then resumed
+JOURNAL_MODES = (
+    None, "on", "rerun", "crash-pre-commit", "crash-post-commit", "crash-mid-write"
+)
+
+
+def _journaled(run, journal: str | None, journal_dir: str | None):
+    """``run(**journal_kwargs)`` under one journal mode; the last result."""
+    from repro.faults.spec import FaultPlan, FaultSpec
+    from repro.recovery.journal import ControllerCrash
+
+    if journal is None:
+        return run()
+    if journal == "rerun":
+        run(journal_dir=journal_dir)
+    elif journal != "on":
+        seam = journal.removeprefix("crash-")
+        crash = FaultSpec("controller.crash", crash_round=1, crash_seam=seam)
+        try:
+            run(journal_dir=journal_dir, faults=FaultPlan(specs=(crash,)))
+        except ControllerCrash:
+            pass
+        else:
+            raise AssertionError(f"{journal}: the crash fault never fired")
+    return run(journal_dir=journal_dir, resume=journal != "on")
 
 
 def _controller_scenario(seed_traces: int, seed_demands: int, *, days: float,
@@ -62,7 +96,9 @@ def _controller_scenario(seed_traces: int, seed_demands: int, *, days: float,
 
 
 @scenario
-def golden_replay() -> dict:
+def golden_replay(
+    *, te_cache: bool | None = None, journal: str | None = None, journal_dir=None
+) -> dict:
     from repro.core.controller import DynamicCapacityController
     from repro.core.policies import run_policy
     from repro.sim.replay import replay_controller
@@ -70,10 +106,14 @@ def golden_replay() -> dict:
     topology, traces, demands = _controller_scenario(
         1, 2, days=2.0, dip_start_s=86_400.0, dip_hours=5.0, dip_db=9.0
     )
-    controller = DynamicCapacityController(topology, policy=run_policy(), seed=0)
-    result = replay_controller(
-        controller, traces, demands, te_interval_s=6 * 3600.0
-    )
+
+    def run(**kwargs):
+        controller = DynamicCapacityController(topology, policy=run_policy(), seed=0)
+        return replay_controller(
+            controller, traces, demands, te_interval_s=6 * 3600.0, te_cache=te_cache, **kwargs
+        )
+
+    result = _journaled(run, journal, journal_dir)
     return {
         "n_rounds": result.n_rounds,
         "times_s": _floats(result.times_s),
@@ -93,7 +133,9 @@ def golden_replay() -> dict:
 
 
 @scenario
-def golden_reactive() -> dict:
+def golden_reactive(
+    *, te_cache: bool | None = None, journal: str | None = None, journal_dir=None
+) -> dict:
     from repro.core.controller import DynamicCapacityController
     from repro.core.policies import run_policy
     from repro.sim.reactive import reactive_replay
@@ -104,13 +146,15 @@ def golden_reactive() -> dict:
             1, 2, days=2.0, dip_start_s=86_400.0 + 2_700.0,
             dip_hours=6.0, dip_db=10.0,
         )
-        controller = DynamicCapacityController(
-            topology, policy=run_policy(), seed=0
-        )
-        result = reactive_replay(
-            controller, traces, demands,
-            te_interval_s=4 * 3600.0, mode=mode,
-        )
+
+        def run(**kwargs):
+            controller = DynamicCapacityController(topology, policy=run_policy(), seed=0)
+            return reactive_replay(
+                controller, traces, demands, te_interval_s=4 * 3600.0, mode=mode,
+                te_cache=te_cache, **kwargs,
+            )
+
+        result = _journaled(run, journal, journal_dir and os.path.join(journal_dir, mode))
         metrics[mode] = {
             "mode": result.mode,
             "n_scheduled_rounds": int(result.n_scheduled_rounds),
@@ -123,7 +167,7 @@ def golden_reactive() -> dict:
 
 
 @scenario
-def golden_whatif() -> dict:
+def golden_whatif(*, te_cache: bool | None = None, workers: int | None = None) -> dict:
     from repro.net.demands import Demand
     from repro.net.srlg import duplex_srlgs
     from repro.net.topologies import figure7_topology
@@ -151,7 +195,9 @@ def golden_whatif() -> dict:
         for i in range(8)
     ]
     demands = [Demand("A", "D", 150.0), Demand("B", "C", 80.0)]
-    report = replay_tickets(topology, demands, tickets, srlgs)
+    report = replay_tickets(
+        topology, demands, tickets, srlgs, workers=workers, te_cache=te_cache
+    )
     return {
         "n_tickets": int(report.n_tickets),
         "n_impactful": int(report.n_impactful),
@@ -171,7 +217,9 @@ def golden_whatif() -> dict:
 
 
 @scenario
-def golden_network_availability() -> dict:
+def golden_network_availability(
+    *, te_cache: bool | None = None, workers: int | None = None
+) -> dict:
     from repro.net.demands import Demand
     from repro.net.srlg import duplex_srlgs
     from repro.net.topologies import figure7_topology
@@ -180,7 +228,9 @@ def golden_network_availability() -> dict:
     topology = figure7_topology()
     srlgs = duplex_srlgs(topology)
     demands = [Demand("A", "D", 150.0), Demand("B", "C", 80.0)]
-    report = cable_event_impacts(topology, demands, srlgs)
+    report = cable_event_impacts(
+        topology, demands, srlgs, workers=workers, te_cache=te_cache
+    )
     return {
         "mean_rescued_gbps": float(report.mean_rescued_gbps),
         "cables_fully_survivable": int(report.cables_fully_survivable),

@@ -52,6 +52,22 @@ class TestModes:
         with pytest.raises(ValueError, match="finer"):
             reactive_replay(controller, traces, demands, te_interval_s=60.0)
 
+    def test_too_fine_interval_leaves_no_journal(self, tmp_path):
+        # a rejected run must not write a journal: the next fresh run on
+        # the same directory would refuse to clobber it
+        topo, traces, demands = build_scenario(days=1.0)
+
+        def fresh(**kw):
+            controller = DynamicCapacityController(topo, policy=run_policy(), seed=0)
+            return reactive_replay(
+                controller, traces, demands, journal_dir=str(tmp_path), **kw
+            )
+
+        with pytest.raises(ValueError, match="finer"):
+            fresh(te_interval_s=60.0)
+        assert list(tmp_path.iterdir()) == []
+        assert fresh().n_scheduled_rounds > 0
+
     def test_mode_validated_before_traces(self):
         # a bad mode must fail fast, even when the traces are also bad:
         # mode is caller intent, traces are data, and intent is checked first

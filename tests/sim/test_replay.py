@@ -90,6 +90,22 @@ class TestReplay:
         with pytest.raises(ValueError, match="finer"):
             replay_controller(ctrl, traces, demands, te_interval_s=60.0)
 
+    def test_rejected_inputs_leave_no_journal(self, tmp_path):
+        topo, traces, demands = build_scenario(days=1.0)
+
+        def fresh(**kw):
+            ctrl = DynamicCapacityController(topo, seed=0)
+            return replay_controller(
+                ctrl, traces, demands, journal_dir=str(tmp_path), **kw
+            )
+
+        with pytest.raises(ValueError, match="finer"):
+            fresh(te_interval_s=60.0)
+        with pytest.raises(ValueError, match="unknown policy"):
+            fresh(invariants="panic")
+        assert list(tmp_path.iterdir()) == []
+        assert fresh().n_rounds > 0
+
     def test_mismatched_timebases_rejected(self):
         topo, traces, demands = build_scenario()
         other_tb = Timebase.from_duration(days=1.0)

@@ -6,7 +6,6 @@ change — capacities, topology structure, demand set — must invalidate
 exactly the right layer (memo vs. structure) of the cache.
 """
 
-import pathlib
 from dataclasses import replace
 
 import numpy as np
@@ -22,19 +21,14 @@ from repro.obs import metrics
 from repro.optics.impairments import AmplifierDegradation
 from repro.sim.replay import replay_controller
 from repro.te.incremental import (
-    NO_CACHE_ENV,
-    NO_TE_CACHE_ENV,
     SOLVE_METHODS,
     CachedTeAlgorithm,
     TeSolveCache,
     batch_throughput,
-    te_cache_enabled,
 )
 from repro.te.lp import MultiCommodityLp
 from repro.telemetry.timebase import Timebase
 from repro.telemetry.traces import NoiseModel, synthesize_cable_traces
-
-GOLDEN_DIR = pathlib.Path(__file__).resolve().parent.parent / "golden"
 
 
 def _wan():
@@ -176,21 +170,7 @@ class TestStructureReuse:
 
 
 class TestGating:
-    def test_env_vars_disable(self, monkeypatch):
-        monkeypatch.delenv(NO_TE_CACHE_ENV, raising=False)
-        monkeypatch.delenv(NO_CACHE_ENV, raising=False)
-        assert te_cache_enabled() is True
-        monkeypatch.setenv(NO_TE_CACHE_ENV, "1")
-        assert te_cache_enabled() is False
-        assert te_cache_enabled(True) is True  # explicit override wins
-        monkeypatch.delenv(NO_TE_CACHE_ENV)
-        monkeypatch.setenv(NO_CACHE_ENV, "true")
-        assert te_cache_enabled() is False
-        assert te_cache_enabled(False) is False
-
-    def test_controller_wrapping_follows_gate(self, monkeypatch):
-        monkeypatch.delenv(NO_TE_CACHE_ENV, raising=False)
-        monkeypatch.delenv(NO_CACHE_ENV, raising=False)
+    def test_controller_wrapping_follows_gate(self):
         topo = line_topology(3)
         assert isinstance(
             DynamicCapacityController(topo).te_algorithm, CachedTeAlgorithm
@@ -199,10 +179,37 @@ class TestGating:
             DynamicCapacityController(topo, te_cache=False).te_algorithm
             is default_te_algorithm
         )
-        monkeypatch.setenv(NO_TE_CACHE_ENV, "1")
-        assert (
-            DynamicCapacityController(topo).te_algorithm is default_te_algorithm
-        )
+
+    @pytest.mark.parametrize("env", [False, True], ids=["env-unset", "env-set"])
+    def test_none_selects_the_cache(self, env, monkeypatch):
+        # te_cache=None is what every timed benchmark episode passes: it
+        # must go through the cache, and the retired env vars must not
+        # switch it off
+        from tests.golden.scenarios import SCENARIOS
+
+        for name in ("REPRO_TE_NO_CACHE", "REPRO_NO_CACHE"):
+            if env:
+                monkeypatch.setenv(name, "1")
+            else:
+                monkeypatch.delenv(name, raising=False)
+        topo = line_topology(3)
+        entry_points = {
+            "replay_controller": lambda: SCENARIOS["replay"](te_cache=None),
+            "replay_tickets": lambda: SCENARIOS["whatif"](te_cache=None, workers=1),
+            "cable_event_impacts": lambda: SCENARIOS["network_availability"](
+                te_cache=None, workers=1
+            ),
+            "batch_throughput": lambda: batch_throughput(
+                [topo], _demands(topo, 300.0), workers=1, te_cache=None
+            ),
+        }
+        for name, call in entry_points.items():
+            with metrics.isolated() as reg:
+                call()
+            lookups = reg.counter_value("te.cache.memo_hit") + reg.counter_value(
+                "te.cache.memo_miss"
+            )
+            assert lookups > 0, f"{name}(te_cache=None) bypassed the TE cache"
 
     def test_custom_te_algorithm_never_wrapped(self):
         def my_te(topology, demands):
@@ -212,15 +219,6 @@ class TestGating:
         assert controller.te_algorithm is my_te
         controller.configure_te_cache(True)
         assert controller.te_algorithm is my_te
-
-    def test_cli_flag_parses_into_context(self):
-        from repro.cli import _context, build_parser
-
-        args = build_parser().parse_args(["tickets", "--no-te-cache"])
-        assert args.no_te_cache is True
-        assert _context(args).te_cache is False
-        args = build_parser().parse_args(["tickets"])
-        assert _context(args).te_cache is None
 
 
 def _dip_replay(te_cache, *, dip_db, faults=None):
@@ -287,16 +285,6 @@ class TestInvalidationUnderReplay:
         cached = _dip_replay(True, dip_db=9.0, faults=plan)
         uncached = _dip_replay(False, dip_db=9.0, faults=plan)
         _assert_replays_identical(cached, uncached)
-
-    def test_golden_replay_byte_identical_with_cache_disabled(self, monkeypatch):
-        # the committed goldens were captured pre-cache; the cache-off
-        # path must still reproduce them to the byte (the default,
-        # cache-on path is covered by tests/engine/test_golden_equivalence)
-        from tests.golden.scenarios import SCENARIOS, canonical_json
-
-        monkeypatch.setenv(NO_TE_CACHE_ENV, "1")
-        got = canonical_json(SCENARIOS["replay"]())
-        assert got == (GOLDEN_DIR / "replay.json").read_text()
 
 
 class TestBatchedWhatIf:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.recovery.journal import journal_exists
 
 
 class TestParser:
@@ -92,6 +93,22 @@ class TestGlobalFlags:
         out = capsys.readouterr().out
         assert "mode=reactive" in out
         assert "rounds:" in out
+
+    def test_journal_flag_does_not_change_output(self, tmp_path, capsys):
+        # plain, journaled, then the same journaled command again, which
+        # resumes the finished journal: all three print the same bytes
+        journal = str(tmp_path / "journal")
+        outputs = []
+        for argv in (
+            ["reactive", "--days", "0.5"],
+            ["--journal", journal, "reactive", "--days", "0.5"],
+            ["--journal", journal, "reactive", "--days", "0.5"],
+        ):
+            assert main(argv) == 0
+            outputs.append(capsys.readouterr().out)
+        assert journal_exists(journal)
+        assert outputs[1] == outputs[0]
+        assert outputs[2] == outputs[0]
 
 
 class TestSweepCommands:
