@@ -33,7 +33,8 @@ A scenario settled by such a certificate is never solved; each counts
 one ``sim.whatif.certified``.  Batch solves optionally fan out over
 the shared :mod:`repro.parallel` pool with per-worker TE structure
 caches (:mod:`repro.te.incremental`).  Values are identical for any
-worker count and with the TE cache on or off.
+worker count and with the TE cache on or off, and a certified verdict
+equals the one a solve gives (see :data:`LOSS_FLOOR_GBPS`).
 """
 
 from __future__ import annotations
@@ -52,13 +53,29 @@ from repro.te.incremental import batch_throughput, solve_throughput
 from repro.tickets.model import Ticket
 
 
+#: losses at or below this many Gbps are LP round-off and read as 0.0
+LOSS_FLOOR_GBPS = 1e-9
+
+
 @dataclass(frozen=True)
 class TicketVerdict:
-    """What one historical ticket would have cost, both ways."""
+    """What one historical ticket would have cost, both ways.
+
+    A loss of at most :data:`LOSS_FLOOR_GBPS` is stored as ``0.0``.  A
+    scenario whose optimum equals the baseline can still solve a few
+    ulps below it (another optimal vertex, another float sum), while a
+    certificate reports the baseline itself; the floor makes both
+    routes give the same verdict bits.
+    """
 
     ticket: Ticket
     binary_loss_gbps: float
     dynamic_loss_gbps: float
+
+    def __post_init__(self) -> None:
+        for name in ("binary_loss_gbps", "dynamic_loss_gbps"):
+            if getattr(self, name) <= LOSS_FLOOR_GBPS:
+                object.__setattr__(self, name, 0.0)
 
     @property
     def rescued_gbps(self) -> float:
@@ -178,9 +195,9 @@ def replay_tickets(
     # phase 3: a flapped cable keeps the baseline when its loads fit
     # under the fallback rate (the optimum stays feasible), or when its
     # darkened value already equals the baseline (binary <= dynamic <=
-    # baseline); solve the rest.  Certified values are exact in theory;
-    # their bit equality with a solve is gated by the tests and the
-    # benchmark's reference digests.
+    # baseline); solve the rest.  Certified values are exact; a solve
+    # of the same optimum may land a few ulps lower, which the verdict's
+    # LOSS_FLOOR_GBPS reads as no loss.
     n_certified = 0
     to_solve: list[tuple[str, bool]] = []
     for cable in darkened:

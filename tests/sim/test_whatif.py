@@ -10,7 +10,7 @@ from repro.net.topologies import abilene, figure7_topology, line_topology
 from repro.net.topology import Topology
 from repro.obs import metrics
 from repro.optics.impairments import RootCause
-from repro.sim.whatif import TicketVerdict, replay_tickets
+from repro.sim.whatif import LOSS_FLOOR_GBPS, TicketVerdict, replay_tickets
 from repro.state import NetworkState
 from repro.te.incremental import batch_throughput
 from repro.tickets.model import Ticket
@@ -317,3 +317,52 @@ def test_certified_verdicts_equal_solving_every_scenario(te_cache, workers, quer
     )
     expected = _solve_every_scenario(topo, srlgs, demands, fallback, tickets)
     assert [_bits(v) for v in report.verdicts] == [_bits(v) for v in expected]
+
+
+# Abilene queries where a certified scenario's solve lands one ulp below
+# the baseline: the darkened idle Atlanta--WashingtonDC cable, and the
+# flapped Chicago--Indianapolis cable whose darkened value equals the
+# baseline while its flapped solve is one ulp lower
+_ULP_TIES = {
+    "dark-idle": (
+        [("Atlanta", "Chicago", 5.0), ("Atlanta", "Chicago", 5.0),
+         ("Chicago", "LosAngeles", 5.0), ("Denver", "Atlanta", 1.3513746077564264),
+         ("Atlanta", "Chicago", 5.0), ("Denver", "LosAngeles", 400.0),
+         ("Atlanta", "Chicago", 5.0)],
+        "fiber:Atlanta--WashingtonDC",
+    ),
+    "flap-equals-dark": (
+        [("Atlanta", "Chicago", 5.0), ("Chicago", "LosAngeles", 40.0),
+         ("Denver", "Atlanta", 5.351374607756426), ("Atlanta", "Chicago", 5.0),
+         ("Chicago", "Atlanta", 5.0), ("Denver", "LosAngeles", 400.0)],
+        "fiber:Chicago--Indianapolis",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ULP_TIES))
+def test_certified_verdict_equals_a_solve_one_ulp_lower(case):
+    pairs, cable = _ULP_TIES[case]
+    topo = abilene()
+    srlgs = duplex_srlgs(topo)
+    demands = [Demand(src, dst, volume) for src, dst, volume in pairs]
+    tickets = [ticket(cable, RootCause.MAINTENANCE)]
+    with metrics.isolated() as reg:
+        report = replay_tickets(
+            topo, demands, tickets, srlgs,
+            fallback_capacity_gbps=10.0, workers=4, te_cache=True,
+        )
+    assert reg.counter_value("sim.whatif.certified") >= 1
+    expected = _solve_every_scenario(topo, srlgs, demands, 10.0, tickets)
+    assert [_bits(v) for v in report.verdicts] == [_bits(v) for v in expected]
+    assert report.verdicts[0].dynamic_loss_gbps == 0.0
+
+
+def test_losses_within_the_floor_read_as_zero():
+    t = ticket("fiber:n0--n1")
+    verdict = TicketVerdict(t, 2.0**-45, LOSS_FLOOR_GBPS)
+    assert (verdict.binary_loss_gbps, verdict.dynamic_loss_gbps) == (0.0, 0.0)
+    verdict = TicketVerdict(t, 2 * LOSS_FLOOR_GBPS, -1.0)
+    assert (verdict.binary_loss_gbps, verdict.dynamic_loss_gbps) == (
+        2 * LOSS_FLOOR_GBPS, 0.0,
+    )
