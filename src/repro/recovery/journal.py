@@ -28,7 +28,10 @@ that survives ``SIGKILL`` at any byte:
 
 ``fsync`` policy trades durability for speed: ``"always"`` syncs every
 frame, ``"round"`` (default) syncs at each round commit, ``"never"``
-only flushes to the OS.  Crash *simulation* in-process (the
+only flushes to the OS.  Closing a segment (at a checkpoint roll or
+:meth:`StateJournal.close`) fsyncs it only when bytes were written
+since its last fsync, so a segment sealed by a synced round frame is
+not synced twice.  Crash *simulation* in-process (the
 ``controller.crash`` fault) is deterministic under any policy; real
 ``SIGKILL`` durability of committed rounds needs ``"round"`` or better.
 """
@@ -192,6 +195,7 @@ class StateJournal:
         self._segment_version = 0  # checkpoint version the segment extends
         self._rounds_since_checkpoint = 0
         self._file: Any | None = None
+        self._unsynced = False  # segment bytes written since the last fsync
         self._n_rounds = 0
 
     # -- segment management -------------------------------------------
@@ -202,13 +206,16 @@ class StateJournal:
         if truncate_at is not None and path.exists():
             with open(path, "r+b") as handle:
                 handle.truncate(truncate_at)
+            self._unsynced = True
         self._file = open(path, "ab")
         self._segment_version = version
 
     def _close_segment(self) -> None:
         if self._file is not None:
             self._file.flush()
-            os.fsync(self._file.fileno())
+            if self._unsynced:
+                os.fsync(self._file.fileno())
+                self._unsynced = False
             self._file.close()
             self._file = None
 
@@ -227,6 +234,7 @@ class StateJournal:
             self._open_segment(self._segment_version)
         self._file.write(frame)
         self._file.flush()
+        self._unsynced = not sync
         if sync:
             os.fsync(self._file.fileno())
 

@@ -20,31 +20,51 @@ distinct ``(cable, binary?)`` scenarios a corpus needs are known up
 front, so they are settled before the engine replays the verdicts, in
 three phases:
 
-1. the baseline is solved, and its per-link loads are read from the
-   raw solver vector;
-2. a darkened cable whose links carry exactly zero flow keeps the
-   baseline value; the other darkened cables are batch-solved;
-3. a flapped cable keeps the baseline value when its loads fit under
-   the fallback rate, or when its darkened value already equals the
-   baseline (binary <= dynamic <= baseline); the rest are
-   batch-solved.
+1. the baseline is solved, and its per-commodity flow block is read
+   from the raw solver vector;
+2. a darkened cable keeps the baseline value when the reroute
+   certificate moves its flow onto detours; the other darkened cables
+   are batch-solved;
+3. a flapped cable keeps the baseline value when its darkened value
+   already equals the baseline (binary <= dynamic <= baseline), or when
+   the reroute certificate moves its load above the fallback rate onto
+   detours; the rest are batch-solved.
 
-A scenario settled by such a certificate is never solved; each counts
-one ``sim.whatif.certified``.  Batch solves optionally fan out over
-the shared :mod:`repro.parallel` pool with per-worker TE structure
-caches (:mod:`repro.te.incremental`).  Values are identical for any
-worker count and with the TE cache on or off, and a certified verdict
-equals the one a solve gives (see :data:`LOSS_FLOOR_GBPS`).
+The reroute certificate (:class:`_Reroute`) builds a flow for the
+scenario out of the baseline's.  A *detour* of a cable link is a path
+from its source to its sink over none of the cable's links.  Two
+constructions are tried in turn: per commodity, each commodity's
+share of a link's excess moves to the fewest-hop detour and the
+commodity's own antiparallel flow cancels; in aggregate, each link's
+whole excess is routed over the baseline's spare capacity by
+augmenting paths.  Every commodity keeps its baseline throughput, so
+if the built flow fits the scenario's capacities the scenario's
+optimum, which can never exceed the baseline's, equals it.  A link
+whose load the reroute raised must fit under its capacity minus
+:data:`REROUTE_MARGIN_GBPS`; a link it did not raise keeps the
+baseline's own feasibility, so a cable with no excess is certified
+without moving anything.
+
+A scenario settled by a certificate is never solved; each counts one
+``sim.whatif.certified``, and the baseline plus each batch-solved
+scenario count one ``sim.whatif.solved``.  Batch solves optionally
+fan out over the shared :mod:`repro.parallel` pool with per-worker TE
+structure caches (:mod:`repro.te.incremental`).  The certificates run
+before the batch solve, so values are identical for any worker count
+and with the TE cache on or off, and a certified verdict equals the
+one a solve gives (see :data:`LOSS_FLOOR_GBPS`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
+
+import numpy as np
 
 from repro.engine import Engine, Event, TicketOutageSource
 from repro.net.srlg import SrlgMap
-from repro.net.topology import Topology
+from repro.net.topology import Link, Topology
 from repro.net.demands import Demand
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
@@ -55,6 +75,15 @@ from repro.tickets.model import Ticket
 
 #: losses at or below this many Gbps are LP round-off and read as 0.0
 LOSS_FLOOR_GBPS = 1e-9
+
+#: headroom a link keeps under its capacity where the reroute
+#: certificate raises its load
+REROUTE_MARGIN_GBPS = 1e-6
+
+#: residual capacity at or below which an augmenting path ignores an
+#: arc (above the rounding left on a saturated arc, so each augmenting
+#: path retires one)
+_RESIDUAL_GBPS = 1e-9
 
 
 @dataclass(frozen=True)
@@ -114,6 +143,182 @@ class WhatIfReport:
         return sum(v.rescued_gbps_hours for v in self.verdicts)
 
 
+class _Reroute:
+    """The reroute certificate over one baseline's per-commodity flow.
+
+    ``flows`` is the baseline's flow block, one row per commodity and
+    one column per link of ``links`` (the LP's link order).
+    :meth:`certifies` asks whether a scenario that lowers some links'
+    capacities keeps the baseline value, by building a flow for it that
+    ships every commodity's baseline throughput.
+    """
+
+    def __init__(self, links: Sequence[Link], flows: np.ndarray):
+        self.index = {link.link_id: e for e, link in enumerate(links)}
+        self.src = [link.src for link in links]
+        self.dst = [link.dst for link in links]
+        self.capacity = [link.capacity_gbps for link in links]
+        self.flows = flows.tolist()
+        self.load = [sum(column) for column in zip(*self.flows)]
+        self.out: dict[str, list[int]] = {}
+        self.into: dict[str, list[int]] = {}
+        by_ends: dict[tuple[str, str], int] = {}
+        for e, link in enumerate(links):
+            self.out.setdefault(link.src, []).append(e)
+            self.into.setdefault(link.dst, []).append(e)
+            by_ends.setdefault((link.src, link.dst), e)
+        # (e, r): link r runs link e's way back
+        self.antiparallel: list[tuple[int, int]] = []
+        for e, link in enumerate(links):
+            r = by_ends.get((link.dst, link.src))
+            if r is not None and r > e:
+                self.antiparallel.append((e, r))
+
+    def certifies(self, lowered: dict[int, float]) -> bool:
+        """Whether a flow with the baseline value fits the scenario.
+
+        ``lowered`` maps the index of each link the scenario changes to
+        its scenario capacity.  Each such link sheds its excess down to
+        that capacity minus the margin (all of it when darkened).
+        """
+        excess = {
+            e: self.load[e] - max(capacity - REROUTE_MARGIN_GBPS, 0.0)
+            for e, capacity in lowered.items()
+            if self.load[e] > capacity
+        }
+        if not excess:
+            return True
+        for construct in (self._per_commodity, self._aggregate):
+            load = construct(lowered, excess)
+            if load is not None and self._fits(load, lowered):
+                return True
+        return False
+
+    def _fits(self, load: list[float], lowered: dict[int, float]) -> bool:
+        """Whether every link the reroute raised fits under its capacity
+        minus the margin; the others keep the baseline's feasibility
+        (a changed link sheds its excess by construction)."""
+        return all(
+            new <= lowered.get(e, self.capacity[e]) - REROUTE_MARGIN_GBPS
+            for e, new in enumerate(load)
+            if new > self.load[e]
+        )
+
+    def _per_commodity(
+        self, lowered: dict[int, float], excess: dict[int, float]
+    ) -> list[float] | None:
+        """Link loads after moving each commodity's share of the excess
+        to the fewest-hop detour and cancelling antiparallel flow."""
+        flows = [row[:] for row in self.flows]
+        for e, amount in excess.items():
+            path = self._path(
+                self.src[e],
+                self.dst[e],
+                lambda link, forward: forward and link not in lowered,
+            )
+            if path is None:
+                return None
+            share = amount / self.load[e]
+            for row in flows:
+                moved = row[e] * share
+                if moved > 0:
+                    row[e] -= moved
+                    for link, _ in path:
+                        row[link] += moved
+        for row in flows:
+            for e, r in self.antiparallel:
+                common = min(row[e], row[r])
+                if common > 0:
+                    row[e] -= common
+                    row[r] -= common
+        return [sum(column) for column in zip(*flows)]
+
+    def _aggregate(
+        self, lowered: dict[int, float], excess: dict[int, float]
+    ) -> list[float] | None:
+        """Link loads after routing each link's whole excess over the
+        baseline's spare capacity by shortest augmenting paths.
+
+        Twice the margin is held back from the spare capacity, so the
+        rounding of these sums cannot cross the margin :meth:`_fits`
+        checks.
+        """
+        spare = [
+            0.0
+            if e in lowered
+            else max(capacity - load - 2 * REROUTE_MARGIN_GBPS, 0.0)
+            for e, (capacity, load) in enumerate(zip(self.capacity, self.load))
+        ]
+        load = self.load[:]
+        for e, amount in excess.items():
+            flow = self._augment(self.src[e], self.dst[e], spare, amount)
+            if flow is None:
+                return None
+            load[e] -= amount
+            for link, value in enumerate(flow):
+                load[link] += value
+                spare[link] -= value
+        return load
+
+    def _augment(
+        self, source: str, sink: str, spare: list[float], amount: float
+    ) -> list[float] | None:
+        """A ``source``-``sink`` flow of ``amount`` within ``spare`` by
+        shortest augmenting paths, or ``None`` when none carries it."""
+        flow = [0.0] * len(spare)
+
+        def residual(link: int, forward: bool) -> float:
+            return spare[link] - flow[link] if forward else flow[link]
+
+        while amount > 0:
+            path = self._path(
+                source,
+                sink,
+                lambda link, forward: residual(link, forward) > _RESIDUAL_GBPS,
+            )
+            if path is None:
+                return None
+            push = min(amount, *(residual(link, forward) for link, forward in path))
+            for link, forward in path:
+                flow[link] += push if forward else -push
+            amount -= push
+        return flow
+
+    def _path(
+        self, source: str, sink: str, usable: Callable[[int, bool], bool]
+    ) -> list[tuple[int, bool]] | None:
+        """The fewest-hop ``source``-``sink`` path, or ``None``.
+
+        A step is ``(link, forward)``: along a link, or back against it
+        when ``forward`` is false, wherever ``usable(link, forward)``
+        holds.  Ties go to the earlier link.
+        """
+        via: dict[str, tuple[int, bool]] = {}
+        frontier = [source]
+        while frontier and sink not in via:
+            reached = []
+            for node in frontier:
+                steps = [
+                    (link, True, self.dst[link]) for link in self.out.get(node, ())
+                ] + [
+                    (link, False, self.src[link]) for link in self.into.get(node, ())
+                ]
+                for link, forward, head in steps:
+                    if head != source and head not in via and usable(link, forward):
+                        via[head] = (link, forward)
+                        reached.append(head)
+            frontier = reached
+        if sink not in via:
+            return None
+        path = []
+        node = sink
+        while node != source:
+            link, forward = via[node]
+            path.append((link, forward))
+            node = self.src[link] if forward else self.dst[link]
+        return path
+
+
 def replay_tickets(
     topology: Topology,
     demands: Sequence[Demand],
@@ -158,67 +363,65 @@ def replay_tickets(
         raise ValueError("fallback_capacity_gbps must be positive")
     base = NetworkState.from_topology(topology, label="whatif.base")
 
-    # phase 1: the baseline, and its per-link loads from the raw solver
-    # vector (not the EPSILON-filtered edge flows), in the LP's link order
+    # phase 1: the baseline, and its per-commodity flow block from the
+    # raw solver vector (not the EPSILON-filtered edge flows), in the
+    # LP's link order
     outcome = solve_throughput(base, demands, te_cache=te_cache)
     baseline = outcome.objective_value
-    link_ids = [link.link_id for link in outcome.solution.topology.links]
-    flows = outcome.x[: len(demands) * len(link_ids)].reshape(
-        len(demands), len(link_ids)
+    links = outcome.solution.topology.links
+    reroute = _Reroute(
+        links,
+        outcome.x[: len(demands) * len(links)].reshape(len(demands), len(links)),
     )
-    idle = dict(zip(link_ids, (flows == 0).all(axis=0).tolist()))
-    load = dict(zip(link_ids, flows.sum(axis=0).tolist()))
-
-    def links_of(cable: str) -> list[str]:
-        return [link for link in srlgs.links_of(cable) if link in load]
 
     scenario_cache: dict[tuple[str, bool], float] = {}
-
-    def solve(keys: list[tuple[str, bool]]) -> None:
-        scenarios = [
-            base.darken(sorted(srlgs.links_of(cable)), label=f"fail:{cable}")
-            if binary
-            else base.flap(
-                sorted(srlgs.links_of(cable)),
-                fallback_capacity_gbps,
-                label=f"degrade:{cable}",
-            )
-            for cable, binary in keys
-        ]
-        values = batch_throughput(
-            scenarios, demands, workers=workers, te_cache=te_cache
-        )
-        scenario_cache.update(zip(keys, values))
-
-    # phase 2: a darkened cable that carried no flow keeps the baseline
-    # (the baseline optimum stays feasible without it); solve the rest.
-    # phase 3: a flapped cable keeps the baseline when its loads fit
-    # under the fallback rate (the optimum stays feasible), or when its
-    # darkened value already equals the baseline (binary <= dynamic <=
-    # baseline); solve the rest.  Certified values are exact; a solve
-    # of the same optimum may land a few ulps lower, which the verdict's
-    # LOSS_FLOOR_GBPS reads as no loss.
     n_certified = 0
-    to_solve: list[tuple[str, bool]] = []
-    for cable in darkened:
-        if all(idle[link] for link in links_of(cable)):
-            scenario_cache[(cable, True)] = baseline
-            n_certified += 1
-        else:
-            to_solve.append((cable, True))
-    solve(to_solve)
-    to_solve = []
-    for cable in flapped:
-        if (
-            all(load[link] <= fallback_capacity_gbps for link in links_of(cable))
-            or scenario_cache[(cable, True)] == baseline
-        ):
-            scenario_cache[(cable, False)] = baseline
-            n_certified += 1
-        else:
-            to_solve.append((cable, False))
-    solve(to_solve)
+    n_solved = 1  # the baseline
+
+    def settle(keys: list[tuple[str, bool]]) -> None:
+        # phase 2 (darkened keys) and phase 3 (flapped keys): a key the
+        # reroute certificate covers, or a flap whose darkened value
+        # already equals the baseline (binary <= dynamic <= baseline),
+        # keeps the baseline; the rest are batch-solved.  Certified
+        # values are exact; a solve of the same optimum may land a few
+        # ulps lower, which the verdict's LOSS_FLOOR_GBPS reads as no
+        # loss
+        nonlocal n_certified, n_solved
+        to_solve: list[tuple[tuple[str, bool], NetworkState]] = []
+        for cable, binary in keys:
+            cable_links = sorted(srlgs.links_of(cable))
+            if binary:
+                scenario = base.darken(cable_links, label=f"fail:{cable}")
+            else:
+                scenario = base.flap(
+                    cable_links, fallback_capacity_gbps, label=f"degrade:{cable}"
+                )
+            if (
+                not binary and scenario_cache[(cable, True)] == baseline
+            ) or reroute.certifies(
+                {
+                    reroute.index[link]: scenario.links[link].capacity_gbps
+                    for link in cable_links
+                    if link in reroute.index
+                }
+            ):
+                scenario_cache[(cable, binary)] = baseline
+                n_certified += 1
+            else:
+                to_solve.append(((cable, binary), scenario))
+        values = batch_throughput(
+            [scenario for _, scenario in to_solve],
+            demands,
+            workers=workers,
+            te_cache=te_cache,
+        )
+        scenario_cache.update(zip((key for key, _ in to_solve), values))
+        n_solved += len(to_solve)
+
+    settle([(cable, True) for cable in darkened])
+    settle([(cable, False) for cable in flapped])
     _metrics.counter("sim.whatif.certified").inc(n_certified)
+    _metrics.counter("sim.whatif.solved").inc(n_solved)
 
     def throughput(cable: str, binary: bool) -> float:
         return scenario_cache[(cable, binary)]

@@ -233,6 +233,48 @@ class TestCheckpoints:
         assert not list(tmp_path.glob("*.tmp"))
 
 
+class TestFsync:
+    @staticmethod
+    def _count_fsyncs(monkeypatch):
+        calls = []
+        real = os.fsync
+
+        def counting(fd):
+            calls.append(fd)
+            real(fd)
+
+        monkeypatch.setattr(os, "fsync", counting)
+        return calls
+
+    def test_round_policy_syncs_each_commit_and_checkpoint_once(
+        self, tmp_path, monkeypatch
+    ):
+        calls = self._count_fsyncs(monkeypatch)
+        states = make_lineage(17)
+        journal, _ = journal_run(
+            tmp_path, states, rounds_at=tuple(range(1, 17)), checkpoint_every=8
+        )
+        journal.close()
+        # 16 round commits; checkpoint-0 plus one per 8 rounds.  A
+        # segment sealed by its synced round frame closes unsynced
+        assert len(calls) == 16 + 3
+        assert len(list(tmp_path.glob("checkpoint-*.json"))) == 3
+        assert recover(tmp_path).n_rounds == 16
+
+    def test_close_syncs_bytes_written_since_the_last_fsync(
+        self, tmp_path, monkeypatch
+    ):
+        calls = self._count_fsyncs(monkeypatch)
+        states = make_lineage(3)
+        # the second transition lands after the last round commit
+        journal, _ = journal_run(tmp_path, states, rounds_at=(1,))
+        n_before_close = len(calls)
+        journal.close()
+        assert len(calls) == n_before_close + 1
+        journal.close()  # idempotent: nothing left to sync
+        assert len(calls) == n_before_close + 1
+
+
 class TestReopen:
     def test_reopen_truncates_and_continues(self, tmp_path):
         states = make_lineage(5)

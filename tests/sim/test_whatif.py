@@ -1,18 +1,23 @@
 """Tests for the ticket what-if replay."""
 
+from dataclasses import replace
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.net.demands import Demand
+from repro.net.demands import Demand, gravity_demands
 from repro.net.srlg import duplex_srlgs
 from repro.net.topologies import abilene, figure7_topology, line_topology
 from repro.net.topology import Topology
 from repro.obs import metrics
 from repro.optics.impairments import RootCause
+from repro.sim import whatif
 from repro.sim.whatif import LOSS_FLOOR_GBPS, TicketVerdict, replay_tickets
 from repro.state import NetworkState
 from repro.te.incremental import batch_throughput
+from repro.tickets.generator import TicketConfig, TicketGenerator
 from repro.tickets.model import Ticket
 
 
@@ -126,7 +131,6 @@ class TestDeterminism:
 
     def _replay(self):
         from repro.seeds import component_rng
-        from repro.tickets.generator import TicketConfig, TicketGenerator
 
         topo = figure7_topology()
         srlgs = duplex_srlgs(topo)
@@ -168,9 +172,10 @@ class TestDeterminism:
 class TestCertificates:
     """Scenarios whose value is known from the baseline are not solved.
 
-    With the TE cache on and one worker, every LP solve is one
-    ``te.cache.memo_miss``; each case below solves the baseline plus
-    exactly the scenarios no certificate covers.
+    With the TE cache off and one worker, every LP solve is one HiGHS
+    run (one ``lp.solve`` timing, whatever ran before); each case below
+    solves the baseline plus exactly the scenarios no certificate
+    covers, and ``sim.whatif.solved`` counts the same solves.
     """
 
     @staticmethod
@@ -178,11 +183,11 @@ class TestCertificates:
         with metrics.isolated() as reg:
             report = replay_tickets(
                 topo, demands, tickets, duplex_srlgs(topo),
-                workers=1, te_cache=True, **kwargs,
+                workers=1, te_cache=False, **kwargs,
             )
-        return report, reg.counter_value("te.cache.memo_miss"), reg.counter_value(
-            "sim.whatif.certified"
-        )
+        solves = reg.get_summary("lp.solve").count
+        assert reg.counter_value("sim.whatif.solved") == solves
+        return report, solves, reg.counter_value("sim.whatif.certified")
 
     def test_idle_dark_cable_is_not_solved(self):
         # n0 -> n1 never touches the n1--n2 cable
@@ -208,8 +213,10 @@ class TestCertificates:
         assert verdict.dynamic_loss_gbps == 0.0
 
     def test_flap_with_lossless_darkening_is_not_solved(self):
-        # 60 Gbps rides the direct A--C cable (fewest hops), over the
-        # 50 Gbps fallback; darkening it reroutes all 60 via B
+        # the A--C cable carries more than the 50 Gbps fallback; the
+        # reroute certificate moves its flow via B for the darkened
+        # cable, and the flap keeps the baseline because the darkened
+        # value equals it
         topo = Topology("triangle")
         for a, b in (("A", "B"), ("B", "C"), ("A", "C")):
             topo.add_duplex_link(a, b, 100.0)
@@ -219,9 +226,137 @@ class TestCertificates:
             [ticket("fiber:A--C")],
             fallback_capacity_gbps=50.0,
         )
-        assert (solves, certified) == (2, 1)  # baseline + darkened
+        assert (solves, certified) == (1, 2)  # the baseline only
         verdict = report.verdicts[0]
         assert verdict.binary_loss_gbps == verdict.dynamic_loss_gbps == 0.0
+
+    def test_plant_cable_flow_detours(self):
+        # the baseline loads the A--B cable (this optimum sends 100
+        # Gbps round the square and 40 back over B -> A); darkened,
+        # the cable's flow detours via C and D
+        report, solves, certified = self._replay(
+            figure7_topology(),
+            [Demand("A", "B", 60.0)],
+            [ticket("fiber:A--B", RootCause.FIBER_CUT)],
+        )
+        assert (solves, certified) == (1, 1)
+        assert report.verdicts[0].binary_loss_gbps == 0.0
+
+    def test_detour_back_over_the_commodity_path_cancels(self):
+        # A -> D rides A -> B -> D; the A -> B detour A, C, E, D, B
+        # passes D and returns over D -> B, which the D -> B demand
+        # half fills.  Only cancelling the commodity's own D -> B and
+        # B -> D flow leaves room, and the aggregate construction (one
+        # detour, 50 Gbps spare) cannot carry the 60
+        topo = Topology("pentagon")
+        for a, b in (("A", "B"), ("B", "D"), ("A", "C"), ("C", "E"), ("E", "D")):
+            topo.add_duplex_link(a, b, 100.0)
+        report, solves, certified = self._replay(
+            topo,
+            [Demand("A", "D", 60.0), Demand("D", "B", 50.0)],
+            [ticket("fiber:A--B", RootCause.FIBER_CUT)],
+        )
+        assert (solves, certified) == (1, 1)
+        assert report.verdicts[0].binary_loss_gbps == 0.0
+
+    def test_flap_excess_splits_over_two_detours(self):
+        # D -> B rides the B--D cable; flapped to 10, its 30 Gbps of
+        # excess needs both detours: D, A, B has 20 Gbps spare beside
+        # the A -> B demand, D, A, C, B 15.  Darkened, the two carry
+        # only 35 of the 40
+        topo = Topology("diamond")
+        for a, b, capacity in (
+            ("A", "B", 40.0), ("A", "C", 80.0), ("C", "B", 15.0),
+            ("A", "D", 100.0), ("D", "B", 40.0),
+        ):
+            topo.add_duplex_link(a, b, capacity)
+        report, solves, certified = self._replay(
+            topo,
+            [Demand("D", "B", 40.0), Demand("A", "B", 20.0)],
+            [ticket("fiber:B--D")],
+            fallback_capacity_gbps=10.0,
+        )
+        assert (solves, certified) == (2, 1)  # baseline + darkened
+        verdict = report.verdicts[0]
+        assert verdict.binary_loss_gbps == pytest.approx(5.0)
+        assert verdict.dynamic_loss_gbps == 0.0
+
+    def test_line_has_no_detour(self):
+        report, solves, certified = self._replay(
+            line_topology(3),
+            [Demand("n0", "n2", 100.0)],
+            [ticket("fiber:n0--n1")],
+            fallback_capacity_gbps=50.0,
+        )
+        assert (solves, certified) == (3, 0)
+        verdict = report.verdicts[0]
+        assert verdict.binary_loss_gbps == pytest.approx(100.0)
+        assert verdict.dynamic_loss_gbps == pytest.approx(50.0)
+
+    def test_detour_too_small_is_solved(self):
+        # the A--B cable's only detour, via C, carries 30 Gbps
+        topo = Topology("triangle")
+        topo.add_duplex_link("A", "B", 100.0)
+        topo.add_duplex_link("A", "C", 30.0)
+        topo.add_duplex_link("C", "B", 30.0)
+        report, solves, certified = self._replay(
+            topo,
+            [Demand("A", "B", 100.0)],
+            [ticket("fiber:A--B")],
+            fallback_capacity_gbps=50.0,
+        )
+        assert (solves, certified) == (3, 0)
+        verdict = report.verdicts[0]
+        assert verdict.binary_loss_gbps == pytest.approx(70.0)
+        assert verdict.dynamic_loss_gbps == pytest.approx(20.0)
+
+
+def test_plant_ticket_queries_solve_only_lossy_scenarios(monkeypatch):
+    """Every scenario reaching HiGHS loses traffic.
+
+    The first 16 plant queries of the ``whatif-plant-tickets``
+    benchmark workload: a 40-ticket corpus folded onto the plant's
+    cables and a 300 Gbps gravity matrix per query.  Any scenario a
+    solve returns within the loss floor of the baseline is one a
+    certificate should have settled.
+    """
+    solved = []
+
+    def recording(scenarios, demands, **kwargs):
+        values = batch_throughput(scenarios, demands, **kwargs)
+        solved.extend(values)
+        return values
+
+    monkeypatch.setattr(whatif, "batch_throughput", recording)
+    topo = figure7_topology()
+    srlgs = duplex_srlgs(topo)
+    cables = srlgs.cables()
+    generator = TicketGenerator(TicketConfig(n_events=40, months=7.0))
+    for query in range(16):
+        corpus = [
+            replace(t, element=cables[int(t.element[5:]) % len(cables)])
+            for t in generator.generate(np.random.default_rng([0, 4, query]))
+        ]
+        demands = gravity_demands(topo, 300.0, np.random.default_rng([0, 5, query]))
+        baseline = batch_throughput([topo], demands, te_cache=False)[0]
+        solved.clear()
+        with metrics.isolated() as reg:
+            replay_tickets(
+                topo, demands, corpus, srlgs,
+                fallback_capacity_gbps=50.0, workers=1,
+            )
+        n_scenarios = 1 + len({t.element for t in corpus}) + len(
+            {t.element for t in corpus if not t.is_binary_failure}
+        )
+        assert reg.counter_value("sim.whatif.solved") == 1 + len(solved)
+        assert (
+            reg.counter_value("sim.whatif.certified")
+            + reg.counter_value("sim.whatif.solved")
+            == n_scenarios
+        )
+        assert all(value < baseline - LOSS_FLOOR_GBPS for value in solved), (
+            query, baseline, solved,
+        )
 
 
 _TOPOLOGIES = {
