@@ -60,8 +60,8 @@ METRICS: dict[str, str] = {
     "parallel.broken_pool": "process pools replaced by the thread fallback",
     "parallel.jobs": "jobs fanned out, labelled fresh/retried",
     "parallel.workers": "workers in the most recent pool",
-    "sim.whatif.certified": "what-if scenarios whose value the baseline certified (no solve)",
-    "sim.whatif.solved": "what-if LP solves: the baseline plus each scenario no certificate covers",
+    "sim.whatif.certified": "ticket what-if and cable-drill scenarios whose value the baseline certified (no solve)",
+    "sim.whatif.solved": "ticket what-if and cable-drill LP solves: the baseline plus each scenario no certificate covers",
     "sweep.point_failed": "sweep points that raised",
     "sweep.point_fresh": "sweep points computed (not reused)",
     "synthesis.cache_hit": "telemetry summaries served from the disk cache",

@@ -1,7 +1,7 @@
 """Durable write-ahead journal + checkpoint/recovery for the controller.
 
 The journal turns one controller run into an append-only on-disk record
-that survives ``SIGKILL`` at any byte:
+that survives a process death (``SIGKILL``) at any byte:
 
 * **Framed JSONL segments** (``wal-<version>.jsonl``): every record is
   one line, ``<length>:<crc32 hex>:<canonical json>\\n``.  Length and
@@ -26,14 +26,21 @@ that survives ``SIGKILL`` at any byte:
   to the previous, replaying more deltas) and replays framed deltas
   bit-for-bit via :func:`~repro.state.delta.apply_deltas`.
 
-``fsync`` policy trades durability for speed: ``"always"`` syncs every
+Two failure models differ in what they need.  A process death needs
+only ``write`` plus ``flush``: every frame is flushed as it is
+appended, and after ``SIGKILL`` the kernel still holds the written
+pages, so committed rounds survive under any ``fsync`` policy.  An
+``fsync`` matters only when the OS crashes or the power fails.  The
+policy trades that durability for speed: ``"always"`` syncs every
 frame, ``"round"`` (default) syncs at each round commit, ``"never"``
-only flushes to the OS.  Closing a segment (at a checkpoint roll or
+only flushes to the OS.  Even ``"round"`` does not yet cover power
+loss: no directory is fsynced after a checkpoint rename or a segment's
+creation, so a new segment, and every round synced into it, can
+vanish.  Closing a segment (at a checkpoint roll or
 :meth:`StateJournal.close`) fsyncs it only when bytes were written
 since its last fsync, so a segment sealed by a synced round frame is
 not synced twice.  Crash *simulation* in-process (the
-``controller.crash`` fault) is deterministic under any policy; real
-``SIGKILL`` durability of committed rounds needs ``"round"`` or better.
+``controller.crash`` fault) is deterministic under any policy.
 """
 
 from __future__ import annotations

@@ -13,9 +13,15 @@ matrix is solved with the same TE objective:
 * binary   — the cable's links removed;
 * dynamic  — the cable's links degraded to the fallback rate.
 
-The drill runs as an engine scenario: a
+The scenarios are settled up front by
+:func:`repro.sim.whatif.settle_scenarios`, the settler the ticket
+what-if replay uses: certificates fix the baseline value where the
+baseline's flow reroutes around the cable, the rest are batch-solved,
+and a value within :data:`~repro.sim.whatif.LOSS_FLOOR_GBPS` of the
+baseline reads as the baseline (so no cable reports a negative loss).
+The drill then runs as an engine scenario: a
 :class:`~repro.engine.SequenceSource` puts one ``cable.event`` per
-cable on the timeline, and the handler solves its scenario pair —
+cable on the timeline, and the handler publishes its settled pair —
 giving the fail-vs-flap matrix the same observer/metrics surface as
 the timed replays.
 """
@@ -23,25 +29,14 @@ the timed replays.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from repro.engine import Engine, Event, SequenceSource
-from repro.faults.inject import FaultInjector, as_injector
-from repro.faults.spec import FaultPlan
 from repro.net.demands import Demand
 from repro.net.srlg import SrlgMap
 from repro.net.topology import Topology
 from repro.obs import trace as _trace
-from repro.state import NetworkState
-from repro.te.incremental import batch_throughput
-from repro.te.lp import MultiCommodityLp
-from repro.te.solution import TeSolution, empty_solution
-
-TeAlgorithm = Callable[[Topology, Sequence[Demand]], TeSolution]
-
-
-def _lp_max_throughput(topology: Topology, demands: Sequence[Demand]) -> TeSolution:
-    return MultiCommodityLp(topology, demands).max_throughput().solution
+from repro.sim.whatif import settle_scenarios
 
 
 @dataclass(frozen=True)
@@ -95,9 +90,7 @@ def cable_event_impacts(
     srlgs: SrlgMap,
     *,
     fallback_capacity_gbps: float = 50.0,
-    te_algorithm: TeAlgorithm = _lp_max_throughput,
     cables: Sequence[str] | None = None,
-    faults: FaultPlan | FaultInjector | None = None,
     workers: int | None = None,
     te_cache: bool | None = None,
 ) -> NetworkAvailabilityReport:
@@ -110,103 +103,43 @@ def cable_event_impacts(
             :func:`repro.net.srlg.duplex_srlgs`).
         fallback_capacity_gbps: rate the flapped links retain (the
             paper's 50 Gbps / 3.0 dB floor).
-        te_algorithm: TE used for every scenario (default: throughput-
-            maximising LP).
         cables: restrict to these cables (default: all).
-        faults: optional :class:`~repro.faults.spec.FaultPlan` /
-            :class:`~repro.faults.inject.FaultInjector`.  Only the
-            ``te.exception`` kind applies here: each per-cable scenario
-            solve may fail, degrading to the empty allocation (the
-            controller could not recompute while the event was live).
-            The baseline solve is always clean.  ``None`` is a
-            byte-identical no-op.
         workers: spread the independent scenario solves over the shared
-            pool (``None`` defers to ``REPRO_WORKERS``).  Batching only
-            applies on fault-free runs: an armed injector draws its
-            ``te_fails`` stream sequentially per scenario, so those
-            runs keep the lazy per-event order.
+            pool (``None`` defers to ``REPRO_WORKERS``).
         te_cache: ``False`` bypasses the incremental TE cache
             (``None`` uses it).  Values are identical either way.
     """
     missing = srlgs.validate_against(topology)
     if missing:
         raise ValueError(f"SRLG map references unknown links: {missing[:5]}")
-    injector = as_injector(faults)
-    drill_cables = list(cables if cables is not None else srlgs.cables())
-
-    # every scenario — batched or lazy — is a copy-on-write fork of one
-    # base snapshot; materialization preserves the link order the old
-    # per-scenario topology surgery produced
-    base = NetworkState.from_topology(topology, label="availability.base")
-
-    def fork(cable: str, binary: bool) -> NetworkState:
-        links = sorted(srlgs.links_of(cable))
-        if binary:
-            return base.darken(links, label=f"fail:{cable}")
-        return base.flap(
-            links, fallback_capacity_gbps, label=f"degrade:{cable}"
-        )
-
-    scenario_values: dict[tuple[str, bool], float] = {}
-    if injector is None:
-        # fault-free runs batch-solve the whole matrix up front (the
-        # baseline rides along first); per-worker structure caches make
-        # the flap scenarios RHS-only re-solves of the baseline LP
-        algo = None if te_algorithm is _lp_max_throughput else te_algorithm
-        keys = [(cable, binary) for cable in drill_cables for binary in (True, False)]
-        scenarios: list[NetworkState] = [base] + [
-            fork(cable, binary) for cable, binary in keys
-        ]
-        values = batch_throughput(
-            scenarios,
-            demands,
-            te_algorithm=algo,
-            workers=workers,
-            te_cache=te_cache,
-        )
-        baseline = values[0]
-        scenario_values = dict(zip(keys, values[1:]))
-    else:
-        baseline = te_algorithm(topology, demands).total_allocated_gbps
-
-    def scenario_te(scenario: Topology) -> float:
-        if injector is not None and injector.te_fails():
-            return empty_solution(scenario, demands).total_allocated_gbps
-        return te_algorithm(scenario, demands).total_allocated_gbps
+    drill = list(cables if cables is not None else srlgs.cables())
+    baseline, scenario_values = settle_scenarios(
+        topology,
+        demands,
+        srlgs,
+        drill,
+        drill,
+        fallback_capacity_gbps=fallback_capacity_gbps,
+        workers=workers,
+        te_cache=te_cache,
+    )
 
     impacts: list[CableImpact] = []
     engine = Engine()
 
     def on_cable_event(event: Event) -> None:
         _, cable = event.payload
-        if injector is None:
-            binary_gbps = scenario_values[(cable, True)]
-            dynamic_gbps = scenario_values[(cable, False)]
-        else:
-            failed = fork(cable, True).to_topology(
-                f"{topology.name}-minus-{cable}"
-            )
-            flapped = fork(cable, False).to_topology(
-                f"{topology.name}-degraded-{cable}"
-            )
-            binary_gbps = scenario_te(failed)
-            dynamic_gbps = scenario_te(flapped)
         impact = CableImpact(
             cable=cable,
             baseline_gbps=baseline,
-            binary_gbps=binary_gbps,
-            dynamic_gbps=dynamic_gbps,
+            binary_gbps=scenario_values[(cable, True)],
+            dynamic_gbps=scenario_values[(cable, False)],
         )
         impacts.append(impact)
         engine.publish("cable.impact", impact)
 
     engine.subscribe("cable.event", on_cable_event)
-    engine.add_source(
-        SequenceSource(
-            "cable.event",
-            list(cables if cables is not None else srlgs.cables()),
-        )
-    )
+    engine.add_source(SequenceSource("cable.event", drill))
     _trace.observe_engine(engine)
     with _trace.span("sim.network_availability") as sp:
         engine.run()

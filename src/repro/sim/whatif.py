@@ -4,9 +4,7 @@ The question an operator asks after reading the paper: *"had we
 deployed this last quarter, which of our tickets would have mattered
 less?"*  This module answers it by replaying each ticket's outage as a
 cable event on the real topology and solving the TE twice — binary
-rule vs. dynamic flap — exactly like
-:mod:`repro.sim.network_availability`, but driven by a ticket corpus
-and reporting per-ticket verdicts.
+rule vs. dynamic flap — and reporting per-ticket verdicts.
 
 The corpus replays on the event engine: a
 :class:`~repro.engine.TicketOutageSource` puts every ticket's outage
@@ -17,8 +15,10 @@ report is identical whether a corpus arrives sorted or not.
 
 The scenario solves themselves are independent of the timeline: the
 distinct ``(cable, binary?)`` scenarios a corpus needs are known up
-front, so they are settled before the engine replays the verdicts, in
-three phases:
+front, so :func:`settle_scenarios` settles them before the engine
+replays the verdicts.  It is the one scenario settler: the cable drill
+(:func:`repro.sim.network_availability.cable_event_impacts`) calls it
+for every cable.  It works in three phases:
 
 1. the baseline is solved, and its per-commodity flow block is read
    from the raw solver vector;
@@ -51,8 +51,10 @@ scenario count one ``sim.whatif.solved``.  Batch solves optionally
 fan out over the shared :mod:`repro.parallel` pool with per-worker TE
 structure caches (:mod:`repro.te.incremental`).  The certificates run
 before the batch solve, so values are identical for any worker count
-and with the TE cache on or off, and a certified verdict equals the
-one a solve gives (see :data:`LOSS_FLOOR_GBPS`).
+and with the TE cache on or off.  A solve of a lossless scenario can
+land a few ulps either side of the baseline, so the settler stores
+any value within :data:`LOSS_FLOOR_GBPS` of the baseline as the
+baseline: a certified value and a solved one give the same bits.
 """
 
 from __future__ import annotations
@@ -73,7 +75,8 @@ from repro.te.incremental import batch_throughput, solve_throughput
 from repro.tickets.model import Ticket
 
 
-#: losses at or below this many Gbps are LP round-off and read as 0.0
+#: a scenario value within this many Gbps of the baseline, on either
+#: side, is LP round-off and reads as the baseline
 LOSS_FLOOR_GBPS = 1e-9
 
 #: headroom a link keeps under its capacity where the reroute
@@ -88,23 +91,11 @@ _RESIDUAL_GBPS = 1e-9
 
 @dataclass(frozen=True)
 class TicketVerdict:
-    """What one historical ticket would have cost, both ways.
-
-    A loss of at most :data:`LOSS_FLOOR_GBPS` is stored as ``0.0``.  A
-    scenario whose optimum equals the baseline can still solve a few
-    ulps below it (another optimal vertex, another float sum), while a
-    certificate reports the baseline itself; the floor makes both
-    routes give the same verdict bits.
-    """
+    """What one historical ticket would have cost, both ways."""
 
     ticket: Ticket
     binary_loss_gbps: float
     dynamic_loss_gbps: float
-
-    def __post_init__(self) -> None:
-        for name in ("binary_loss_gbps", "dynamic_loss_gbps"):
-            if getattr(self, name) <= LOSS_FLOOR_GBPS:
-                object.__setattr__(self, name, 0.0)
 
     @property
     def rescued_gbps(self) -> float:
@@ -319,6 +310,100 @@ class _Reroute:
         return path
 
 
+def settle_scenarios(
+    topology: Topology,
+    demands: Sequence[Demand],
+    srlgs: SrlgMap,
+    darkened: Sequence[str],
+    flapped: Sequence[str],
+    *,
+    fallback_capacity_gbps: float,
+    workers: int | None = None,
+    te_cache: bool | None = None,
+) -> tuple[float, dict[tuple[str, bool], float]]:
+    """The baseline throughput and every cable scenario's, settled once.
+
+    ``darkened`` names the cables whose links are withdrawn and
+    ``flapped`` those whose links drop to ``fallback_capacity_gbps``
+    (each of them darkened too); the scenarios come back keyed
+    ``(cable, binary?)``.  Every scenario
+    is a copy-on-write fork of one base snapshot, materialized with the
+    link order per-scenario topology surgery gives
+    (``NetworkState.to_topology`` uses the same copy/remove/replace
+    primitives).  A scenario value within :data:`LOSS_FLOOR_GBPS` of
+    the baseline, on either side, is stored as the baseline.
+
+    ``workers`` spreads the scenario solves over the shared pool
+    (``None`` defers to ``REPRO_WORKERS``); ``te_cache=False`` bypasses
+    the incremental TE cache (``None`` uses it).  The values are
+    identical for every combination of both knobs.
+    """
+    if flapped and fallback_capacity_gbps <= 0:
+        raise ValueError("fallback_capacity_gbps must be positive")
+    base = NetworkState.from_topology(topology, label="whatif.base")
+
+    # phase 1: the baseline, and its per-commodity flow block from the
+    # raw solver vector (not the EPSILON-filtered edge flows), in the
+    # LP's link order
+    outcome = solve_throughput(base, demands, te_cache=te_cache)
+    baseline = outcome.objective_value
+    links = outcome.solution.topology.links
+    reroute = _Reroute(
+        links,
+        outcome.x[: len(demands) * len(links)].reshape(len(demands), len(links)),
+    )
+
+    values: dict[tuple[str, bool], float] = {}
+    n_certified = 0
+    n_solved = 1  # the baseline
+
+    def settle(keys: list[tuple[str, bool]]) -> None:
+        # phase 2 (darkened keys) and phase 3 (flapped keys): a key the
+        # reroute certificate covers, or a flap whose darkened value
+        # already equals the baseline (binary <= dynamic <= baseline),
+        # keeps the baseline; the rest are batch-solved
+        nonlocal n_certified, n_solved
+        to_solve: list[tuple[tuple[str, bool], NetworkState]] = []
+        for cable, binary in keys:
+            cable_links = sorted(srlgs.links_of(cable))
+            if binary:
+                scenario = base.darken(cable_links, label=f"fail:{cable}")
+            else:
+                scenario = base.flap(
+                    cable_links, fallback_capacity_gbps, label=f"degrade:{cable}"
+                )
+            if (not binary and values[(cable, True)] == baseline) or reroute.certifies(
+                {
+                    reroute.index[link]: scenario.links[link].capacity_gbps
+                    for link in cable_links
+                    if link in reroute.index
+                }
+            ):
+                values[(cable, binary)] = baseline
+                n_certified += 1
+            else:
+                to_solve.append(((cable, binary), scenario))
+        solved = batch_throughput(
+            [scenario for _, scenario in to_solve],
+            demands,
+            workers=workers,
+            te_cache=te_cache,
+        )
+        values.update(zip((key for key, _ in to_solve), solved))
+        n_solved += len(to_solve)
+
+    settle([(cable, True) for cable in dict.fromkeys(darkened)])
+    settle([(cable, False) for cable in dict.fromkeys(flapped)])
+    _metrics.counter("sim.whatif.certified").inc(n_certified)
+    _metrics.counter("sim.whatif.solved").inc(n_solved)
+    # a certified value is the baseline itself; a solve of the same
+    # optimum may land a few ulps either side of it
+    return baseline, {
+        key: baseline if abs(value - baseline) <= LOSS_FLOOR_GBPS else value
+        for key, value in values.items()
+    }
+
+
 def replay_tickets(
     topology: Topology,
     demands: Sequence[Demand],
@@ -351,91 +436,28 @@ def replay_tickets(
 
     # the distinct (cable, binary?) scenarios are known up front: each
     # ticket needs the darkened world, non-cut tickets the flapped one
-    # too.  Every scenario is a copy-on-write fork of one base snapshot;
-    # the forks materialize worker-side with the exact link ordering
-    # the old per-scenario topology surgery produced (state.to_topology
-    # uses the same copy/remove/replace primitives)
-    darkened = list(dict.fromkeys(t.element for t in tickets))
-    flapped = list(
-        dict.fromkeys(t.element for t in tickets if not t.is_binary_failure)
+    # too
+    baseline, scenario_values = settle_scenarios(
+        topology,
+        demands,
+        srlgs,
+        [t.element for t in tickets],
+        [t.element for t in tickets if not t.is_binary_failure],
+        fallback_capacity_gbps=fallback_capacity_gbps,
+        workers=workers,
+        te_cache=te_cache,
     )
-    if flapped and fallback_capacity_gbps <= 0:
-        raise ValueError("fallback_capacity_gbps must be positive")
-    base = NetworkState.from_topology(topology, label="whatif.base")
-
-    # phase 1: the baseline, and its per-commodity flow block from the
-    # raw solver vector (not the EPSILON-filtered edge flows), in the
-    # LP's link order
-    outcome = solve_throughput(base, demands, te_cache=te_cache)
-    baseline = outcome.objective_value
-    links = outcome.solution.topology.links
-    reroute = _Reroute(
-        links,
-        outcome.x[: len(demands) * len(links)].reshape(len(demands), len(links)),
-    )
-
-    scenario_cache: dict[tuple[str, bool], float] = {}
-    n_certified = 0
-    n_solved = 1  # the baseline
-
-    def settle(keys: list[tuple[str, bool]]) -> None:
-        # phase 2 (darkened keys) and phase 3 (flapped keys): a key the
-        # reroute certificate covers, or a flap whose darkened value
-        # already equals the baseline (binary <= dynamic <= baseline),
-        # keeps the baseline; the rest are batch-solved.  Certified
-        # values are exact; a solve of the same optimum may land a few
-        # ulps lower, which the verdict's LOSS_FLOOR_GBPS reads as no
-        # loss
-        nonlocal n_certified, n_solved
-        to_solve: list[tuple[tuple[str, bool], NetworkState]] = []
-        for cable, binary in keys:
-            cable_links = sorted(srlgs.links_of(cable))
-            if binary:
-                scenario = base.darken(cable_links, label=f"fail:{cable}")
-            else:
-                scenario = base.flap(
-                    cable_links, fallback_capacity_gbps, label=f"degrade:{cable}"
-                )
-            if (
-                not binary and scenario_cache[(cable, True)] == baseline
-            ) or reroute.certifies(
-                {
-                    reroute.index[link]: scenario.links[link].capacity_gbps
-                    for link in cable_links
-                    if link in reroute.index
-                }
-            ):
-                scenario_cache[(cable, binary)] = baseline
-                n_certified += 1
-            else:
-                to_solve.append(((cable, binary), scenario))
-        values = batch_throughput(
-            [scenario for _, scenario in to_solve],
-            demands,
-            workers=workers,
-            te_cache=te_cache,
-        )
-        scenario_cache.update(zip((key for key, _ in to_solve), values))
-        n_solved += len(to_solve)
-
-    settle([(cable, True) for cable in darkened])
-    settle([(cable, False) for cable in flapped])
-    _metrics.counter("sim.whatif.certified").inc(n_certified)
-    _metrics.counter("sim.whatif.solved").inc(n_solved)
-
-    def throughput(cable: str, binary: bool) -> float:
-        return scenario_cache[(cable, binary)]
 
     verdicts: dict[int, TicketVerdict] = {}
     engine = Engine()
 
     def on_outage(event: Event) -> None:
         index, ticket = event.payload
-        binary_tp = throughput(ticket.element, binary=True)
+        binary_tp = scenario_values[(ticket.element, True)]
         if ticket.is_binary_failure:
             dynamic_tp = binary_tp  # a cut is a cut in both worlds
         else:
-            dynamic_tp = throughput(ticket.element, binary=False)
+            dynamic_tp = scenario_values[(ticket.element, False)]
         verdict = TicketVerdict(
             ticket=ticket,
             binary_loss_gbps=max(baseline - binary_tp, 0.0),

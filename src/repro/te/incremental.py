@@ -48,7 +48,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Hashable, Sequence
+from typing import Hashable, Sequence
 
 import numpy as np
 
@@ -314,9 +314,9 @@ def solve_throughput(
 ) -> LpOutcome:
     """One scenario's max-throughput LP, solved on the calling thread.
 
-    The default-objective path of :func:`batch_throughput`, returning
-    the whole :class:`LpOutcome` (its ``solution.topology`` fixes the
-    link order of the flow block of ``x``).  A :class:`NetworkState` is
+    The solve behind :func:`batch_throughput`, returning the whole
+    :class:`LpOutcome` (its ``solution.topology`` fixes the link order
+    of the flow block of ``x``).  A :class:`NetworkState` is
     materialized here and its cached digests key the calling worker's
     :func:`worker_cache`; ``te_cache=False`` assembles a fresh LP
     (``None`` caches, like ``True``).
@@ -334,28 +334,17 @@ def solve_throughput(
 
 
 def _throughput_job(
-    job: tuple[
-        Topology | NetworkState,
-        tuple[Demand, ...],
-        Callable[[Topology, Sequence[Demand]], TeSolution] | None,
-        bool | None,
-    ],
+    job: tuple[Topology | NetworkState, tuple[Demand, ...], bool | None],
 ) -> float:
     """One scenario's total throughput (module-level: picklable)."""
-    scenario, demands, te_algorithm, te_cache = job
-    if te_algorithm is None:
-        return solve_throughput(scenario, demands, te_cache=te_cache).objective_value
-    if isinstance(scenario, NetworkState):
-        scenario = scenario.to_topology()
-    return te_algorithm(scenario, demands).total_allocated_gbps
+    scenario, demands, te_cache = job
+    return solve_throughput(scenario, demands, te_cache=te_cache).objective_value
 
 
 def batch_throughput(
     scenarios: Sequence[Topology | NetworkState],
     demands: Sequence[Demand],
     *,
-    te_algorithm: Callable[[Topology, Sequence[Demand]], TeSolution]
-    | None = None,
     workers: int | None = None,
     te_cache: bool | None = None,
 ) -> list[float]:
@@ -364,19 +353,15 @@ def batch_throughput(
     Scenarios are :class:`Topology` objects or :class:`NetworkState`
     forks (materialized worker-side via
     :meth:`~repro.state.NetworkState.to_topology`, which preserves
-    link order — the results are identical either way).  The default
-    (``te_algorithm=None``) solves the max-throughput LP through
-    per-worker structure caches — degrade-style scenarios that share
-    wiring with an earlier scenario skip reassembly.  A custom
-    ``te_algorithm`` is called as-is (it must be picklable to benefit
-    from a process pool).  Results are returned in input order and are
+    link order — the results are identical either way).  Each
+    max-throughput LP is solved through per-worker structure caches —
+    degrade-style scenarios that share wiring with an earlier scenario
+    skip reassembly.  Results are returned in input order and are
     identical for any worker count, including serial.  ``te_cache=False``
     bypasses the structure caches; ``None`` uses them, like ``True``.
     """
     demands = tuple(demands)
-    jobs = [
-        (scenario, demands, te_algorithm, te_cache) for scenario in scenarios
-    ]
+    jobs = [(scenario, demands, te_cache) for scenario in scenarios]
     n_workers = resolve_workers(workers)
     with _metrics.summary("te.batch.throughput").time(
         n_scenarios=len(jobs), workers=n_workers

@@ -6,6 +6,7 @@ import pytest
 from repro.net.demands import Demand, gravity_demands
 from repro.net.srlg import SrlgMap, duplex_srlgs
 from repro.net.topologies import abilene, figure7_topology, line_topology
+from repro.obs import metrics
 from repro.sim.network_availability import cable_event_impacts
 
 
@@ -68,3 +69,44 @@ class TestCableImpacts:
         srlgs.add("ghost", ["not-a-link"])
         with pytest.raises(ValueError, match="unknown links"):
             cable_event_impacts(topo, [Demand("A", "B", 1.0)], srlgs)
+
+
+@pytest.mark.parametrize("te_cache", [None, False], ids=["cache", "no-cache"])
+def test_lossless_drill_scenarios_read_as_the_baseline(te_cache):
+    # solved, Seattle--Sunnyvale and Atlanta--Indianapolis darkened land
+    # one ulp above the baseline (a loss of -2.3e-13 Gbps) and
+    # Denver--Seattle one ulp below it; all are within the loss floor,
+    # so none loses.  The certificates settle Seattle--Sunnyvale and
+    # Denver--Seattle unsolved, so Atlanta--Indianapolis (solved
+    # darkened and flapped) is the one that needs the floor
+    topo = abilene()
+    demands = gravity_demands(topo, 1500.0, np.random.default_rng(0))
+    report = cable_event_impacts(
+        topo, demands, duplex_srlgs(topo),
+        fallback_capacity_gbps=10.0, te_cache=te_cache,
+    )
+    for impact in report.impacts:
+        assert impact.binary_loss_gbps >= 0.0, impact
+        assert impact.dynamic_loss_gbps >= 0.0, impact
+    impacts = {i.cable: i for i in report.impacts}
+    for cable in (
+        "fiber:Seattle--Sunnyvale",
+        "fiber:Denver--Seattle",
+        "fiber:Atlanta--Indianapolis",
+    ):
+        assert impacts[cable].binary_gbps == impacts[cable].baseline_gbps
+
+
+def test_golden_drill_certifies_before_it_solves():
+    # the network_availability golden's inputs; with the TE cache off
+    # and one worker every LP solve is one HiGHS run
+    topo = figure7_topology()
+    srlgs = duplex_srlgs(topo)
+    demands = [Demand("A", "D", 150.0), Demand("B", "C", 80.0)]
+    with metrics.isolated() as reg:
+        cable_event_impacts(topo, demands, srlgs, workers=1, te_cache=False)
+    certified = reg.counter_value("sim.whatif.certified")
+    solved = reg.counter_value("sim.whatif.solved")
+    assert certified + solved == 1 + 2 * len(srlgs.cables())
+    assert certified >= 1
+    assert reg.get_summary("lp.solve").count == solved

@@ -14,6 +14,7 @@ from repro.net.topology import Topology
 from repro.obs import metrics
 from repro.optics.impairments import RootCause
 from repro.sim import whatif
+from repro.sim.network_availability import cable_event_impacts
 from repro.sim.whatif import LOSS_FLOOR_GBPS, TicketVerdict, replay_tickets
 from repro.state import NetworkState
 from repro.te.incremental import batch_throughput
@@ -409,19 +410,32 @@ def queries(draw):
     return topo, srlgs, demands, fallback, tickets
 
 
-def _solve_every_scenario(topo, srlgs, demands, fallback, tickets):
-    """The verdicts with every scenario solved, uncached and serial."""
+def _solve_every_cable(topo, srlgs, demands, fallback, cables):
+    """The baseline and each cable's darkened and flapped values, every
+    scenario solved uncached and serial, then snapped to the baseline
+    within the loss floor."""
     base = NetworkState.from_topology(topo, label="base")
-    cables = sorted({t.element for t in tickets})
     scenarios = [base]
     for cable in cables:
         links = sorted(srlgs.links_of(cable))
         scenarios.append(base.darken(links, label=f"fail:{cable}"))
         scenarios.append(base.flap(links, fallback, label=f"degrade:{cable}"))
-    values = batch_throughput(scenarios, demands, workers=1, te_cache=False)
-    baseline = values[0]
-    darkened = dict(zip(cables, values[1::2]))
-    flapped = dict(zip(cables, values[2::2]))
+    baseline, *values = batch_throughput(
+        scenarios, demands, workers=1, te_cache=False
+    )
+    values = [
+        baseline if abs(value - baseline) <= LOSS_FLOOR_GBPS else value
+        for value in values
+    ]
+    return baseline, dict(zip(cables, values[0::2])), dict(zip(cables, values[1::2]))
+
+
+def _solve_every_scenario(topo, srlgs, demands, fallback, tickets):
+    """The verdicts with every scenario solved, uncached and serial."""
+    cables = sorted({t.element for t in tickets})
+    baseline, darkened, flapped = _solve_every_cable(
+        topo, srlgs, demands, fallback, cables
+    )
     verdicts = []
     for t in tickets:
         binary = darkened[t.element]
@@ -452,6 +466,22 @@ def test_certified_verdicts_equal_solving_every_scenario(te_cache, workers, quer
     )
     expected = _solve_every_scenario(topo, srlgs, demands, fallback, tickets)
     assert [_bits(v) for v in report.verdicts] == [_bits(v) for v in expected]
+
+    # the cable drill settles its scenarios the same way
+    drill = cable_event_impacts(
+        topo, demands, srlgs,
+        fallback_capacity_gbps=fallback, workers=workers, te_cache=te_cache,
+    )
+    baseline, darkened, flapped = _solve_every_cable(
+        topo, srlgs, demands, fallback, srlgs.cables()
+    )
+    assert [
+        (i.cable, i.baseline_gbps.hex(), i.binary_gbps.hex(), i.dynamic_gbps.hex())
+        for i in drill.impacts
+    ] == [
+        (cable, baseline.hex(), darkened[cable].hex(), flapped[cable].hex())
+        for cable in srlgs.cables()
+    ]
 
 
 # Abilene queries where a certified scenario's solve lands one ulp below
@@ -493,11 +523,30 @@ def test_certified_verdict_equals_a_solve_one_ulp_lower(case):
     assert report.verdicts[0].dynamic_loss_gbps == 0.0
 
 
-def test_losses_within_the_floor_read_as_zero():
-    t = ticket("fiber:n0--n1")
-    verdict = TicketVerdict(t, 2.0**-45, LOSS_FLOOR_GBPS)
-    assert (verdict.binary_loss_gbps, verdict.dynamic_loss_gbps) == (0.0, 0.0)
-    verdict = TicketVerdict(t, 2 * LOSS_FLOOR_GBPS, -1.0)
-    assert (verdict.binary_loss_gbps, verdict.dynamic_loss_gbps) == (
-        2 * LOSS_FLOOR_GBPS, 0.0,
+def test_losses_within_the_floor_read_as_zero(monkeypatch):
+    """The settler stores a value within the floor of the baseline, on
+    either side, as the baseline, and keeps one twice the floor below.
+
+    n0 -> n3 crosses every cable of the line, so no certificate covers
+    a darkened one and each value comes from the batch solve.
+    """
+    topo = line_topology(4)
+    srlgs = duplex_srlgs(topo)
+    cables = srlgs.cables()
+    offsets = [LOSS_FLOOR_GBPS / 2, -LOSS_FLOOR_GBPS / 2, -2 * LOSS_FLOOR_GBPS]
+    baseline = 100.0
+    monkeypatch.setattr(
+        whatif,
+        "batch_throughput",
+        lambda scenarios, demands, **kwargs: [
+            baseline + offset for offset in offsets[: len(scenarios)]
+        ],
     )
+    settled_baseline, values = whatif.settle_scenarios(
+        topo, [Demand("n0", "n3", baseline)], srlgs, cables, [],
+        fallback_capacity_gbps=50.0, workers=1, te_cache=False,
+    )
+    assert settled_baseline == baseline
+    assert [values[(cable, True)] for cable in cables] == [
+        baseline, baseline, baseline - 2 * LOSS_FLOOR_GBPS,
+    ]

@@ -302,16 +302,3 @@ class TestBatchedWhatIf:
             MultiCommodityLp(s, demands).max_throughput().objective_value
             for s in scenarios
         ]
-
-    def test_custom_algorithm_is_used(self):
-        calls = []
-
-        def my_te(topology, demands):
-            calls.append(topology)
-            return default_te_algorithm(topology, demands)
-
-        topo = line_topology(3)
-        demands = _demands(topo, 300.0)
-        values = batch_throughput([topo, topo], demands, te_algorithm=my_te)
-        assert len(calls) == 2
-        assert values[0] == values[1]
