@@ -66,11 +66,11 @@ import numpy as np
 
 from repro.engine import Engine, Event, TicketOutageSource
 from repro.net.srlg import SrlgMap
-from repro.net.topology import Link, Topology
+from repro.net.topology import Topology
 from repro.net.demands import Demand
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
-from repro.state import NetworkState
+from repro.state import LinkState, NetworkState
 from repro.te.incremental import batch_throughput, solve_throughput
 from repro.tickets.model import Ticket
 
@@ -137,14 +137,16 @@ class WhatIfReport:
 class _Reroute:
     """The reroute certificate over one baseline's per-commodity flow.
 
-    ``flows`` is the baseline's flow block, one row per commodity and
-    one column per link of ``links`` (the LP's link order).
+    ``links`` are the baseline state's live link states (id, endpoints
+    and capacity), in the LP's link order; ``flows`` is the
+    baseline's flow block, one row per commodity and one column per
+    link.
     :meth:`certifies` asks whether a scenario that lowers some links'
     capacities keeps the baseline value, by building a flow for it that
     ships every commodity's baseline throughput.
     """
 
-    def __init__(self, links: Sequence[Link], flows: np.ndarray):
+    def __init__(self, links: Sequence[LinkState], flows: np.ndarray):
         self.index = {link.link_id: e for e, link in enumerate(links)}
         self.src = [link.src for link in links]
         self.dst = [link.dst for link in links]
@@ -324,33 +326,37 @@ def settle_scenarios(
     """The baseline throughput and every cable scenario's, settled once.
 
     ``darkened`` names the cables whose links are withdrawn and
-    ``flapped`` those whose links drop to ``fallback_capacity_gbps``
-    (each of them darkened too); the scenarios come back keyed
-    ``(cable, binary?)``.  Every scenario
-    is a copy-on-write fork of one base snapshot, materialized with the
-    link order per-scenario topology surgery gives
-    (``NetworkState.to_topology`` uses the same copy/remove/replace
-    primitives).  A scenario value within :data:`LOSS_FLOOR_GBPS` of
-    the baseline, on either side, is stored as the baseline.
+    ``flapped`` those whose links drop to ``fallback_capacity_gbps``;
+    every flapped cable must be darkened too (a ``ValueError`` naming
+    the others is raised before anything is solved).  The scenarios
+    come back keyed ``(cable, binary?)``.  Certificates read the
+    lowered capacities straight off the base snapshot; only a scenario
+    that is solved becomes a copy-on-write fork of it, solved
+    value-only by :func:`~repro.te.incremental.batch_throughput`.  A
+    scenario value within :data:`LOSS_FLOOR_GBPS` of the baseline, on
+    either side, is stored as the baseline.
 
     ``workers`` spreads the scenario solves over the shared pool
     (``None`` defers to ``REPRO_WORKERS``); ``te_cache=False`` bypasses
     the incremental TE cache (``None`` uses it).  The values are
     identical for every combination of both knobs.
     """
+    undarkened = sorted(set(flapped) - set(darkened))
+    if undarkened:
+        raise ValueError(
+            f"flapped cables must be darkened too; not in darkened: {undarkened}"
+        )
     if flapped and fallback_capacity_gbps <= 0:
         raise ValueError("fallback_capacity_gbps must be positive")
     base = NetworkState.from_topology(topology, label="whatif.base")
 
     # phase 1: the baseline, and its per-commodity flow block from the
     # raw solver vector (not the EPSILON-filtered edge flows), in the
-    # LP's link order
-    outcome = solve_throughput(base, demands, te_cache=te_cache)
-    baseline = outcome.objective_value
-    links = outcome.solution.topology.links
+    # LP's link order: the base state's live links
+    baseline, x = solve_throughput(base, demands, te_cache=te_cache)
+    links = base.live_links()
     reroute = _Reroute(
-        links,
-        outcome.x[: len(demands) * len(links)].reshape(len(demands), len(links)),
+        links, x[: len(demands) * len(links)].reshape(len(demands), len(links))
     )
 
     values: dict[tuple[str, bool], float] = {}
@@ -361,28 +367,30 @@ def settle_scenarios(
         # phase 2 (darkened keys) and phase 3 (flapped keys): a key the
         # reroute certificate covers, or a flap whose darkened value
         # already equals the baseline (binary <= dynamic <= baseline),
-        # keeps the baseline; the rest are batch-solved
+        # keeps the baseline; only the rest are forked and batch-solved
         nonlocal n_certified, n_solved
         to_solve: list[tuple[tuple[str, bool], NetworkState]] = []
         for cable, binary in keys:
             cable_links = sorted(srlgs.links_of(cable))
+            # the scenario's capacity on each cable link it lowers:
+            # what darken and flap would give the fork
+            lowered = {
+                e: 0.0 if binary else min(fallback_capacity_gbps, reroute.capacity[e])
+                for e in [reroute.index[l] for l in cable_links if l in reroute.index]
+            }
+            if (
+                not binary and values[(cable, True)] == baseline
+            ) or reroute.certifies(lowered):
+                values[(cable, binary)] = baseline
+                n_certified += 1
+                continue
             if binary:
                 scenario = base.darken(cable_links, label=f"fail:{cable}")
             else:
                 scenario = base.flap(
                     cable_links, fallback_capacity_gbps, label=f"degrade:{cable}"
                 )
-            if (not binary and values[(cable, True)] == baseline) or reroute.certifies(
-                {
-                    reroute.index[link]: scenario.links[link].capacity_gbps
-                    for link in cable_links
-                    if link in reroute.index
-                }
-            ):
-                values[(cable, binary)] = baseline
-                n_certified += 1
-            else:
-                to_solve.append(((cable, binary), scenario))
+            to_solve.append(((cable, binary), scenario))
         solved = batch_throughput(
             [scenario for _, scenario in to_solve],
             demands,

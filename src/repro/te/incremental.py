@@ -24,11 +24,25 @@ LP it has already seen.  This module exploits that in three layers:
    golden equivalence suite runs with the cache on.  A bounded LRU
    (not just the previous round) catches run/walk/crawl-style
    oscillation between a few recurring states.
-3. **Batched what-if** — independent scenario solves (ticket replays,
-   per-cable failure drills) fan out over the shared
-   :mod:`repro.parallel` pool; every worker keeps its own structure
-   cache, so "the same cable, degraded" and "the same plant, a new
-   traffic matrix" reuse the assembled blocks worker-locally.
+3. **Value-only what-if solves** — independent scenario solves (ticket
+   replays, per-cable failure drills) need one number each, the total
+   throughput.  :func:`solve_throughput` (and :func:`batch_throughput`,
+   which fans scenarios out over the shared :mod:`repro.parallel`
+   pool) solves a :class:`NetworkState` through one path,
+   :meth:`TeSolveCache.throughput`: it keys the structure and memo
+   layers on ``state.structure_id`` and ``state.capacity_digest``,
+   binds the digest's capacities (already in the LP's link order) and
+   the demand volumes into the cached model through
+   :meth:`MultiCommodityLp.bind` — the same in-place update
+   :meth:`~MultiCommodityLp.rebind` uses — and returns ``(value, x)``
+   with no :class:`Topology` materialized and no :class:`TeSolution`
+   extracted.  Only a structure miss materializes the state, once, to
+   assemble.  The value is :func:`~repro.te.lp.total_throughput`, the
+   sum :meth:`MultiCommodityLp.max_throughput` reports too, so a memo
+   entry written by either path serves the other bit for bit.  Every
+   worker keeps its own cache, so "the same cable, degraded" and "the
+   same plant, a new traffic matrix" reuse the assembled blocks
+   worker-locally.
 
 Invalidation needs no explicit hooks: any link appearing, disappearing
 (e.g. forced dark by a fault) or changing endpoints, and any demand
@@ -76,33 +90,34 @@ DEFAULT_STRUCTURE_SIZE = 8
 
 
 def structure_key(
-    topology: Topology,
-    demands: Sequence[Demand],
-    *,
-    state: NetworkState | None = None,
+    network: Topology | NetworkState, demands: Sequence[Demand]
 ) -> Hashable:
     """What determines the LP's *shape*: nodes, link wiring, demand pairs.
 
     Link and demand order matter (they are the variable layout), so the
     key keeps both in list order.  Demand volumes and priorities are
     left out: volumes only bound the throughput variables, which
-    :meth:`MultiCommodityLp.rebind` rewrites in place, so they belong
+    :meth:`MultiCommodityLp.bind` rewrites in place, so they belong
     to the memo key with the capacities.
 
-    The wiring half of the key is :attr:`NetworkState.structure_id` —
-    passing the ``state`` a topology was materialized from reuses its
-    cached digest and, by construction, produces the identical tuple.
+    The wiring half of the key is :attr:`NetworkState.structure_id` for
+    a state (its cached digest) and :func:`structure_digest` for a
+    topology; a state and the topology it materializes give the
+    identical tuple.
     """
-    wiring = structure_digest(topology) if state is None else state.structure_id
+    if isinstance(network, NetworkState):
+        wiring = network.structure_id
+    else:
+        wiring = structure_digest(network)
     return wiring + (tuple((d.src, d.dst) for d in demands),)
 
 
-def numeric_key(
-    topology: Topology, *, state: NetworkState | None = None
-) -> Hashable:
+def numeric_key(network: Topology | NetworkState) -> Hashable:
     """The per-round numbers (:attr:`NetworkState.capacity_digest`):
     capacities and penalties in link order."""
-    return capacity_digest(topology) if state is None else state.capacity_digest
+    if isinstance(network, NetworkState):
+        return network.capacity_digest
+    return capacity_digest(network)
 
 
 @dataclass(frozen=True)
@@ -129,9 +144,12 @@ class TeSolveCache:
     capacity RHS and the throughput bounds are rewritten in place, the
     penalty vector and any model with volumes in its matrix lazily
     rebuilt) — so HiGHS sees the same matrices and returns the same
-    vector.  A memo hit replays a stored solver vector through
-    ``_extract`` against the rebound topology and demands, which is
-    exactly what the original solve did with the same numbers.  Either
+    vector.  The value path (:meth:`throughput`) binds the same
+    numbers, read from a state's digests instead of a topology,
+    through the same routine (:meth:`MultiCommodityLp.bind`).  A memo
+    hit replays a stored solver vector through ``_extract`` against
+    the rebound topology and demands, which is exactly what the
+    original solve did with the same numbers.  Either
     way the result is bit-identical to an uncached solve; the golden
     knob matrix enforces it byte-for-byte.
     """
@@ -160,26 +178,61 @@ class TeSolveCache:
     ) -> MultiCommodityLp:
         """An assembled LP for this instance, reusing cached structure."""
         return self._lp_for(
-            structure_key(topology, demands, state=state), topology, demands
+            structure_key(topology if state is None else state, demands),
+            topology,
+            demands,
         )
+
+    def _cached_lp(self, skey: Hashable) -> MultiCommodityLp | None:
+        lp = self._structures.get(skey)
+        if lp is None:
+            _metrics.counter("te.cache.structure_miss").inc()
+        else:
+            _metrics.counter("te.cache.structure_hit").inc()
+            self._structures.move_to_end(skey)
+        return lp
+
+    def _assemble(
+        self, skey: Hashable, topology: Topology, demands: Sequence[Demand]
+    ) -> MultiCommodityLp:
+        lp = self._structures[skey] = MultiCommodityLp(topology, demands)
+        while len(self._structures) > self.structure_size:
+            self._structures.popitem(last=False)
+        return lp
 
     def _lp_for(
         self, skey: Hashable, topology: Topology, demands: Sequence[Demand]
     ) -> MultiCommodityLp:
-        lp = self._structures.get(skey)
+        lp = self._cached_lp(skey)
         if lp is None:
-            _metrics.counter("te.cache.structure_miss").inc()
-            lp = MultiCommodityLp(topology, demands)
-            self._structures[skey] = lp
-            while len(self._structures) > self.structure_size:
-                self._structures.popitem(last=False)
-        else:
-            _metrics.counter("te.cache.structure_hit").inc()
-            self._structures.move_to_end(skey)
-            lp.rebind(topology, demands)
+            return self._assemble(skey, topology, demands)
+        lp.rebind(topology, demands)
         return lp
 
     # -- memo layer --------------------------------------------------------
+
+    def _recall(
+        self,
+        network: Topology | NetworkState,
+        demands: Sequence[Demand],
+        method: str,
+    ) -> tuple[Hashable, Hashable, _MemoEntry | None]:
+        """The structure key, the memo key and the memo entry, if any."""
+        skey = structure_key(network, demands)
+        mkey = (skey, numeric_key(network), demand_digest(demands), method)
+        entry = self._memo.get(mkey)
+        if entry is None:
+            _metrics.counter("te.cache.memo_miss").inc()
+        else:
+            _metrics.counter("te.cache.memo_hit").inc()
+            self._memo.move_to_end(mkey)
+        return skey, mkey, entry
+
+    def _remember(self, mkey: Hashable, entry: _MemoEntry) -> None:
+        if self.memo_size:
+            self._memo[mkey] = entry
+            while len(self._memo) > self.memo_size:
+                self._memo.popitem(last=False)
 
     def solve(
         self,
@@ -202,18 +255,11 @@ class TeSolveCache:
             raise ValueError(
                 f"unknown solve method {method!r} (valid: {SOLVE_METHODS})"
             )
-        skey = structure_key(topology, demands, state=state)
-        mkey = (
-            skey,
-            numeric_key(topology, state=state),
-            demand_digest(demands),
-            method,
+        skey, mkey, entry = self._recall(
+            topology if state is None else state, demands, method
         )
-        entry = self._memo.get(mkey)
+        lp = self._lp_for(skey, topology, demands)
         if entry is not None:
-            _metrics.counter("te.cache.memo_hit").inc()
-            self._memo.move_to_end(mkey)
-            lp = self._lp_for(skey, topology, demands)
             with _metrics.summary("te.cache.replay").time():
                 solution = lp._extract(entry.x)
             return LpOutcome(
@@ -223,19 +269,47 @@ class TeSolveCache:
                 concurrency=entry.concurrency,
                 x=entry.x,
             )
-        _metrics.counter("te.cache.memo_miss").inc()
-        lp = self._lp_for(skey, topology, demands)
         outcome: LpOutcome = getattr(lp, method)()
-        if self.memo_size and outcome.x is not None:
-            self._memo[mkey] = _MemoEntry(
-                x=outcome.x,
-                objective_value=outcome.objective_value,
-                status=outcome.status,
-                concurrency=outcome.concurrency,
+        if outcome.x is not None:
+            self._remember(
+                mkey,
+                _MemoEntry(
+                    x=outcome.x,
+                    objective_value=outcome.objective_value,
+                    status=outcome.status,
+                    concurrency=outcome.concurrency,
+                ),
             )
-            while len(self._memo) > self.memo_size:
-                self._memo.popitem(last=False)
         return outcome
+
+    def throughput(
+        self, state: NetworkState, demands: Sequence[Demand]
+    ) -> tuple[float, np.ndarray]:
+        """The value path: one state's max-throughput value and vector.
+
+        What :meth:`solve` with ``method="max_throughput"`` returns as
+        ``(objective_value, x)``, bit for bit and under the same memo
+        key, without a :class:`Topology` or a :class:`TeSolution`: a
+        memo hit returns the stored value and vector; a structure hit
+        binds ``state.capacity_digest`` (capacities and penalties in
+        the LP's link order) and the demand volumes into the cached
+        model through :meth:`MultiCommodityLp.bind`.  Only a structure
+        miss materializes the state, once, to assemble.
+        """
+        skey, mkey, entry = self._recall(state, demands, "max_throughput")
+        if entry is not None:
+            return entry.objective_value, entry.x
+        lp = self._cached_lp(skey)
+        if lp is None:
+            lp = self._assemble(skey, state.to_topology(), demands)
+        else:
+            lp.bind(*state.capacity_digest, demands)
+        value, x = lp.throughput()
+        self._remember(
+            mkey,
+            _MemoEntry(x=x, objective_value=value, status="optimal", concurrency=None),
+        )
+        return value, x
 
     def clear(self) -> None:
         self._structures.clear()
@@ -311,26 +385,29 @@ def solve_throughput(
     demands: Sequence[Demand],
     *,
     te_cache: bool | None = None,
-) -> LpOutcome:
-    """One scenario's max-throughput LP, solved on the calling thread.
+) -> tuple[float, np.ndarray]:
+    """One scenario's max-throughput value and solver vector, solved on
+    the calling thread.
 
-    The solve behind :func:`batch_throughput`, returning the whole
-    :class:`LpOutcome` (its ``solution.topology`` fixes the link order
-    of the flow block of ``x``).  A :class:`NetworkState` is
-    materialized here and its cached digests key the calling worker's
-    :func:`worker_cache`; ``te_cache=False`` assembles a fresh LP
-    (``None`` caches, like ``True``).
+    The solve behind :func:`batch_throughput`, value-only: no
+    :class:`TeSolution` is extracted.  The flow block of ``x`` follows
+    the scenario's live links in order (for a state,
+    :meth:`NetworkState.live_links`).  A state goes through the calling
+    worker's :func:`worker_cache` by :meth:`TeSolveCache.throughput`,
+    keyed and bound from its own digests; a topology is keyed through a
+    verbatim snapshot.  ``te_cache=False`` materializes once and
+    assembles a fresh LP (``None`` caches, like ``True``); the results
+    are bit-identical either way, and equal to
+    ``MultiCommodityLp(topology, demands).max_throughput()``'s
+    ``objective_value`` and ``x``.
     """
     if isinstance(scenario, NetworkState):
-        state: NetworkState | None = scenario
-        topology = scenario.to_topology()
+        state = scenario
     else:
-        state, topology = None, scenario
+        state = NetworkState.snapshot(scenario, label="te.solve")
     if te_cache is False:
-        return MultiCommodityLp(topology, demands).max_throughput()
-    return worker_cache().solve(
-        topology, demands, method="max_throughput", state=state
-    )
+        return MultiCommodityLp(state.to_topology(), demands).throughput()
+    return worker_cache().throughput(state, demands)
 
 
 def _throughput_job(
@@ -338,7 +415,7 @@ def _throughput_job(
 ) -> float:
     """One scenario's total throughput (module-level: picklable)."""
     scenario, demands, te_cache = job
-    return solve_throughput(scenario, demands, te_cache=te_cache).objective_value
+    return solve_throughput(scenario, demands, te_cache=te_cache)[0]
 
 
 def batch_throughput(
@@ -351,12 +428,10 @@ def batch_throughput(
     """Total throughput of independent scenarios, in input order.
 
     Scenarios are :class:`Topology` objects or :class:`NetworkState`
-    forks (materialized worker-side via
-    :meth:`~repro.state.NetworkState.to_topology`, which preserves
-    link order — the results are identical either way).  Each
-    max-throughput LP is solved through per-worker structure caches —
-    degrade-style scenarios that share wiring with an earlier scenario
-    skip reassembly.  Results are returned in input order and are
+    forks, each solved value-only by :func:`solve_throughput` through
+    per-worker structure caches: a state whose wiring an earlier
+    scenario shares is bound straight into the cached model, with no
+    topology materialized and no reassembly.  Results are returned in input order and are
     identical for any worker count, including serial.  ``te_cache=False``
     bypasses the structure caches; ``None`` uses them, like ``True``.
     """

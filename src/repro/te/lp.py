@@ -255,6 +255,19 @@ def solve_highs(model: HighsModel, c: np.ndarray, b_ub: np.ndarray) -> np.ndarra
     )
 
 
+def total_throughput(t: np.ndarray) -> float:
+    """The total allocated volume of a throughput block ``t``:
+    ``sum_k max(t_k, 0)`` in commodity order.
+
+    The same float sum, term for term, as
+    :attr:`TeSolution.total_allocated_gbps` over the solution
+    :meth:`MultiCommodityLp._extract` reads from the same vector, so a
+    value read here and one read from the extracted solution agree to
+    the bit.
+    """
+    return sum(max(t_k, 0.0) for t_k in t.tolist())
+
+
 @dataclass(frozen=True)
 class LpOutcome:
     """A solved LP: the TE solution plus solver metadata."""
@@ -306,10 +319,19 @@ class MultiCommodityLp:
             count=self.n_links,
         )
         self._link_ids = [l.link_id for l in self.links]
+        # the per-link numbers, in link order: the capacity RHS every
+        # solve passes as b_ub, and the penalties behind the penalty
+        # vector; :meth:`bind` rewrites both
+        self._capacities = np.fromiter(
+            (l.capacity_gbps for l in self.links), dtype=float, count=self.n_links
+        )
+        self._penalties = np.fromiter(
+            (l.penalty for l in self.links), dtype=float, count=self.n_links
+        )
         # constraint blocks are identical across the solve methods (and
         # across both phases of the Theorem-1 program), so build each once
         self._conservation_cache: tuple[Block, np.ndarray] | None = None
-        self._capacity_cache: tuple[Block, np.ndarray] | None = None
+        self._capacity_block: Block | None = None
         self._penalty_cache: np.ndarray | None = None
         # solver-ready models per program; none depends on capacities
         # (they enter each solve as b_ub), so rebind keeps them all, and
@@ -324,27 +346,53 @@ class MultiCommodityLp:
         endpoints, insertion order — as the instance was built from,
         and ``demands`` the same ``(src, dst)`` pairs in the same order;
         only per-link capacities and penalties and per-demand volumes
-        and priorities may differ.  The capacity RHS is rewritten in
-        place (O(n_links)) and the penalty vector is dropped for lazy
-        rebuild.  When a volume changed, the ``t_k <= volume_k`` tail of
-        ``col_upper`` is rewritten in place (O(n_demands)) on the cached
-        max-throughput and phase-2 models, and the max-concurrent-flow
-        models, whose matrix holds the volumes, are dropped for lazy
-        reassembly.  Every other
-        constraint block and solver model is reused as-is, so a rebound
-        instance solves with arrays value-identical to fresh assembly.
+        and priorities may differ.  The numbers are bound by
+        :meth:`bind`.
         """
         self.topology = topology
         self.links = list(topology.links)
+        self.bind(
+            [l.capacity_gbps for l in self.links],
+            [l.penalty for l in self.links],
+            demands,
+        )
+
+    def bind(
+        self,
+        capacities: Sequence[float],
+        penalties: Sequence[float],
+        demands: Sequence[Demand],
+    ) -> None:
+        """Bind new numbers into this assembled LP, in place.
+
+        ``capacities`` and ``penalties`` are per link in the LP's link
+        order (a :attr:`NetworkState.capacity_digest` is exactly that
+        pair), ``demands`` the instance's pairs in order with new
+        volumes.  The one binding routine: :meth:`rebind` and the
+        incremental layer's value path both go through it.  The
+        capacity RHS is rewritten in place (O(n_links)); the penalty
+        vector is dropped for lazy rebuild when a penalty changed.
+        When a volume changed, the ``t_k <= volume_k`` tail of
+        ``col_upper`` is rewritten in place (O(n_demands)) on the
+        cached max-throughput and phase-2 models, and the
+        max-concurrent-flow models, whose matrix holds the volumes,
+        are dropped for lazy reassembly.  Every other constraint block
+        and solver model is reused as-is, so a rebound instance solves
+        with arrays value-identical to fresh assembly.
+
+        ``topology`` is left as it was: only :meth:`rebind` may precede
+        an extraction into a :class:`TeSolution`.
+        """
+        self._capacities[:] = capacities
+        # compared bitwise: a fresh assembly would copy these exact bits
+        penalties = np.fromiter(penalties, dtype=float, count=self.n_links)
+        if penalties.tobytes() != self._penalties.tobytes():
+            self._penalties = penalties
+            self._penalty_cache = None
         self.demands = tuple(demands)
-        if self._capacity_cache is not None:
-            b_ub = self._capacity_cache[1]
-            b_ub[:] = [l.capacity_gbps for l in self.links]
-        self._penalty_cache = None
         volumes = np.fromiter(
             (d.volume_gbps for d in self.demands), dtype=float, count=self.n_demands
         )
-        # compared bitwise: a fresh assembly would copy these exact bits
         if volumes.tobytes() != self._volumes.tobytes():
             self._volumes = volumes
             for key in list(self._models):
@@ -414,17 +462,17 @@ class MultiCommodityLp:
 
     def _capacity(self) -> tuple[Block, np.ndarray]:
         """A_ub x <= cap rows: one per link, summed over commodities."""
-        if self._capacity_cache is None:
+        if self._capacity_block is None:
             with _metrics.summary("lp.assemble.capacity").time():
                 n_k, n_e = self.n_demands, self.n_links
                 k = np.arange(n_k, dtype=np.int64)
                 e = np.arange(n_e, dtype=np.int64)
                 rows = np.tile(e, n_k)
                 cols = (k[:, None] * n_e + e[None, :]).ravel()
-                a_ub = Block(rows, cols, np.ones(n_k * n_e), (n_e, self.n_vars))
-                b_ub = np.array([l.capacity_gbps for l in self.links])
-                self._capacity_cache = (a_ub, b_ub)
-        return self._capacity_cache
+                self._capacity_block = Block(
+                    rows, cols, np.ones(n_k * n_e), (n_e, self.n_vars)
+                )
+        return self._capacity_block, self._capacities
 
     def _col_upper(self, *, cap_throughput: bool = True) -> np.ndarray:
         """Column upper bounds: flows unbounded, ``t_k <= volume_k``."""
@@ -444,11 +492,8 @@ class MultiCommodityLp:
     def _penalty_vector(self) -> np.ndarray:
         """Per-variable penalty costs (a fresh copy — callers mutate it)."""
         if self._penalty_cache is None:
-            per_link = np.fromiter(
-                (l.penalty for l in self.links), dtype=float, count=self.n_links
-            )
             c = np.zeros(self.n_vars)
-            c[: self.n_flow_vars] = np.tile(per_link, self.n_demands)
+            c[: self.n_flow_vars] = np.tile(self._penalties, self.n_demands)
             self._penalty_cache = c
         return self._penalty_cache.copy()
 
@@ -490,14 +535,7 @@ class MultiCommodityLp:
         ]
         return TeSolution(self.topology, assignments)
 
-    def max_throughput(self, *, penalty_weight: float = 0.0) -> LpOutcome:
-        """Maximise total allocated volume.
-
-        ``penalty_weight`` > 0 folds the penalty into the objective as a
-        soft cost (``max sum t - w * sum p*x``) — the single-shot
-        approximation of the two-phase program.  Keep it well below
-        1/max_path_length or it will start sacrificing throughput.
-        """
+    def _max_throughput_x(self, penalty_weight: float = 0.0) -> np.ndarray:
         model = self._cached_model(
             "max_throughput",
             lambda: HighsModel(
@@ -508,14 +546,30 @@ class MultiCommodityLp:
         # tiny per-unit-flow cost keeps solutions off pointless cycles
         c[: self.n_flow_vars] += 1e-9
         c[self.n_flow_vars :] = -1.0  # HiGHS minimises; t vars fill the tail
-        x = self._solve(model, c, self._capacity()[1])
-        solution = self._extract(x)
+        return self._solve(model, c, self._capacity()[1])
+
+    def max_throughput(self, *, penalty_weight: float = 0.0) -> LpOutcome:
+        """Maximise total allocated volume.
+
+        ``penalty_weight`` > 0 folds the penalty into the objective as a
+        soft cost (``max sum t - w * sum p*x``) — the single-shot
+        approximation of the two-phase program.  Keep it well below
+        1/max_path_length or it will start sacrificing throughput.
+        """
+        x = self._max_throughput_x(penalty_weight)
         return LpOutcome(
-            solution=solution,
-            objective_value=solution.total_allocated_gbps,
+            solution=self._extract(x),
+            objective_value=total_throughput(x[self.n_flow_vars :]),
             status="optimal",
             x=x,
         )
+
+    def throughput(self) -> tuple[float, np.ndarray]:
+        """:meth:`max_throughput`'s value and solver vector, bit for bit,
+        without extracting a :class:`TeSolution` (what-if scenarios need
+        only the value, and the vector for certificates)."""
+        x = self._max_throughput_x()
+        return total_throughput(x[self.n_flow_vars :]), x
 
     def _phase2_model(self) -> HighsModel:
         """The max-throughput model plus one row: ``-sum_k t_k <= -T*``."""
@@ -537,8 +591,7 @@ class MultiCommodityLp:
         the penalty subject to total throughput >= T* (less a numerical
         hair, so phase 2 stays feasible).
         """
-        phase1 = self.max_throughput()
-        t_star = phase1.objective_value
+        t_star, _ = self.throughput()
         model = self._cached_model("phase2", self._phase2_model)
         slack = max(1e-7 * max(t_star, 1.0), 1e-9)
         b_ub = np.concatenate([self._capacity()[1], [-(t_star - slack)]])

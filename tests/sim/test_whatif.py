@@ -17,7 +17,9 @@ from repro.sim import whatif
 from repro.sim.network_availability import cable_event_impacts
 from repro.sim.whatif import LOSS_FLOOR_GBPS, TicketVerdict, replay_tickets
 from repro.state import NetworkState
+from repro.te import incremental
 from repro.te.incremental import batch_throughput
+from repro.te.lp import MultiCommodityLp
 from repro.tickets.generator import TicketConfig, TicketGenerator
 from repro.tickets.model import Ticket
 
@@ -123,6 +125,24 @@ class TestReplayTickets:
         with pytest.raises(ValueError):
             replay_tickets(
                 topo, [Demand("n0", "n2", 1.0)], [], duplex_srlgs(topo)
+            )
+
+    def test_flapped_cable_not_darkened_rejected_before_solving(self, monkeypatch):
+        # every flap's certificate reads its darkened value, so a flapped
+        # cable missing from ``darkened`` is an input error, named up front
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before validating the input")
+
+        monkeypatch.setattr(whatif, "solve_throughput", no_solve)
+        topo = figure7_topology()
+        with pytest.raises(ValueError, match=r"fiber:A--C.*fiber:C--D"):
+            whatif.settle_scenarios(
+                topo,
+                [Demand("A", "D", 150.0)],
+                duplex_srlgs(topo),
+                ["fiber:A--B"],
+                ["fiber:C--D", "fiber:A--B", "fiber:A--C"],
+                fallback_capacity_gbps=50.0,
             )
 
 
@@ -358,6 +378,60 @@ def test_plant_ticket_queries_solve_only_lossy_scenarios(monkeypatch):
         assert all(value < baseline - LOSS_FLOOR_GBPS for value in solved), (
             query, baseline, solved,
         )
+
+
+def test_plant_queries_solve_from_states_alone(monkeypatch):
+    """Warm scenario solves bind states straight into the cached models.
+
+    Once a warm-up query has solved every darkened plant cable (a cut
+    of each under a heavy matrix), so the worker cache holds every
+    scenario wiring, the ``whatif-plant-tickets`` queries materialize
+    no topology and extract no solution, and fork a state only for the
+    scenarios they solve.
+    """
+    topo = figure7_topology()
+    srlgs = duplex_srlgs(topo)
+    cables = srlgs.cables()
+    incremental.worker_cache().clear()
+    with metrics.isolated() as reg:
+        replay_tickets(
+            topo,
+            gravity_demands(topo, 3000.0, np.random.default_rng(1)),
+            [ticket(cable, RootCause.FIBER_CUT, i=i) for i, cable in enumerate(cables)],
+            srlgs,
+            workers=1,
+        )
+    assert reg.counter_value("sim.whatif.solved") == 1 + len(cables)
+
+    calls = dict.fromkeys(["to_topology", "_extract", "evolve"], 0)
+    for owner, name in (
+        (NetworkState, "to_topology"),
+        (MultiCommodityLp, "_extract"),
+        (NetworkState, "evolve"),
+    ):
+        def counted(*args, _original=getattr(owner, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+    generator = TicketGenerator(TicketConfig(n_events=40, months=7.0))
+    for query in range(4):
+        corpus = [
+            replace(t, element=cables[int(t.element[5:]) % len(cables)])
+            for t in generator.generate(np.random.default_rng([0, 4, query]))
+        ]
+        demands = gravity_demands(topo, 300.0, np.random.default_rng([0, 5, query]))
+        calls.update(dict.fromkeys(calls, 0))
+        with metrics.isolated() as reg:
+            replay_tickets(
+                topo, demands, corpus, srlgs,
+                fallback_capacity_gbps=50.0, workers=1,
+            )
+        solved = reg.counter_value("sim.whatif.solved")
+        assert solved > 1
+        assert calls == {
+            "to_topology": 0, "_extract": 0, "evolve": solved - 1
+        }, query
 
 
 _TOPOLOGIES = {

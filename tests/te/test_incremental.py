@@ -10,6 +10,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.controller import DynamicCapacityController, default_te_algorithm
 from repro.core.policies import run_policy
@@ -20,11 +22,13 @@ from repro.net.topologies import abilene, figure7_topology, line_topology
 from repro.obs import metrics
 from repro.optics.impairments import AmplifierDegradation
 from repro.sim.replay import replay_controller
+from repro.state import NetworkState
 from repro.te.incremental import (
     SOLVE_METHODS,
     CachedTeAlgorithm,
     TeSolveCache,
     batch_throughput,
+    solve_throughput,
 )
 from repro.te.lp import MultiCommodityLp
 from repro.telemetry.timebase import Timebase
@@ -302,3 +306,93 @@ class TestBatchedWhatIf:
             MultiCommodityLp(s, demands).max_throughput().objective_value
             for s in scenarios
         ]
+
+
+_FORK_BASES = {
+    "plant": NetworkState.from_topology(figure7_topology(), label="base"),
+    "abilene": NetworkState.from_topology(abilene(), label="base"),
+}
+
+
+@st.composite
+def scenario_forks(draw):
+    """A dark/flap fork of the plant or Abilene, with gravity demands."""
+    name = draw(st.sampled_from(sorted(_FORK_BASES)))
+    state = _FORK_BASES[name]
+    srlgs = duplex_srlgs(state.base)
+    cables = draw(
+        st.lists(st.sampled_from(srlgs.cables()), min_size=1, max_size=2, unique=True)
+    )
+    for cable in cables:
+        links = sorted(srlgs.links_of(cable))
+        if draw(st.booleans()):
+            state = state.darken(links, label=f"fail:{cable}")
+        else:
+            floor = draw(st.sampled_from([10.0, 50.0, 75.0]))
+            state = state.flap(links, floor, label=f"degrade:{cable}")
+    demands = gravity_demands(
+        state.base,
+        draw(st.sampled_from([150.0, 300.0, 3000.0])),
+        np.random.default_rng(draw(st.integers(0, 2**16))),
+        sparsity=0.0 if name == "plant" else 0.8,
+    )
+    return state, demands
+
+
+@settings(max_examples=15, deadline=None)
+@given(fork=scenario_forks())
+def test_value_path_is_bit_identical_to_a_full_solve(fork):
+    """The value path (:meth:`TeSolveCache.throughput`, and
+    :func:`solve_throughput` cached or not) returns the value and the
+    vector bytes of a fresh max-throughput solve, and shares its memo
+    entries with :meth:`TeSolveCache.solve` in either order."""
+    state, demands = fork
+    topology = state.to_topology()
+    fresh = MultiCommodityLp(topology, demands).max_throughput()
+
+    def assert_fresh(value, x):
+        assert value.hex() == fresh.objective_value.hex()
+        assert x.tobytes() == fresh.x.tobytes()
+
+    def assert_fresh_outcome(outcome):
+        assert_fresh(outcome.objective_value, outcome.x)
+        assert outcome.solution.assignments == fresh.solution.assignments
+
+    # a full solve, then the value path: a memo hit
+    cache = TeSolveCache()
+    with metrics.isolated() as reg:
+        assert_fresh_outcome(
+            cache.solve(topology, demands, "max_throughput", state=state)
+        )
+        assert_fresh(*cache.throughput(state, demands))
+    assert reg.counter_value("te.cache.memo_hit") == 1
+
+    # the value path, then a full solve: a memo hit replayed through
+    # the extraction
+    cache = TeSolveCache()
+    with metrics.isolated() as reg:
+        assert_fresh(*cache.throughput(state, demands))
+        assert_fresh_outcome(
+            cache.solve(topology, demands, "max_throughput", state=state)
+        )
+    assert reg.counter_value("te.cache.memo_hit") == 1
+
+    # a structure hit: the state's capacities and the volumes bound into
+    # a model assembled for other numbers on the same wiring
+    primer = state.evolve(
+        {
+            link.link_id: {"capacity_gbps": 2 * link.capacity_gbps}
+            for link in state.live_links()
+        },
+        label="primer",
+    )
+    halved = [replace(d, volume_gbps=d.volume_gbps / 2) for d in demands]
+    cache = TeSolveCache()
+    with metrics.isolated() as reg:
+        cache.throughput(primer, halved)
+        assert_fresh(*cache.throughput(state, demands))
+    assert reg.counter_value("te.cache.structure_hit") == 1
+    assert reg.counter_value("te.cache.memo_hit") == 0
+
+    assert_fresh(*solve_throughput(state, demands, te_cache=False))
+    assert_fresh(*solve_throughput(topology, demands, te_cache=False))
