@@ -1,9 +1,10 @@
 """A deterministic discrete-event simulation kernel.
 
-One event kernel, many thin scenarios: every simulator in the
-reproduction — controller replay, reaction-lag study, ticket what-ifs,
-cable fail-vs-flap matrices, the BVT testbed — is a set of event
-handlers over this timeline instead of a hand-rolled ``for`` loop.
+One event kernel, many thin scenarios: every simulator with a
+timeline — controller replay, reaction-lag study, the BVT testbed — is
+a set of event handlers over this timeline instead of a hand-rolled
+``for`` loop.  A scenario with no timeline (the ticket what-if, the
+cable fail-vs-flap drill) is a plain loop and builds no engine.
 
 Determinism is the design constraint everything else bends to:
 
@@ -84,7 +85,7 @@ class EngineStats:
 
 
 class Engine:
-    """The deterministic event loop every simulator shares."""
+    """The deterministic event loop every timed simulator shares."""
 
     def __init__(self, *, clock: SimClock | None = None, seed: int = 0):
         self.clock = clock if clock is not None else SimClock()

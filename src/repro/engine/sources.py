@@ -5,16 +5,15 @@ engine merges them with the scheduled queue one pending event at a
 time, so even a 2.5-year telemetry corpus streams through sample by
 sample instead of being materialized into per-sample dicts up front.
 
-The stock sources cover the scenarios the reproduction runs today:
+The stock sources cover the timed scenarios the engine hosts (the
+controller replay, the reaction-lag study and the BVT testbed):
 
 * :class:`TelemetrySource` — one ``telemetry.sample`` event per grid
   point of a validated trace set (:class:`TelemetryFeed`);
 * :class:`ScheduledRounds` — ``te.round`` events every TE interval,
   carrying the telemetry sample the controller should see;
-* :class:`TicketOutageSource` — ``ticket.outage`` windows from a
-  failure-ticket corpus, ordered by open time;
 * :class:`SequenceSource` — a deterministic fan-out of scenario items
-  (e.g. per-cable failure drills) at a fixed timestamp;
+  (the testbed's ladder targets) at a fixed timestamp;
 * :class:`EwmaAlarmMonitor` — not an iterator but a stateful helper
   that turns per-sample detector updates into published
   ``anomaly.alarm`` events.
@@ -251,34 +250,12 @@ class ScheduledRounds:
             yield Event(sample.time_s, self.KIND, sample)
 
 
-class TicketOutageSource:
-    """A failure-ticket corpus as ``ticket.outage`` window events.
-
-    Tickets are replayed in open-time order (stable for ties, so a
-    corpus already in filing order keeps it).  The payload is the
-    ``(corpus_index, ticket)`` pair: scenario handlers that must report
-    verdicts in corpus order key their output by the index.
-    """
-
-    KIND = "ticket.outage"
-
-    def __init__(self, tickets: Sequence[Any]):
-        self.tickets = list(tickets)
-
-    def events(self) -> Iterator[Event]:
-        ordered = sorted(
-            enumerate(self.tickets), key=lambda pair: pair[1].opened_s
-        )
-        for index, ticket in ordered:
-            yield Event(float(ticket.opened_s), self.KIND, (index, ticket))
-
-
 class SequenceSource:
     """Scenario items dispatched one by one at a fixed timestamp.
 
-    The drill-style sources: "fail every cable, one at a time" has no
-    intrinsic timeline, but running it through the engine gives every
-    item the same observer/metrics surface as the timed scenarios.
+    The testbed's ladder targets use it: each handler advances the
+    shared clock through a reconfiguration, so the items need the
+    engine's clock even though they all start at one timestamp.
     """
 
     def __init__(self, kind: str, items: Sequence[Any], *, time_s: float = 0.0):

@@ -11,9 +11,10 @@ new dependencies):
   order-sensitive layers (state, te, recovery, engine);
 * **D004** ``json.dump(s)`` without ``sort_keys=True`` in
   journal/serialize/fingerprint code;
-* **L001-L003** import-DAG layering, declared in ``layers.toml``
+* **L001-L004** import-DAG layering, declared in ``layers.toml``
   (state below sim/controller, engine below experiments, obs
-  non-invasive) — checked transitively, lazy imports included;
+  non-invasive, the scenario settler off the engine) — checked
+  transitively, lazy imports included;
 * **T001** trace/metric names dotted lowercase and declared in the
   :mod:`repro.obs.names` catalog.
 

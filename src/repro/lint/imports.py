@@ -3,7 +3,7 @@
 Built purely from the AST — every ``import``/``from ... import`` in a
 module, including the lazy function-body imports the codebase uses to
 keep startup cheap, becomes an edge.  The graph powers both the
-layering rules (L001-L003 check the transitive closure) and the
+layering rules (L001-L004 check the transitive closure) and the
 artifact fingerprints (:func:`repro.fingerprint.import_closure` hashes
 the closure of an entry module).
 

@@ -1,4 +1,4 @@
-"""L001-L003: import-DAG layering, declared in ``layers.toml``.
+"""L001-L004: import-DAG layering, declared in ``layers.toml``.
 
 Generalizes PR 7's ad-hoc runtime probe (import :mod:`repro.state`,
 assert no simulator landed in ``sys.modules``) into a static, transitive

@@ -146,7 +146,7 @@ _rule(
 _rule(
     "L002",
     "the engine hosts scenarios; it never imports experiment plumbing",
-    "repro.engine is the deterministic kernel under every simulator.  "
+    "repro.engine is the deterministic kernel under every timed simulator.  "
     "Importing repro.experiments or the CLI from it would couple event "
     "dispatch to registry/artifact code and create import cycles.",
     "Scenario-specific behaviour belongs in repro.sim.* or the "
@@ -164,6 +164,19 @@ _rule(
     "Keep repro.obs dependent on the stdlib only; exchange data via "
     "duck-typed payloads (see Tracer.on_event).  The contract lives in "
     "repro/lint/layers.toml.",
+)
+_rule(
+    "L004",
+    "the scenario settler is a plain loop; it never reaches the engine",
+    "Ticket what-ifs and cable drills have no timeline: "
+    "repro.sim.whatif.settle_scenarios decides every value up front and "
+    "the callers wrap them in one pass over the input.  An import of "
+    "repro.engine, repro.telemetry or repro.bvt from either module would "
+    "bring back the event machinery (and its import closure) that the "
+    "answer never needed.",
+    "Keep timed scenarios on the engine in their own modules; the "
+    "settler and its callers take topology, demands and SRLGs as data.  "
+    "The contract lives in repro/lint/layers.toml.",
 )
 _rule(
     "T001",

@@ -6,7 +6,7 @@ result cache is *content-keyed*: a file's per-file findings are stored
 under ``sha256(source bytes + rule configuration + analyzer
 fingerprint)``, so a cache hit is exact by definition and editing any
 analyzer module (or the name catalog) invalidates every entry, the same
-contract the telemetry summary cache follows.  Graph rules (L001-L003)
+contract the telemetry summary cache follows.  Graph rules (L001-L004)
 always run fresh — they are whole-package properties, cheap next
 to parsing.
 

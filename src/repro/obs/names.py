@@ -2,12 +2,13 @@
 
 Every string a run can emit as an observability name — span and
 point-event names (:mod:`repro.obs.trace`), metric series
-(:mod:`repro.obs.metrics`) and engine event kinds
-(``Engine.publish`` / ``EventSource`` kinds) — is declared here once,
-with a one-line description.  The exporters read the catalog (Prometheus
+(:mod:`repro.obs.metrics`) and the event kinds the discrete-event
+engine publishes or its sources emit — is declared here once, with a
+one-line description.  The exporters read the catalog (Prometheus
 ``# HELP`` lines come from it), and ``repro lint`` rule **T001** checks
 every name literal in the source against it, so code and docs cannot
-drift: adding a name without describing it here is a lint failure.
+drift: adding a name without describing it here is a lint failure, and
+``tests/obs/test_names.py`` fails on a name no module uses any more.
 
 Convention: dotted lowercase, ``component.thing[.detail]``
 (:data:`NAME_PATTERN`).  Components match the package that emits the
@@ -76,19 +77,15 @@ METRICS: dict[str, str] = {
     "te.cache.structure_miss": "LP structures assembled fresh",
 }
 
-#: engine event kinds — what Engine.publish / EventSources emit
+#: engine event kinds — what the engine publishes and its sources emit
 EVENTS: dict[str, str] = {
     "anomaly.alarm": "EWMA dip detector crossed its threshold",
     "bvt.reconfigured": "testbed ladder target applied",
     "bvt.request": "testbed ladder target scheduled",
-    "cable.event": "ticket outage window opened for a cable",
-    "cable.impact": "what-if verdict computed for a cable event",
     "controller.report": "controller round report published",
     "te.emergency": "reactive/proactive emergency TE round triggered",
     "te.round": "scheduled TE round due",
     "telemetry.sample": "one link SNR sample ingested",
-    "ticket.outage": "ticket corpus outage window event",
-    "ticket.verdict": "binary-vs-dynamic verdict for one ticket",
 }
 
 #: every declared name -> description (the surface T001 checks)

@@ -19,11 +19,8 @@ what-if replay uses: certificates fix the baseline value where the
 baseline's flow reroutes around the cable, the rest are batch-solved,
 and a value within :data:`~repro.sim.whatif.LOSS_FLOOR_GBPS` of the
 baseline reads as the baseline (so no cable reports a negative loss).
-The drill then runs as an engine scenario: a
-:class:`~repro.engine.SequenceSource` puts one ``cable.event`` per
-cable on the timeline, and the handler publishes its settled pair —
-giving the fail-vs-flap matrix the same observer/metrics surface as
-the timed replays.
+The drill has no timeline, so it is a plain loop over the cables that
+wraps each settled pair in a :class:`CableImpact`, in drill order.
 """
 
 from __future__ import annotations
@@ -31,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.engine import Engine, Event, SequenceSource
 from repro.net.demands import Demand
 from repro.net.srlg import SrlgMap
 from repro.net.topology import Topology
@@ -103,15 +99,13 @@ def cable_event_impacts(
             :func:`repro.net.srlg.duplex_srlgs`).
         fallback_capacity_gbps: rate the flapped links retain (the
             paper's 50 Gbps / 3.0 dB floor).
-        cables: restrict to these cables (default: all).
+        cables: restrict to these cables (default: all); a cable not
+            in ``srlgs`` raises ``KeyError`` before anything is solved.
         workers: spread the independent scenario solves over the shared
             pool (``None`` defers to ``REPRO_WORKERS``).
         te_cache: ``False`` bypasses the incremental TE cache
             (``None`` uses it).  Values are identical either way.
     """
-    missing = srlgs.validate_against(topology)
-    if missing:
-        raise ValueError(f"SRLG map references unknown links: {missing[:5]}")
     drill = list(cables if cables is not None else srlgs.cables())
     baseline, scenario_values = settle_scenarios(
         topology,
@@ -124,25 +118,14 @@ def cable_event_impacts(
         te_cache=te_cache,
     )
 
-    impacts: list[CableImpact] = []
-    engine = Engine()
-
-    def on_cable_event(event: Event) -> None:
-        _, cable = event.payload
-        impact = CableImpact(
-            cable=cable,
-            baseline_gbps=baseline,
-            binary_gbps=scenario_values[(cable, True)],
-            dynamic_gbps=scenario_values[(cable, False)],
+    with _trace.span("sim.network_availability", n_cables=len(drill)):
+        impacts = tuple(
+            CableImpact(
+                cable=cable,
+                baseline_gbps=baseline,
+                binary_gbps=scenario_values[(cable, True)],
+                dynamic_gbps=scenario_values[(cable, False)],
+            )
+            for cable in drill
         )
-        impacts.append(impact)
-        engine.publish("cable.impact", impact)
-
-    engine.subscribe("cable.event", on_cable_event)
-    engine.add_source(SequenceSource("cable.event", drill))
-    _trace.observe_engine(engine)
-    with _trace.span("sim.network_availability") as sp:
-        engine.run()
-        if sp is not None:
-            sp.set(n_cables=len(impacts))
-    return NetworkAvailabilityReport(impacts=tuple(impacts))
+    return NetworkAvailabilityReport(impacts=impacts)

@@ -6,19 +6,17 @@ less?"*  This module answers it by replaying each ticket's outage as a
 cable event on the real topology and solving the TE twice — binary
 rule vs. dynamic flap — and reporting per-ticket verdicts.
 
-The corpus replays on the event engine: a
-:class:`~repro.engine.TicketOutageSource` puts every ticket's outage
-window on the timeline at its open time, and the verdict handler
-publishes a ``ticket.verdict`` notification per ticket.  Verdicts are
-reported in corpus order regardless of outage chronology, so the
-report is identical whether a corpus arrives sorted or not.
-
-The scenario solves themselves are independent of the timeline: the
+The question has no timeline, so the replay is a plain loop: the
 distinct ``(cable, binary?)`` scenarios a corpus needs are known up
-front, so :func:`settle_scenarios` settles them before the engine
-replays the verdicts.  It is the one scenario settler: the cable drill
+front, :func:`settle_scenarios` settles them, and one pass over the
+corpus wraps the settled values in verdicts.  Verdicts are reported in
+corpus order, so the report is identical whether a corpus arrives
+sorted or not.
+
+:func:`settle_scenarios` is the one scenario settler: the cable drill
 (:func:`repro.sim.network_availability.cable_event_impacts`) calls it
-for every cable.  It works in three phases:
+for every cable.  It validates its inputs before anything is solved,
+then works in three phases:
 
 1. the baseline is solved, and its per-commodity flow block is read
    from the raw solver vector;
@@ -64,7 +62,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.engine import Engine, Event, TicketOutageSource
 from repro.net.srlg import SrlgMap
 from repro.net.topology import Topology
 from repro.net.demands import Demand
@@ -326,9 +323,11 @@ def settle_scenarios(
     """The baseline throughput and every cable scenario's, settled once.
 
     ``darkened`` names the cables whose links are withdrawn and
-    ``flapped`` those whose links drop to ``fallback_capacity_gbps``;
-    every flapped cable must be darkened too (a ``ValueError`` naming
-    the others is raised before anything is solved).  The scenarios
+    ``flapped`` those whose links drop to ``fallback_capacity_gbps``.
+    The inputs are checked before anything is solved: a ``ValueError``
+    names the links of ``srlgs`` missing from ``topology``, a
+    ``KeyError`` the darkened cables missing from ``srlgs``, and a
+    ``ValueError`` the flapped cables not darkened too.  The scenarios
     come back keyed ``(cable, binary?)``.  Certificates read the
     lowered capacities straight off the base snapshot; only a scenario
     that is solved becomes a copy-on-write fork of it, solved
@@ -341,6 +340,12 @@ def settle_scenarios(
     the incremental TE cache (``None`` uses it).  The values are
     identical for every combination of both knobs.
     """
+    missing = srlgs.validate_against(topology)
+    if missing:
+        raise ValueError(f"SRLG map references unknown links: {missing[:5]}")
+    unknown = sorted(set(darkened) - set(srlgs.groups))
+    if unknown:
+        raise KeyError(f"cables not in the SRLG map: {unknown}")
     undarkened = sorted(set(flapped) - set(darkened))
     if undarkened:
         raise ValueError(
@@ -424,7 +429,8 @@ def replay_tickets(
 ) -> WhatIfReport:
     """Judge every ticket's outage under binary vs. dynamic operation.
 
-    Ticket elements must name cables of ``srlgs``; fiber cuts stay
+    Ticket elements must name cables of ``srlgs``, and every link of
+    ``srlgs`` must be a link of ``topology``; fiber cuts stay
     binary in both worlds (no light, nothing to adapt), every other
     category flaps to ``fallback_capacity_gbps`` in the dynamic world.
 
@@ -456,29 +462,19 @@ def replay_tickets(
         te_cache=te_cache,
     )
 
-    verdicts: dict[int, TicketVerdict] = {}
-    engine = Engine()
-
-    def on_outage(event: Event) -> None:
-        index, ticket = event.payload
-        binary_tp = scenario_values[(ticket.element, True)]
-        if ticket.is_binary_failure:
-            dynamic_tp = binary_tp  # a cut is a cut in both worlds
-        else:
-            dynamic_tp = scenario_values[(ticket.element, False)]
-        verdict = TicketVerdict(
-            ticket=ticket,
-            binary_loss_gbps=max(baseline - binary_tp, 0.0),
-            dynamic_loss_gbps=max(baseline - dynamic_tp, 0.0),
-        )
-        verdicts[index] = verdict
-        engine.publish("ticket.verdict", verdict)
-
-    engine.subscribe(TicketOutageSource.KIND, on_outage)
-    engine.add_source(TicketOutageSource(tickets))
-    _trace.observe_engine(engine)
+    verdicts = []
     with _trace.span("sim.whatif", n_tickets=len(tickets)):
-        engine.run()
-    return WhatIfReport(
-        verdicts=tuple(verdicts[i] for i in range(len(tickets)))
-    )
+        for ticket in tickets:
+            binary_tp = scenario_values[(ticket.element, True)]
+            if ticket.is_binary_failure:
+                dynamic_tp = binary_tp  # a cut is a cut in both worlds
+            else:
+                dynamic_tp = scenario_values[(ticket.element, False)]
+            verdicts.append(
+                TicketVerdict(
+                    ticket=ticket,
+                    binary_loss_gbps=max(baseline - binary_tp, 0.0),
+                    dynamic_loss_gbps=max(baseline - dynamic_tp, 0.0),
+                )
+            )
+    return WhatIfReport(verdicts=tuple(verdicts))

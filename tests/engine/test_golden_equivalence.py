@@ -1,12 +1,16 @@
-"""Engine-vs-legacy golden equivalence, under every how-to-run knob.
+"""Golden equivalence with the legacy loops, under every how-to-run knob.
 
 The JSON files under ``tests/golden/`` were generated by the
 pre-engine, hand-rolled simulation loops (see that package's
 docstring).  These tests prove — not assert — that the engine-hosted
-replay, reaction, what-if, cable-impact and testbed scenarios
-reproduce those results *bit-identically* for fixed seeds: the
-comparison is on the canonical JSON text, so every float must match to
-the last bit.
+replay, reaction and testbed scenarios, and the what-if and
+cable-impact loops over the scenario settler, reproduce those results
+*bit-identically* for fixed seeds: the comparison is on the canonical
+JSON text, so every float must match to the last bit.
+
+A traced run must show it was traced: the engine-hosted scenarios
+through the engine events the tracer observed, the two settler loops
+(which build no engine) through their own span and its size attribute.
 
 Every golden runs under every how-to-run knob that applies to it, all
 crossed in one matrix (see ``AXES``); a knob that changed a result
@@ -36,6 +40,12 @@ AXES = {
     "testbed": _TRACE,
 }
 
+#: the settler loops' own span and the attribute it carries
+_SETTLER_SPANS = {
+    "whatif": ("sim.whatif", "n_tickets"),
+    "network_availability": ("sim.network_availability", "n_cables"),
+}
+
 
 #: how a knob at a non-default value shows in the test id
 _LABEL = {
@@ -62,12 +72,20 @@ def test_engine_matches_legacy_golden(name, knobs, tmp_path):
         got = canonical_json(SCENARIOS[name](**knobs))
     want = (GOLDEN_DIR / f"{name}.json").read_text()
     assert got == want, (
-        f"engine-hosted {name!r} under {knobs} (traced: {tracer is not None}) "
+        f"{name!r} under {knobs} (traced: {tracer is not None}) "
         "diverged from the legacy-captured golden; if the change is "
         "intentional, regenerate via tests/golden/generate_goldens.py and "
         "explain why in the commit"
     )
     if tracer is not None:
-        # the run really was traced: spans opened, engine observed
+        # the run really was traced: spans opened, and the engine
+        # observed or the settler loop's own span recorded
         assert tracer.spans, f"{name!r} ran without opening a single span"
-        assert tracer.events, f"{name!r} ran without the engine being observed"
+        if name in _SETTLER_SPANS:
+            span_name, attr = _SETTLER_SPANS[name]
+            spans = [s for s in tracer.spans if s.name == span_name]
+            assert spans and attr in spans[0].attrs, (
+                f"{name!r} ran without its {span_name!r} span carrying {attr!r}"
+            )
+        else:
+            assert tracer.events, f"{name!r} ran without the engine being observed"

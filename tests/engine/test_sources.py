@@ -10,7 +10,6 @@ from repro.engine import (
     SequenceSource,
     TelemetryFeed,
     TelemetrySource,
-    TicketOutageSource,
 )
 from repro.telemetry.timebase import Timebase
 from repro.telemetry.traces import SnrTrace, iter_link_samples
@@ -129,18 +128,6 @@ class TestScheduledRounds:
         assert [e.time_s for e in events] == [0.0, 1800.0, 3600.0]
         assert all(e.kind == "te.round" for e in events)
         assert [e.payload.snr_db["l0"] for e in events] == [0.0, 2.0, 4.0]
-
-
-class TestTicketOutageSource:
-    def test_orders_by_open_time_keeping_corpus_index(self):
-        class Ticket:
-            def __init__(self, opened_s):
-                self.opened_s = opened_s
-
-        source = TicketOutageSource([Ticket(50.0), Ticket(10.0), Ticket(50.0)])
-        events = list(source.events())
-        assert [e.time_s for e in events] == [10.0, 50.0, 50.0]
-        assert [e.payload[0] for e in events] == [1, 0, 2]  # stable ties
 
 
 class TestSequenceSource:

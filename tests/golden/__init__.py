@@ -4,6 +4,7 @@
 canonical metric serialization; the committed ``*.json`` files were
 generated from the pre-engine (hand-rolled loop) implementations via
 ``python tests/golden/generate_goldens.py``.  The engine-hosted
-simulators must reproduce them byte-for-byte — see
+simulators and the what-if and cable-impact loops must reproduce them
+byte-for-byte — see
 ``tests/engine/test_golden_equivalence.py``.
 """

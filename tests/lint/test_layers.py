@@ -94,7 +94,7 @@ class TestContractFile:
     def test_real_contract_loads(self):
         contract = load_contract()
         codes = {rule.code for rule in contract.rules}
-        assert codes == {"L001", "L002", "L003"}
+        assert codes == {"L001", "L002", "L003", "L004"}
         assert "repro.obs" in contract.fingerprint_exempt
 
     def test_minimal_parser_agrees_with_tomllib(self):

@@ -1,7 +1,10 @@
 """The central name catalog: shape, uniqueness, and HELP integration."""
 
+import ast
+import pathlib
 import re
 
+import repro
 from repro.obs import metrics as obs_metrics
 from repro.obs.export import prometheus_text
 from repro.obs.names import (
@@ -32,6 +35,22 @@ class TestCatalogShape:
     def test_describe(self):
         assert describe("te.solve") == SPANS["te.solve"]
         assert describe("no.such.name") is None
+
+    def test_every_name_is_used(self):
+        # T001 checks that every name in use is declared; this is the
+        # converse, so an entry outliving its emitter fails too
+        package = pathlib.Path(repro.__file__).parent
+        literals = set()
+        for path in package.rglob("*.py"):
+            if path.name == "names.py" and path.parent.name == "obs":
+                continue
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            literals.update(
+                node.value
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            )
+        assert sorted(set(CATALOG) - literals) == []
 
 
 class TestPrometheusHelp:

@@ -7,6 +7,7 @@ from repro.net.demands import Demand, gravity_demands
 from repro.net.srlg import SrlgMap, duplex_srlgs
 from repro.net.topologies import abilene, figure7_topology, line_topology
 from repro.obs import metrics
+from repro.sim import whatif
 from repro.sim.network_availability import cable_event_impacts
 
 
@@ -69,6 +70,18 @@ class TestCableImpacts:
         srlgs.add("ghost", ["not-a-link"])
         with pytest.raises(ValueError, match="unknown links"):
             cable_event_impacts(topo, [Demand("A", "B", 1.0)], srlgs)
+
+    def test_unknown_cable_rejected_before_solving(self, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before validating the input")
+
+        monkeypatch.setattr(whatif, "solve_throughput", no_solve)
+        topo = figure7_topology()
+        with pytest.raises(KeyError, match="nope"):
+            cable_event_impacts(
+                topo, [Demand("A", "D", 150.0)], duplex_srlgs(topo),
+                cables=["fiber:A--B", "nope"],
+            )
 
 
 @pytest.mark.parametrize("te_cache", [None, False], ids=["cache", "no-cache"])

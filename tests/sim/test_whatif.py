@@ -108,6 +108,24 @@ class TestReplayTickets:
                 topo, [Demand("n0", "n2", 1.0)], [ticket("ghost")], srlgs
             )
 
+    def test_srlg_link_missing_from_topology_rejected(self, monkeypatch):
+        # a cable over a link the topology lacks is an input error, not
+        # an outage that costs nothing
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before validating the input")
+
+        monkeypatch.setattr(whatif, "solve_throughput", no_solve)
+        topo = figure7_topology()
+        srlgs = duplex_srlgs(topo)
+        srlgs.add("ghost", ["no-such-link"])
+        with pytest.raises(ValueError, match="unknown links"):
+            replay_tickets(
+                topo,
+                [Demand("A", "D", 150.0)],
+                [ticket("ghost", RootCause.FIBER_CUT)],
+                srlgs,
+            )
+
     def test_non_positive_fallback_rejected(self):
         # even where a certificate would settle the flap without a solve
         topo = line_topology(3)
@@ -150,7 +168,7 @@ class TestDeterminism:
     """Replays must be bit-identical: artifacts are content-addressed by
     spec hash, so two runs of the same spec must agree to the last bit."""
 
-    def _replay(self):
+    def _replay(self, *, reverse=False):
         from repro.seeds import component_rng
 
         topo = figure7_topology()
@@ -170,6 +188,8 @@ class TestDeterminism:
             )
             for i, t in enumerate(corpus)
         ]
+        if reverse:
+            retargeted.reverse()
         demands = [Demand("A", "D", 150.0), Demand("B", "C", 80.0)]
         return replay_tickets(topo, demands, retargeted, srlgs)
 
@@ -188,6 +208,13 @@ class TestDeterminism:
         assert (
             first.total_rescued_gbps_hours == second.total_rescued_gbps_hours
         )
+
+    def test_verdicts_follow_corpus_order(self):
+        # a corpus replays the same whether or not it arrives sorted:
+        # reversing it reverses the verdicts, bit for bit
+        forward = self._replay()
+        backward = self._replay(reverse=True)
+        assert backward.verdicts == forward.verdicts[::-1]
 
 
 class TestCertificates:
