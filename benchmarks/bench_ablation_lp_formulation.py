@@ -11,10 +11,15 @@ import time
 
 import numpy as np
 
-from repro.analysis import render_series
-from repro.core import TrafficDisruptionPenalty, augment_topology
-from repro.net import gravity_demands, us_backbone_like
-from repro.te import MultiCommodityLp, b4_allocate, cspf_allocate, swan_allocate
+from repro.analysis.report import render_series
+from repro.core.augmentation import augment_topology
+from repro.core.penalties import TrafficDisruptionPenalty
+from repro.net.demands import gravity_demands
+from repro.net.topologies import us_backbone_like
+from repro.te.b4 import b4_allocate
+from repro.te.cspf import cspf_allocate
+from repro.te.lp import MultiCommodityLp
+from repro.te.swan import swan_allocate
 
 
 def test_ablation_te_algorithms(benchmark):

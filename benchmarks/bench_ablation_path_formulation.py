@@ -11,9 +11,12 @@ import time
 import numpy as np
 
 from repro.analysis.report import render_series
-from repro.core import TrafficDisruptionPenalty, augment_topology
-from repro.net import gravity_demands, us_backbone_like
-from repro.te import MultiCommodityLp, PathBasedLp
+from repro.core.augmentation import augment_topology
+from repro.core.penalties import TrafficDisruptionPenalty
+from repro.net.demands import gravity_demands
+from repro.net.topologies import us_backbone_like
+from repro.te.lp import MultiCommodityLp
+from repro.te.pathlp import PathBasedLp
 
 
 def test_ablation_path_formulation(benchmark):

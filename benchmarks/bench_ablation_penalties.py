@@ -10,17 +10,14 @@ conservative operator.
 
 import numpy as np
 
-from repro.analysis import render_series
-from repro.core import (
-    ConstantPenalty,
-    TrafficDisruptionPenalty,
-    ZeroPenalty,
-    augment_topology,
-    translate,
-)
-from repro.net import abilene, gravity_demands
+from repro.analysis.report import render_series
+from repro.core.augmentation import augment_topology
+from repro.core.penalties import ConstantPenalty, TrafficDisruptionPenalty, ZeroPenalty
+from repro.core.translation import translate
+from repro.net.demands import gravity_demands
+from repro.net.topologies import abilene
 from repro.optics.modulation import DEFAULT_MODULATIONS
-from repro.te import MultiCommodityLp
+from repro.te.lp import MultiCommodityLp
 
 
 def _round(topology, demands, policy, traffic):

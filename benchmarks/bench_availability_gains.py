@@ -4,7 +4,7 @@ Paper: at least 25% of 100 Gbps failures keep SNR >= 3 dB and would
 survive at 50 Gbps under dynamic capacities.
 """
 
-from repro.sim import availability_report
+from repro.sim.availability import availability_report
 
 
 def test_availability_gains(benchmark, backbone_dataset):

@@ -6,7 +6,8 @@ Paper: HDR < 2 dB for 83% of links; the range is far wider (mean
 
 import numpy as np
 
-from repro.analysis import figures, render_cdf
+from repro.analysis import figures
+from repro.analysis.report import render_cdf
 
 
 def test_fig2a_snr_variation(benchmark, backbone_summaries):

@@ -7,7 +7,8 @@ events are the "opportunity area" dynamic capacity could soften.
 
 import numpy as np
 
-from repro.analysis import figures, render_shares
+from repro.analysis import figures
+from repro.analysis.report import render_shares
 from repro.optics.impairments import RootCause
 from repro.tickets.analysis import opportunity_area
 from repro.tickets.generator import TicketGenerator

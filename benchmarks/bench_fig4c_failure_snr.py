@@ -4,7 +4,8 @@ Paper: the minimum stays at or above 3.0 dB nearly 25% of the time —
 those failures could have run on at 50 Gbps.
 """
 
-from repro.analysis import figures, render_cdf
+from repro.analysis import figures
+from repro.analysis.report import render_cdf
 
 
 def test_fig4c_failure_snr(benchmark, backbone_summaries):

@@ -4,7 +4,8 @@ Paper: the standard change (laser power-cycle) averages 68 s; keeping
 the laser lit cuts it to ~35 ms.
 """
 
-from repro.analysis import figures, render_cdf
+from repro.analysis import figures
+from repro.analysis.report import render_cdf
 
 
 def test_fig6b_modulation_change(benchmark):

@@ -8,7 +8,8 @@ unsplittable path at the upgraded rate.
 """
 
 from repro.analysis import figures
-from repro.core import ConstantPenalty, apply_unsplittable_gadget
+from repro.core.gadgets import apply_unsplittable_gadget
+from repro.core.penalties import ConstantPenalty
 from repro.net.paths import k_shortest_paths, path_capacity
 from repro.net.topology import Topology
 from repro.te.maxflow import max_flow

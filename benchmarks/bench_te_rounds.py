@@ -4,7 +4,7 @@ Times three per-round solve regimes on a mid-size WAN:
 
 * ``bench.te.round_cold`` — a fresh ``MultiCommodityLp`` assembled and
   solved from scratch every round (the pre-cache behaviour);
-* ``bench.te.round_warm`` — one :class:`~repro.te.TeSolveCache` across
+* ``bench.te.round_warm`` — one :class:`~repro.te.incremental.TeSolveCache` across
   rounds with capacities changing every round: structure hit, memo miss
   (RHS update + solve, no reassembly);
 * ``bench.te.round_memo`` — the same network state round after round:

@@ -8,9 +8,10 @@ throughput gains depend on load — the sweep shows the shape.
 
 import numpy as np
 
-from repro.analysis import render_series
-from repro.net import gravity_demands, us_backbone_like
-from repro.sim import simulate_throughput_gains
+from repro.analysis.report import render_series
+from repro.net.demands import gravity_demands
+from repro.net.topologies import us_backbone_like
+from repro.sim.throughput import simulate_throughput_gains
 
 
 def _snrs_from_telemetry(topology, backbone_summaries, seed=7):

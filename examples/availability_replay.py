@@ -10,9 +10,9 @@ downtime saved — the paper finds ~25% of failures avoidable.
 Run:  python examples/availability_replay.py
 """
 
-from repro.analysis import render_distribution
-from repro.sim import availability_report
-from repro.telemetry import BackboneConfig, BackboneDataset
+from repro.analysis.report import render_distribution
+from repro.sim.availability import availability_report
+from repro.telemetry.dataset import BackboneConfig, BackboneDataset
 
 
 def main() -> None:

@@ -12,7 +12,8 @@ Run:  python examples/backbone_telemetry_study.py [--full]
 
 import sys
 
-from repro.experiments import ScenarioSpec, render_result, run_spec
+from repro.experiments.registry import render_result, run_spec
+from repro.experiments.spec import ScenarioSpec
 
 
 def main(full: bool = False) -> None:

@@ -11,13 +11,15 @@ Run:  python examples/closed_loop_controller.py
 
 import numpy as np
 
-from repro.analysis import render_series
-from repro.core import DynamicCapacityController, crawl_policy, run_policy, walk_policy
-from repro.net import abilene, gravity_demands
+from repro.analysis.report import render_series
+from repro.core.controller import DynamicCapacityController
+from repro.core.policies import crawl_policy, run_policy, walk_policy
+from repro.net.demands import gravity_demands
+from repro.net.topologies import abilene
 from repro.optics.impairments import AmplifierDegradation
-from repro.sim import replay_controller
-from repro.telemetry import NoiseModel, Timebase
-from repro.telemetry.traces import synthesize_cable_traces
+from repro.sim.replay import replay_controller
+from repro.telemetry.timebase import Timebase
+from repro.telemetry.traces import NoiseModel, synthesize_cable_traces
 
 
 def build_telemetry(topology, days=7.0, seed=11):

@@ -16,20 +16,16 @@ Run:  python examples/fiber_plant_study.py
 
 import numpy as np
 
-from repro.analysis import render_series
-from repro.core import DynamicCapacityController, walk_policy
-from repro.net import (
-    FiberPlant,
-    gravity_demands,
-    site_coordinates,
-    us_backbone_like,
-)
-from repro.sim import (
-    availability_report,
-    cable_event_impacts,
-    estimate_savings,
-    replay_controller,
-)
+from repro.analysis.report import render_series
+from repro.core.controller import DynamicCapacityController
+from repro.core.policies import walk_policy
+from repro.net.demands import gravity_demands
+from repro.net.plant import FiberPlant
+from repro.net.topologies import site_coordinates, us_backbone_like
+from repro.sim.availability import availability_report
+from repro.sim.economics import estimate_savings
+from repro.sim.network_availability import cable_event_impacts
+from repro.sim.replay import replay_controller
 from repro.telemetry.stats import summarize_trace
 
 

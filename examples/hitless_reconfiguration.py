@@ -12,7 +12,9 @@ Run:  python examples/hitless_reconfiguration.py
 
 import numpy as np
 
-from repro.bvt import Bvt, MdioInterface, Register, Testbed
+from repro.bvt.mdio import MdioInterface, Register
+from repro.bvt.testbed import Testbed
+from repro.bvt.transceiver import Bvt
 
 
 def mdio_walkthrough() -> None:

@@ -17,13 +17,15 @@ Run:  python examples/proactive_monitoring.py
 
 import numpy as np
 
-from repro.analysis import render_series
-from repro.core import DynamicCapacityController, run_policy
-from repro.net import abilene, gravity_demands
+from repro.analysis.report import render_series
+from repro.core.controller import DynamicCapacityController
+from repro.core.policies import run_policy
+from repro.net.demands import gravity_demands
+from repro.net.topologies import abilene
 from repro.optics.impairments import AmplifierDegradation
-from repro.sim import reactive_replay
-from repro.telemetry import NoiseModel, Timebase
-from repro.telemetry.traces import synthesize_cable_traces
+from repro.sim.reactive import reactive_replay
+from repro.telemetry.timebase import Timebase
+from repro.telemetry.traces import NoiseModel, synthesize_cable_traces
 
 
 def build_telemetry(topology, days=7.0, seed=5):

@@ -9,10 +9,13 @@ upgrades — showing that one upgrade serves both grown demands.
 Run:  python examples/quickstart.py
 """
 
-from repro.core import ConstantPenalty, augment_topology, translate
-from repro.net import Demand, figure7_topology
-from repro.optics import DEFAULT_MODULATIONS
-from repro.te import MultiCommodityLp
+from repro.core.augmentation import augment_topology
+from repro.core.penalties import ConstantPenalty
+from repro.core.translation import translate
+from repro.net.demands import Demand
+from repro.net.topologies import figure7_topology
+from repro.optics.modulation import DEFAULT_MODULATIONS
+from repro.te.lp import MultiCommodityLp
 
 
 def main() -> None:

@@ -10,7 +10,8 @@ path as ``repro throughput`` and the sweep runner.
 Run:  python examples/wan_throughput_gains.py
 """
 
-from repro.experiments import ScenarioSpec, render_result, run_spec
+from repro.experiments.registry import render_result, run_spec
+from repro.experiments.spec import ScenarioSpec
 
 
 def main() -> None:

@@ -24,8 +24,11 @@ The package is layered bottom-up:
 
 Quickstart::
 
-    from repro.analysis import figures
-    print(figures.fig7_example())
+    from repro.analysis.figures import fig7_example
+    print(fig7_example())
+
+Every subpackage ``__init__`` holds only its docstring, so import each
+name from the module that defines it.
 """
 
 __version__ = "1.0.0"

@@ -5,33 +5,3 @@ paper's evaluation; each returns a plain dataclass of series that the
 benchmarks print via :mod:`~repro.analysis.report`.  The CDF helpers in
 :mod:`~repro.analysis.cdf` are shared by both.
 """
-
-from repro.analysis.cdf import cdf_at, empirical_cdf, quantile
-from repro.analysis import figures
-from repro.analysis.margins import (
-    FrontierPoint,
-    MarginReport,
-    margin_report,
-    static_provisioning_frontier,
-)
-from repro.analysis.report import (
-    render_cdf,
-    render_distribution,
-    render_series,
-    render_shares,
-)
-
-__all__ = [
-    "cdf_at",
-    "empirical_cdf",
-    "quantile",
-    "figures",
-    "render_cdf",
-    "render_distribution",
-    "render_series",
-    "render_shares",
-    "FrontierPoint",
-    "MarginReport",
-    "margin_report",
-    "static_provisioning_frontier",
-]

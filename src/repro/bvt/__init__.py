@@ -20,32 +20,3 @@ The headline behaviour it reproduces: a standard modulation change
 power-cycles the laser and costs ~68 s of downtime on average, while an
 "efficient" change that keeps the laser lit costs ~35 ms.
 """
-
-from repro.engine.clock import SimClock
-from repro.bvt.laser import LaserModel, LaserState, LaserTimings
-from repro.bvt.dsp import DspModel, DspTimings
-from repro.bvt.mdio import MdioInterface, Register
-from repro.bvt.transceiver import (
-    Bvt,
-    BvtState,
-    ChangeProcedure,
-    ModulationChangeResult,
-)
-from repro.bvt.testbed import Testbed, TestbedReport
-
-__all__ = [
-    "SimClock",
-    "LaserModel",
-    "LaserState",
-    "LaserTimings",
-    "DspModel",
-    "DspTimings",
-    "MdioInterface",
-    "Register",
-    "Bvt",
-    "BvtState",
-    "ChangeProcedure",
-    "ModulationChangeResult",
-    "Testbed",
-    "TestbedReport",
-]

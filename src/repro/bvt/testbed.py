@@ -24,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.bvt.transceiver import Bvt, ChangeProcedure
-from repro.engine import Engine, Event, SequenceSource
+from repro.engine.kernel import Engine, Event
+from repro.engine.sources import SequenceSource
 from repro.optics.constellation import Constellation, ConstellationSample
 from repro.obs import trace as _trace
 from repro.optics.fiber import FiberCable, LineSystem

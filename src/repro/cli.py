@@ -2,8 +2,8 @@
 
 Experiment subcommands are thin wrappers over the experiment registry
 (:mod:`repro.experiments`): each one builds a
-:class:`~repro.experiments.ScenarioSpec` from its flags, executes it
-with :func:`~repro.experiments.run_spec` and prints the experiment's
+:class:`~repro.experiments.spec.ScenarioSpec` from its flags, executes it
+with :func:`~repro.experiments.registry.run_spec` and prints the experiment's
 canonical rendering — exactly what a sweep artifact would replay:
 
 * ``study``        — the Section-2 telemetry study (Figures 2a/2b/4c);
@@ -40,7 +40,7 @@ state durably under DIR (:mod:`repro.recovery`) so a crashed run
 resumes instead of restarting — results are byte-identical either way;
 ``--trace DIR`` (also the
 ``REPRO_TRACE`` env var) records the run under a
-:class:`~repro.obs.Tracer` and writes ``trace.json`` /
+:class:`~repro.obs.trace.Tracer` and writes ``trace.json`` /
 ``span_tree.json`` / ``events.jsonl`` / ``metrics.prom`` into DIR —
 results are byte-identical with tracing on or off.  Sweep runs live
 under ``REPRO_SWEEP_DIR`` (default ``~/.cache/repro/sweeps``); sweep
@@ -68,7 +68,7 @@ def _version() -> str:
 
 
 def _context(args: argparse.Namespace) -> "Any":
-    from repro.experiments import ExecutionContext
+    from repro.experiments.registry import ExecutionContext
 
     return ExecutionContext(
         workers=args.workers,
@@ -79,7 +79,8 @@ def _context(args: argparse.Namespace) -> "Any":
 
 def _run_and_render(args: argparse.Namespace, name: str, **params: Any) -> int:
     """The shared experiment-subcommand body: spec -> run -> print."""
-    from repro.experiments import ScenarioSpec, render_result, run_spec
+    from repro.experiments.registry import render_result, run_spec
+    from repro.experiments.spec import ScenarioSpec
 
     spec = ScenarioSpec.create(f"cli/{name}", name, **params)
     result = run_spec(spec, _context(args))
@@ -119,7 +120,8 @@ def _cmd_availability(args: argparse.Namespace) -> int:
 
 
 def _cmd_theorem(args: argparse.Namespace) -> int:
-    from repro.experiments import ScenarioSpec, render_result, run_spec
+    from repro.experiments.registry import render_result, run_spec
+    from repro.experiments.spec import ScenarioSpec
 
     spec = ScenarioSpec.create(
         "cli/theorem", "theorem",
@@ -284,7 +286,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 def _cmd_export(args: argparse.Namespace) -> int:
     from repro.analysis.export import export_all
-    from repro.telemetry import BackboneConfig, BackboneDataset
+    from repro.telemetry.dataset import BackboneConfig, BackboneDataset
 
     dataset = BackboneDataset(
         BackboneConfig(n_cables=args.cables, years=args.years, seed=args.seed)
@@ -312,7 +314,8 @@ def _progress(args: argparse.Namespace) -> "Any":
 
 
 def _cmd_sweep_run(args: argparse.Namespace) -> int:
-    from repro.experiments import load_sweep, run_sweep
+    from repro.experiments.runner import run_sweep
+    from repro.experiments.spec import load_sweep
 
     sweep = load_sweep(args.specfile)
     report = run_sweep(
@@ -328,7 +331,8 @@ def _cmd_sweep_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep_resume(args: argparse.Namespace) -> int:
-    from repro.experiments import resolve_run_dir, resume_sweep
+    from repro.experiments.runner import resume_sweep
+    from repro.experiments.store import resolve_run_dir
 
     report = resume_sweep(
         resolve_run_dir(args.run),
@@ -351,7 +355,7 @@ def _sweep_summary(report: "Any") -> int:
 
 
 def _cmd_sweep_list(args: argparse.Namespace) -> int:
-    from repro.experiments import list_runs
+    from repro.experiments.store import list_runs
 
     runs = list_runs()
     if not runs:
@@ -367,7 +371,8 @@ def _cmd_sweep_list(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep_show(args: argparse.Namespace) -> int:
-    from repro.experiments import RunStore, render_result, resolve_run_dir
+    from repro.experiments.registry import render_result
+    from repro.experiments.store import RunStore, resolve_run_dir
 
     store = RunStore(resolve_run_dir(args.run))
     sweep = store.load_sweep()
@@ -383,13 +388,13 @@ def _cmd_sweep_show(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep_compare(args: argparse.Namespace) -> int:
-    from repro.experiments import (
+    from repro.experiments.compare import (
         compare_runs,
         compare_to_paper,
         render_deltas,
         render_paper_checks,
-        resolve_run_dir,
     )
+    from repro.experiments.store import resolve_run_dir
 
     run_a = resolve_run_dir(args.run_a)
     if args.run_b is None:
@@ -670,14 +675,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     trace_dir = _trace_dir(args)
     if trace_dir:
-        from repro import obs
+        from repro.obs import metrics
+        from repro.obs.export import export_run, run_summary
+        from repro.obs.trace import Tracer, tracing
 
-        tracer = obs.Tracer()
-        with obs.tracing(tracer):
+        tracer = Tracer()
+        with tracing(tracer):
             status = args.handler(args)
-        registry = obs.metrics.current()
-        paths = obs.export_run(trace_dir, tracer, registry)
-        print(obs.run_summary(tracer, registry), file=sys.stderr)
+        registry = metrics.current()
+        paths = export_run(trace_dir, tracer, registry)
+        print(run_summary(tracer, registry), file=sys.stderr)
         for path in sorted(paths.values()):
             print(f"wrote {path}", file=sys.stderr)
     else:

@@ -17,55 +17,3 @@
 * :mod:`~repro.core.controller` — the closed loop: telemetry -> augment
   -> unmodified TE -> translate -> BVT reconfiguration.
 """
-
-from repro.core.penalties import (
-    ConstantPenalty,
-    PenaltyPolicy,
-    PriorityWeightedPenalty,
-    TrafficDisruptionPenalty,
-    ZeroPenalty,
-)
-from repro.core.augmentation import (
-    AugmentedTopology,
-    augment_topology,
-    drop_infeasible_fake_links,
-)
-from repro.core.gadgets import apply_unsplittable_gadget
-from repro.core.translation import LinkUpgrade, TranslationResult, translate
-from repro.core.theorem import Theorem1Report, check_theorem1
-from repro.core.policies import AdaptationPolicy, crawl_policy, run_policy, walk_policy
-from repro.core.controller import (
-    ControllerReport,
-    DynamicCapacityController,
-)
-from repro.core.scheduler import (
-    ReconfigurationBatch,
-    ReconfigurationSchedule,
-    schedule_reconfigurations,
-)
-
-__all__ = [
-    "ConstantPenalty",
-    "PenaltyPolicy",
-    "PriorityWeightedPenalty",
-    "TrafficDisruptionPenalty",
-    "ZeroPenalty",
-    "AugmentedTopology",
-    "augment_topology",
-    "drop_infeasible_fake_links",
-    "apply_unsplittable_gadget",
-    "LinkUpgrade",
-    "TranslationResult",
-    "translate",
-    "Theorem1Report",
-    "check_theorem1",
-    "AdaptationPolicy",
-    "crawl_policy",
-    "run_policy",
-    "walk_policy",
-    "ControllerReport",
-    "DynamicCapacityController",
-    "ReconfigurationBatch",
-    "ReconfigurationSchedule",
-    "schedule_reconfigurations",
-]

@@ -60,7 +60,8 @@ from repro.optics.modulation import (
 from repro.recovery.journal import ControllerCrash, StateJournal, journal_exists, reopen
 from repro.recovery.reports import report_payload, restore_solution
 from repro.seeds import component_rng
-from repro.state import NetworkState, StateStore
+from repro.state.model import NetworkState
+from repro.state.store import StateStore
 from repro.te.incremental import CachedTeAlgorithm
 from repro.te.lp import MultiCommodityLp
 from repro.te.solution import TeSolution, TeSolverError, empty_solution
@@ -189,7 +190,7 @@ class _CapacityView(abc.Mapping):
     """Read-only ``{link_id: capacity_gbps}`` over the controller's state.
 
     The controller's authoritative record now lives in a
-    :class:`~repro.state.NetworkState` lineage; this view keeps the
+    :class:`~repro.state.model.NetworkState` lineage; this view keeps the
     long-standing ``controller.capacity`` mapping interface (lookups,
     ``.get``, iteration, ``==`` against dicts) working on top of it
     without a second copy to drift.
@@ -341,7 +342,7 @@ class DynamicCapacityController:
 
     @property
     def state(self) -> NetworkState:
-        """The latest committed :class:`~repro.state.NetworkState`."""
+        """The latest committed :class:`~repro.state.model.NetworkState`."""
         return self.state_store.latest
 
     def _commit(self, updates: Mapping[str, Mapping[str, Any]], label: str) -> None:
@@ -714,7 +715,7 @@ class DynamicCapacityController:
         """Adapt :meth:`step` into an event handler for TE-round events.
 
         The returned handler expects events whose payload is a
-        :class:`~repro.engine.TelemetrySample` (``snr_db`` mapping plus
+        :class:`~repro.engine.sources.TelemetrySample` (``snr_db`` mapping plus
         grid position), runs one control-loop round on it, and
 
         * hands ``(sample, report)`` to ``collect`` for scenario-side

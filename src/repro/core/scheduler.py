@@ -69,7 +69,7 @@ class ReconfigurationSchedule:
         once batch *i-1*'s (parallel) changes have finished, i.e. at
         ``start_s + i * per_change_downtime_s``.  Payload is the
         ``(batch_index, batch)`` pair.  Feed the result to
-        :meth:`repro.engine.Engine.schedule` or wrap it in a source to
+        :meth:`repro.engine.kernel.Engine.schedule` or wrap it in a source to
         meter maintenance windows alongside the rest of a scenario.
         """
         from repro.engine.kernel import Event

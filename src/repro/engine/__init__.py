@@ -13,28 +13,3 @@ loop instead: the ticket what-if and the cable drill settle every
 value up front (:func:`repro.sim.whatif.settle_scenarios`) and never
 build an engine.
 """
-
-from repro.engine.clock import SimClock
-from repro.engine.kernel import Engine, EngineStats, Event, EventSource
-from repro.engine.sources import (
-    EwmaAlarmMonitor,
-    ScheduledRounds,
-    SequenceSource,
-    TelemetryFeed,
-    TelemetrySample,
-    TelemetrySource,
-)
-
-__all__ = [
-    "SimClock",
-    "Engine",
-    "EngineStats",
-    "Event",
-    "EventSource",
-    "TelemetryFeed",
-    "TelemetrySample",
-    "TelemetrySource",
-    "ScheduledRounds",
-    "SequenceSource",
-    "EwmaAlarmMonitor",
-]

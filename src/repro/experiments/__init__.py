@@ -15,68 +15,3 @@ The subsystem splits "what to run" from "how it ran":
 * :mod:`repro.experiments.compare` — diff two runs, or one run against
   the paper's headline claims.
 """
-
-from repro.experiments.compare import (
-    MetricDelta,
-    PaperCheck,
-    compare_runs,
-    compare_to_paper,
-    render_deltas,
-    render_paper_checks,
-)
-from repro.experiments.registry import (
-    ExecutionContext,
-    Experiment,
-    experiment_names,
-    get_experiment,
-    render_result,
-    resolve_params,
-    run_spec,
-    spec_key,
-)
-from repro.experiments.runner import (
-    RunRecord,
-    SweepReport,
-    resume_sweep,
-    run_sweep,
-)
-from repro.experiments.spec import ScenarioSpec, Sweep, load_sweep, save_sweep
-from repro.experiments.store import (
-    SWEEP_DIR_ENV,
-    RunStore,
-    list_runs,
-    resolve_run_dir,
-    run_dir_for,
-    sweep_root,
-)
-
-__all__ = [
-    "SWEEP_DIR_ENV",
-    "ExecutionContext",
-    "Experiment",
-    "MetricDelta",
-    "PaperCheck",
-    "RunRecord",
-    "RunStore",
-    "ScenarioSpec",
-    "Sweep",
-    "SweepReport",
-    "compare_runs",
-    "compare_to_paper",
-    "experiment_names",
-    "get_experiment",
-    "list_runs",
-    "load_sweep",
-    "render_deltas",
-    "render_paper_checks",
-    "render_result",
-    "resolve_params",
-    "resolve_run_dir",
-    "resume_sweep",
-    "run_dir_for",
-    "run_spec",
-    "run_sweep",
-    "save_sweep",
-    "spec_key",
-    "sweep_root",
-]

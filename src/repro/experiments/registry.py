@@ -153,7 +153,7 @@ def _run_study(
     ctx: ExecutionContext, *, cables: int, years: float, seed: int
 ) -> dict[str, Any]:
     from repro.analysis import figures
-    from repro.telemetry import BackboneConfig, BackboneDataset
+    from repro.telemetry.dataset import BackboneConfig, BackboneDataset
 
     config = BackboneConfig(n_cables=cables, years=years, seed=seed)
     dataset = BackboneDataset(config)
@@ -207,7 +207,7 @@ register(
 
 
 def _run_testbed(ctx: ExecutionContext, *, changes: int, seed: int) -> dict[str, Any]:
-    from repro.bvt import Testbed
+    from repro.bvt.testbed import Testbed
 
     report = Testbed(seed=seed).run_figure6_experiment(changes)
     return {
@@ -241,7 +241,8 @@ register(
 
 
 def _run_tickets(ctx: ExecutionContext, *, seed: int) -> dict[str, Any]:
-    from repro.tickets import TicketGenerator, opportunity_area, shares_by_cause
+    from repro.tickets.analysis import opportunity_area, shares_by_cause
+    from repro.tickets.generator import TicketGenerator
 
     corpus = TicketGenerator().generate(component_rng(seed, "tickets"))
     shares = shares_by_cause(corpus)
@@ -256,7 +257,7 @@ def _run_tickets(ctx: ExecutionContext, *, seed: int) -> dict[str, Any]:
 
 
 def _render_tickets(m: Mapping[str, Any]) -> str:
-    from repro.analysis import render_shares
+    from repro.analysis.report import render_shares
 
     return "\n".join(
         [
@@ -288,8 +289,9 @@ def _run_throughput(
     scales: tuple[float, ...],
     seed: int,
 ) -> dict[str, Any]:
-    from repro.net import gravity_demands, us_backbone_like
-    from repro.sim import simulate_throughput_gains
+    from repro.net.demands import gravity_demands
+    from repro.net.topologies import us_backbone_like
+    from repro.sim.throughput import simulate_throughput_gains
 
     topology = us_backbone_like()
     demands = gravity_demands(
@@ -314,7 +316,7 @@ def _run_throughput(
 
 
 def _render_throughput(m: Mapping[str, Any]) -> str:
-    from repro.analysis import render_series
+    from repro.analysis.report import render_series
 
     rows = [
         (p["scale"], p["static_gbps"], p["dynamic_gbps"], p["gain_ratio"])
@@ -346,8 +348,8 @@ register(
 def _run_availability(
     ctx: ExecutionContext, *, cables: int, years: float, seed: int
 ) -> dict[str, Any]:
-    from repro.sim import availability_report
-    from repro.telemetry import BackboneConfig, BackboneDataset
+    from repro.sim.availability import availability_report
+    from repro.telemetry.dataset import BackboneConfig, BackboneDataset
 
     dataset = BackboneDataset(
         BackboneConfig(n_cables=cables, years=years, seed=seed)
@@ -390,8 +392,9 @@ register(
 def _run_theorem(
     ctx: ExecutionContext, *, nodes: int, penalty: float, seed: int
 ) -> dict[str, Any]:
-    from repro.core import ConstantPenalty, check_theorem1
-    from repro.net import random_wan
+    from repro.core.penalties import ConstantPenalty
+    from repro.core.theorem import check_theorem1
+    from repro.net.topologies import random_wan
 
     rng = component_rng(seed, "theorem.wan")
     topology = random_wan(nodes, rng)

@@ -17,7 +17,7 @@ whatever ran earlier in the process, and also ships its
 point's registry into one fleet-wide view
 (:attr:`SweepReport.metrics`); merged totals are invariant to the
 worker count.  With ``trace=True`` each point additionally runs under
-a :class:`~repro.obs.Tracer` and its span/event record is exported
+a :class:`~repro.obs.trace.Tracer` and its span/event record is exported
 into the run directory's ``obs/<key>/`` (see
 :meth:`~repro.experiments.store.RunStore.save_obs`).
 """
@@ -164,7 +164,7 @@ def run_sweep(
         progress: per-point callback (e.g. ``print``); receives one
             formatted line per completed point.
         trace: run every fresh point under a
-            :class:`~repro.obs.Tracer` and export its trace artifacts
+            :class:`~repro.obs.trace.Tracer` and export its trace artifacts
             into ``<run_dir>/obs/<key>/``.  Tracing never changes
             results or artifact keys.
     """

@@ -208,11 +208,13 @@ class RunStore:
 
         ``trace_payload`` / ``metrics_payload`` are the plain-JSON
         forms shipped back from the worker
-        (:meth:`repro.obs.Tracer.to_payload` /
-        :meth:`repro.obs.MetricsRegistry.to_payload`).  Returns the
+        (:meth:`repro.obs.trace.Tracer.to_payload` /
+        :meth:`repro.obs.metrics.MetricsRegistry.to_payload`).  Returns the
         directory, or ``None`` when there was nothing to write.
         """
-        from repro.obs import MetricsRegistry, Tracer, export_run
+        from repro.obs.export import export_run
+        from repro.obs.metrics import MetricsRegistry
+        from repro.obs.trace import Tracer
 
         tracer = (
             Tracer.from_payload(trace_payload)

@@ -20,15 +20,3 @@ Everything is keyed on :func:`repro.seeds.component_seed` streams, so a
 given ``(plan, seed)`` produces byte-identical faults on every run —
 chaos results are as replayable as clean ones.
 """
-
-from repro.faults.spec import FaultPlan, FaultSpec, KINDS
-from repro.faults.inject import FaultInjector, FaultyTelemetryFeed, as_injector
-
-__all__ = [
-    "FaultPlan",
-    "FaultSpec",
-    "KINDS",
-    "FaultInjector",
-    "FaultyTelemetryFeed",
-    "as_injector",
-]

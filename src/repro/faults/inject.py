@@ -36,7 +36,8 @@ from repro.faults.spec import FaultPlan, FaultSpec
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
 from repro.seeds import component_rng, component_seed
-from repro.state import NetworkState, StateStore
+from repro.state.model import NetworkState
+from repro.state.store import StateStore
 
 
 def as_injector(faults: "FaultPlan | FaultInjector | None") -> "FaultInjector | None":

@@ -33,28 +33,3 @@ The analyzer is itself deterministic: sorted findings, content-keyed
 result cache (``REPRO_NO_CACHE`` bypasses), and it lints itself clean
 (``tests/lint/test_self_lint.py``).
 """
-
-from repro.lint.baseline import Baseline, load_baseline, write_baseline
-from repro.lint.imports import ImportGraph, build_import_graph
-from repro.lint.layers import LayerContract, load_contract
-from repro.lint.model import RULES, Finding, Rule, parse_pragmas
-from repro.lint.rules import RuleConfig, check_file
-from repro.lint.runner import LintResult, lint_paths
-
-__all__ = [
-    "Baseline",
-    "Finding",
-    "ImportGraph",
-    "LayerContract",
-    "LintResult",
-    "RULES",
-    "Rule",
-    "RuleConfig",
-    "build_import_graph",
-    "check_file",
-    "lint_paths",
-    "load_baseline",
-    "load_contract",
-    "parse_pragmas",
-    "write_baseline",
-]

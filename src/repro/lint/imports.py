@@ -2,10 +2,14 @@
 
 Built purely from the AST — every ``import``/``from ... import`` in a
 module, including the lazy function-body imports the codebase uses to
-keep startup cheap, becomes an edge.  The graph powers both the
-layering rules (L001-L004 check the transitive closure) and the
-artifact fingerprints (:func:`repro.fingerprint.import_closure` hashes
-the closure of an entry module).
+keep startup cheap, becomes an edge.  So does the step from each
+module to its parent package, because Python runs the package's
+``__init__`` before the module (``from repro.te.lp import X`` runs
+``repro/__init__.py`` and ``repro/te/__init__.py`` too).  The graph
+powers both the layering rules (L001-L004 check the transitive
+closure) and the artifact fingerprints
+(:func:`repro.fingerprint.import_closure` hashes the closure of an
+entry module).
 
 Only edges *inside* the linted package (``repro.*``) are recorded:
 stdlib and third-party imports are irrelevant to layering and are
@@ -159,6 +163,10 @@ def build_import_graph(package_root: Path) -> ImportGraph:
                 for target in _resolve_from(name, is_package, node, universe):
                     if target == top or target.startswith(prefix):
                         record(target, node.lineno)
+        # importing a module first runs its parent package's __init__
+        parent = name.rpartition(".")[0]
+        if parent in universe:
+            found.setdefault(parent, 1)
         edges[name] = tuple(
             ImportEdge(imported=target, line=line)
             for target, line in sorted(found.items())

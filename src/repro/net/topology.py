@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
-import networkx as nx
+if TYPE_CHECKING:  # networkx loads only where a graph is exported
+    import networkx as nx
 
 
 @dataclass(frozen=True)
@@ -247,6 +248,8 @@ class Topology:
 
     def to_networkx(self) -> nx.MultiDiGraph:
         """The topology as a networkx multigraph (keys are link ids)."""
+        import networkx as nx
+
         g = nx.MultiDiGraph(name=self.name)
         g.add_nodes_from(self._nodes)
         for link in self.links:
@@ -271,6 +274,8 @@ class Topology:
         The link's weight and penalty sit on the first half-edge; the
         second is free.
         """
+        import networkx as nx
+
         g = nx.DiGraph(name=f"{self.name}-expanded")
         g.add_nodes_from(self._nodes)
         for link in self.links:

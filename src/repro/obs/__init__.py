@@ -14,67 +14,16 @@ Three pillars (see DESIGN.md §5f):
 
 Quickstart::
 
-    from repro import obs
+    from repro.obs import metrics
+    from repro.obs.export import export_run
+    from repro.obs.trace import Tracer, tracing
+    from repro.sim.replay import replay_controller
 
-    tracer = obs.Tracer()
-    with obs.tracing(tracer):
+    tracer = Tracer()
+    with tracing(tracer):
         report = replay_controller(dataset, topology, demands, days=7)
-    obs.export_run("out/obs", tracer, obs.metrics.current())
+    export_run("out/obs", tracer, metrics.current())
 
 or, from the CLI, ``repro --trace out/obs replay ...`` (also via the
 ``REPRO_TRACE`` environment variable).
 """
-
-from . import export, metrics, names, trace
-from .export import (
-    chrome_trace,
-    events_jsonl,
-    export_run,
-    prometheus_text,
-    run_summary,
-    span_tree_json,
-    state_timeline_jsonl,
-    strip_wall,
-)
-from .metrics import (
-    DEFAULT_BUCKETS,
-    MetricsRegistry,
-    timestamp_unix,
-)
-from .names import CATALOG, describe
-from .trace import (
-    PointEvent,
-    Span,
-    Tracer,
-    current_tracer,
-    point,
-    span,
-    tracing,
-)
-
-__all__ = [
-    "CATALOG",
-    "DEFAULT_BUCKETS",
-    "MetricsRegistry",
-    "PointEvent",
-    "Span",
-    "Tracer",
-    "chrome_trace",
-    "current_tracer",
-    "describe",
-    "events_jsonl",
-    "export",
-    "export_run",
-    "metrics",
-    "names",
-    "point",
-    "prometheus_text",
-    "run_summary",
-    "span",
-    "span_tree_json",
-    "state_timeline_jsonl",
-    "strip_wall",
-    "timestamp_unix",
-    "trace",
-    "tracing",
-]

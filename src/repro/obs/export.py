@@ -153,7 +153,7 @@ def span_tree_json(tracer: Tracer) -> str:
 def state_timeline_jsonl(tracer: Tracer) -> str:
     """One JSON line per ``state.transition`` point event, in seq order.
 
-    Every :class:`~repro.state.StateStore` commit publishes one such
+    Every :class:`~repro.state.store.StateStore` commit publishes one such
     event (store name, version chain, label, per-kind delta counts), so
     a traced run's network-state evolution — controller transitions
     plus any fault-injection observed/truth lineages — lands in one

@@ -9,7 +9,7 @@ A :class:`Tracer` records *what happened when* inside one run:
 
 Everything is **dual-clocked**.  Simulated time comes from a bound
 clock (any object with ``now_s`` — the engine's
-:class:`~repro.engine.SimClock`); wall time comes from
+:class:`~repro.engine.clock.SimClock`); wall time comes from
 ``time.perf_counter``.  The sim-time side of a trace is fully
 deterministic for a fixed seed; the wall-time side is the profiling
 view.  Exporters (:mod:`repro.obs.export`) keep the two on separate
@@ -18,7 +18,7 @@ tracks so CI can strip the wall clock and byte-diff the rest.
 Determinism contract: the tracer only *reads*.  It draws no
 randomness, never mutates scenario state, and attaches to the engine
 through the observer hook (:meth:`Tracer.observe` →
-:meth:`~repro.engine.Engine.add_observer`), which runs after the
+:meth:`~repro.engine.kernel.Engine.add_observer`), which runs after the
 handlers of every event and cannot reorder them.  The golden suite
 runs all five committed scenarios with tracing on and demands
 byte-identical results.
@@ -369,7 +369,7 @@ def observe_engine(engine: Any) -> None:
     """Attach the active tracer (if any) to ``engine`` — no-op when off.
 
     The one-liner every engine-hosted scenario calls right after
-    constructing its :class:`~repro.engine.Engine`.
+    constructing its :class:`~repro.engine.kernel.Engine`.
     """
     tracer = current_tracer()
     if tracer is not None:

@@ -12,67 +12,3 @@ measurement study and testbed rely on:
 * SNR bookkeeping and feasible-capacity lookups (:mod:`~repro.optics.snr`),
 * parametric impairment events (:mod:`~repro.optics.impairments`).
 """
-
-from repro.optics.units import (
-    db_to_linear,
-    linear_to_db,
-    dbm_to_watts,
-    watts_to_dbm,
-)
-from repro.optics.modulation import (
-    ModulationFormat,
-    ModulationTable,
-    DEFAULT_MODULATIONS,
-    LOSS_OF_LIGHT_SNR_DB,
-)
-from repro.optics.constellation import Constellation, ConstellationSample
-from repro.optics.fiber import FiberSpan, Amplifier, FiberCable, LineSystem
-from repro.optics.snr import SnrBudget, feasible_capacity_gbps, required_snr_db
-from repro.optics.impairments import (
-    Impairment,
-    AmplifierDegradation,
-    FiberCut,
-    MaintenanceDisruption,
-    TransceiverFault,
-)
-from repro.optics.spectrum import Channel, ChannelPlan, SpectrumAssignment
-from repro.optics.ber import (
-    derive_modulation_table,
-    required_snr_for_ser,
-    ser_for_format,
-    ser_mpsk,
-    ser_mqam,
-)
-
-__all__ = [
-    "db_to_linear",
-    "linear_to_db",
-    "dbm_to_watts",
-    "watts_to_dbm",
-    "ModulationFormat",
-    "ModulationTable",
-    "DEFAULT_MODULATIONS",
-    "LOSS_OF_LIGHT_SNR_DB",
-    "Constellation",
-    "ConstellationSample",
-    "FiberSpan",
-    "Amplifier",
-    "FiberCable",
-    "LineSystem",
-    "SnrBudget",
-    "feasible_capacity_gbps",
-    "required_snr_db",
-    "Impairment",
-    "AmplifierDegradation",
-    "FiberCut",
-    "MaintenanceDisruption",
-    "TransceiverFault",
-    "Channel",
-    "ChannelPlan",
-    "SpectrumAssignment",
-    "derive_modulation_table",
-    "required_snr_for_ser",
-    "ser_for_format",
-    "ser_mpsk",
-    "ser_mqam",
-]

@@ -20,47 +20,3 @@ Layering: imports state + obs (and, lazily, the controller's report
 types when *restoring*); the controller imports this package, never
 the other way around at module level.
 """
-
-from repro.recovery.invariants import (
-    InvariantMonitor,
-    InvariantViolation,
-    InvariantViolationError,
-)
-from repro.recovery.journal import (
-    ControllerCrash,
-    RecoveredRun,
-    RecoveryError,
-    StateJournal,
-    encode_frame,
-    iter_frames,
-    journal_exists,
-    recover,
-    reopen,
-)
-from repro.recovery.reports import (
-    RestoredSolution,
-    report_payload,
-    restore_report,
-    restore_solution,
-    solution_payload,
-)
-
-__all__ = [
-    "ControllerCrash",
-    "InvariantMonitor",
-    "InvariantViolation",
-    "InvariantViolationError",
-    "RecoveredRun",
-    "RecoveryError",
-    "RestoredSolution",
-    "StateJournal",
-    "encode_frame",
-    "iter_frames",
-    "journal_exists",
-    "recover",
-    "reopen",
-    "report_payload",
-    "restore_report",
-    "restore_solution",
-    "solution_payload",
-]

@@ -11,42 +11,3 @@
   :class:`~repro.core.controller.DynamicCapacityController` loop with
   synthetic telemetry over time.
 """
-
-from repro.sim.availability import (
-    AvailabilityReport,
-    LinkAvailability,
-    availability_report,
-    compare_availability,
-)
-from repro.sim.throughput import ThroughputGainPoint, simulate_throughput_gains
-from repro.sim.replay import ReplayResult, replay_controller
-from repro.sim.network_availability import (
-    CableImpact,
-    NetworkAvailabilityReport,
-    cable_event_impacts,
-)
-from repro.sim.economics import CostModel, SavingsEstimate, estimate_savings
-from repro.sim.whatif import TicketVerdict, WhatIfReport, replay_tickets
-from repro.sim.reactive import ReactiveResult, reactive_replay
-
-__all__ = [
-    "CableImpact",
-    "NetworkAvailabilityReport",
-    "cable_event_impacts",
-    "CostModel",
-    "SavingsEstimate",
-    "estimate_savings",
-    "TicketVerdict",
-    "WhatIfReport",
-    "replay_tickets",
-    "ReactiveResult",
-    "reactive_replay",
-    "AvailabilityReport",
-    "LinkAvailability",
-    "availability_report",
-    "compare_availability",
-    "ThroughputGainPoint",
-    "simulate_throughput_gains",
-    "ReplayResult",
-    "replay_controller",
-]

@@ -107,18 +107,17 @@ def cable_event_impacts(
             (``None`` uses it).  Values are identical either way.
     """
     drill = list(cables if cables is not None else srlgs.cables())
-    baseline, scenario_values = settle_scenarios(
-        topology,
-        demands,
-        srlgs,
-        drill,
-        drill,
-        fallback_capacity_gbps=fallback_capacity_gbps,
-        workers=workers,
-        te_cache=te_cache,
-    )
-
     with _trace.span("sim.network_availability", n_cables=len(drill)):
+        baseline, scenario_values = settle_scenarios(
+            topology,
+            demands,
+            srlgs,
+            drill,
+            drill,
+            fallback_capacity_gbps=fallback_capacity_gbps,
+            workers=workers,
+            te_cache=te_cache,
+        )
         impacts = tuple(
             CableImpact(
                 cable=cable,

@@ -18,8 +18,8 @@ telemetry at full 15-minute resolution and charges that *reaction lag*:
   modes compete on.
 
 The walk is an engine scenario: a
-:class:`~repro.engine.TelemetrySource` streams one ``telemetry.sample``
-event per grid point, the :class:`~repro.engine.EwmaAlarmMonitor` turns
+:class:`~repro.engine.sources.TelemetrySource` streams one ``telemetry.sample``
+event per grid point, the :class:`~repro.engine.sources.EwmaAlarmMonitor` turns
 dips into ``anomaly.alarm`` events, and the sample handler publishes a
 ``te.round`` or ``te.emergency`` notification for every control-loop
 step it triggers.
@@ -33,13 +33,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from repro.core.controller import DynamicCapacityController
-from repro.engine import (
-    Engine,
-    Event,
-    EwmaAlarmMonitor,
-    TelemetryFeed,
-    TelemetrySource,
-)
+from repro.engine.kernel import Engine, Event
+from repro.engine.sources import EwmaAlarmMonitor, TelemetryFeed, TelemetrySource
 from repro.faults.inject import FaultInjector
 from repro.faults.spec import FaultPlan
 from repro.net.demands import Demand

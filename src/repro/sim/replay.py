@@ -8,7 +8,7 @@ a time series of throughput and churn — what an operator would see on
 their dashboards after deploying the paper.
 
 The replay is a thin scenario over the event engine
-(:mod:`repro.engine`): a :class:`~repro.engine.ScheduledRounds` source
+(:mod:`repro.engine`): a :class:`~repro.engine.sources.ScheduledRounds` source
 emits one ``te.round`` event per TE interval, each carrying the
 telemetry sample the controller sees, and the controller's round
 handler does the rest.
@@ -22,7 +22,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from repro.core.controller import ControllerReport, DynamicCapacityController
-from repro.engine import ScheduledRounds, TelemetryFeed
+from repro.engine.sources import ScheduledRounds, TelemetryFeed
 from repro.faults.inject import FaultInjector
 from repro.faults.spec import FaultPlan
 from repro.net.demands import Demand

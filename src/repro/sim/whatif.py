@@ -67,7 +67,7 @@ from repro.net.topology import Topology
 from repro.net.demands import Demand
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
-from repro.state import LinkState, NetworkState
+from repro.state.model import LinkState, NetworkState
 from repro.te.incremental import batch_throughput, solve_throughput
 from repro.tickets.model import Ticket
 
@@ -448,22 +448,21 @@ def replay_tickets(
                 f"{ticket.element!r}"
             )
 
-    # the distinct (cable, binary?) scenarios are known up front: each
-    # ticket needs the darkened world, non-cut tickets the flapped one
-    # too
-    baseline, scenario_values = settle_scenarios(
-        topology,
-        demands,
-        srlgs,
-        [t.element for t in tickets],
-        [t.element for t in tickets if not t.is_binary_failure],
-        fallback_capacity_gbps=fallback_capacity_gbps,
-        workers=workers,
-        te_cache=te_cache,
-    )
-
     verdicts = []
     with _trace.span("sim.whatif", n_tickets=len(tickets)):
+        # the distinct (cable, binary?) scenarios are known up front:
+        # each ticket needs the darkened world, non-cut tickets the
+        # flapped one too
+        baseline, scenario_values = settle_scenarios(
+            topology,
+            demands,
+            srlgs,
+            [t.element for t in tickets],
+            [t.element for t in tickets if not t.is_binary_failure],
+            fallback_capacity_gbps=fallback_capacity_gbps,
+            workers=workers,
+            te_cache=te_cache,
+        )
         for ticket in tickets:
             binary_tp = scenario_values[(ticket.element, True)]
             if ticket.is_binary_failure:

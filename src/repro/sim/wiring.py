@@ -11,7 +11,9 @@ from contextlib import contextmanager
 from typing import Any, Iterator
 
 from repro.core.controller import DynamicCapacityController
-from repro.engine import Engine, SimClock, TelemetryFeed
+from repro.engine.clock import SimClock
+from repro.engine.kernel import Engine
+from repro.engine.sources import TelemetryFeed
 from repro.faults.inject import FaultInjector, as_injector
 from repro.faults.spec import FaultPlan
 from repro.obs import trace as _trace

@@ -21,59 +21,3 @@ ring buffer of recent snapshots:
 Layering: this package sits *below* the controller and the simulators
 and imports neither (CI enforces the boundary).
 """
-
-from repro.state.delta import (
-    BvtDelta,
-    CapacityDelta,
-    DarkDelta,
-    HealthDelta,
-    ModulationDelta,
-    StateDelta,
-    apply_deltas,
-    delta_counts,
-    delta_from_payload,
-    delta_payload,
-    diff,
-)
-from repro.state.digest import (
-    CapacityDigest,
-    StructureDigest,
-    capacity_digest,
-    demand_digest,
-    structure_digest,
-)
-from repro.state.model import MUTABLE_LINK_FIELDS, LinkState, NetworkState
-from repro.state.serialize import (
-    state_from_payload,
-    state_to_payload,
-    topology_from_payload,
-    topology_to_payload,
-)
-from repro.state.store import StateStore
-
-__all__ = [
-    "BvtDelta",
-    "CapacityDelta",
-    "CapacityDigest",
-    "DarkDelta",
-    "HealthDelta",
-    "LinkState",
-    "ModulationDelta",
-    "MUTABLE_LINK_FIELDS",
-    "NetworkState",
-    "StateDelta",
-    "StateStore",
-    "StructureDigest",
-    "apply_deltas",
-    "capacity_digest",
-    "delta_counts",
-    "delta_from_payload",
-    "delta_payload",
-    "demand_digest",
-    "diff",
-    "state_from_payload",
-    "state_to_payload",
-    "structure_digest",
-    "topology_from_payload",
-    "topology_to_payload",
-]

@@ -19,32 +19,3 @@ some of which happen to carry a penalty, and demands:
   baseline that routes each demand unsplit;
 * :mod:`~repro.te.solution` — the common solution/validation object.
 """
-
-from repro.te.solution import FlowAssignment, TeSolution, TeSolverError, empty_solution
-from repro.te.lp import MultiCommodityLp, LpOutcome
-from repro.te.incremental import CachedTeAlgorithm, TeSolveCache, batch_throughput
-from repro.te.pathlp import PathBasedLp, PathLpOutcome
-from repro.te.maxflow import max_flow, min_cost_max_flow, SingleCommodityResult
-from repro.te.swan import swan_allocate
-from repro.te.b4 import b4_allocate
-from repro.te.cspf import cspf_allocate
-
-__all__ = [
-    "FlowAssignment",
-    "TeSolution",
-    "TeSolverError",
-    "empty_solution",
-    "MultiCommodityLp",
-    "LpOutcome",
-    "CachedTeAlgorithm",
-    "TeSolveCache",
-    "batch_throughput",
-    "PathBasedLp",
-    "PathLpOutcome",
-    "max_flow",
-    "min_cost_max_flow",
-    "SingleCommodityResult",
-    "swan_allocate",
-    "b4_allocate",
-    "cspf_allocate",
-]

@@ -70,7 +70,8 @@ from repro.net.demands import Demand
 from repro.net.topology import Topology
 from repro.obs import metrics as _metrics
 from repro.parallel import pool_map, resolve_workers
-from repro.state import NetworkState, capacity_digest, demand_digest, structure_digest
+from repro.state.digest import capacity_digest, demand_digest, structure_digest
+from repro.state.model import NetworkState
 from repro.te.lp import LpOutcome, MultiCommodityLp
 from repro.te.solution import TeSolution
 

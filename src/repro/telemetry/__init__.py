@@ -15,58 +15,3 @@ package synthesises a statistically equivalent one:
   (:mod:`~repro.telemetry.stats`),
 * a backbone-scale dataset builder (:mod:`~repro.telemetry.dataset`).
 """
-
-from repro.telemetry.timebase import Timebase
-from repro.telemetry.hdr import HdrInterval, highest_density_region
-from repro.telemetry.events import EventRates, EventSynthesizer, PAPER_EVENT_RATES
-from repro.telemetry.traces import (
-    MEASUREMENT_FLOOR_DB,
-    NoiseModel,
-    SnrTrace,
-    synthesize_cable_traces,
-)
-from repro.telemetry.stats import (
-    FailureEpisode,
-    LinkSummary,
-    snr_range_db,
-    summarize_trace,
-    threshold_episodes,
-)
-from repro.telemetry.dataset import BackboneConfig, BackboneDataset, CableSpec
-from repro.telemetry import cache
-from repro.telemetry.io import (
-    load_summaries,
-    load_traces,
-    save_summaries,
-    save_traces,
-)
-from repro.telemetry.anomaly import DipAlert, EwmaDipDetector, detect_dips
-
-__all__ = [
-    "cache",
-    "load_summaries",
-    "load_traces",
-    "save_summaries",
-    "save_traces",
-    "DipAlert",
-    "EwmaDipDetector",
-    "detect_dips",
-    "Timebase",
-    "HdrInterval",
-    "highest_density_region",
-    "EventRates",
-    "EventSynthesizer",
-    "PAPER_EVENT_RATES",
-    "MEASUREMENT_FLOOR_DB",
-    "NoiseModel",
-    "SnrTrace",
-    "synthesize_cable_traces",
-    "FailureEpisode",
-    "LinkSummary",
-    "snr_range_db",
-    "summarize_trace",
-    "threshold_episodes",
-    "BackboneConfig",
-    "BackboneDataset",
-    "CableSpec",
-]

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Iterator, Mapping
 
 import numpy as np
-from scipy.signal import lfilter
 
 from repro.optics.impairments import Impairment, ImpairmentScope
 from repro.telemetry.timebase import Timebase
@@ -139,6 +138,9 @@ def _ar1_noise(
     filter state drawn from the stationary distribution, so there is no
     burn-in transient at the start of a trace.
     """
+    # scipy.signal costs ~0.9 s to import; only trace synthesis needs it
+    from scipy.signal import lfilter
+
     if sigma == 0.0:
         return np.zeros((n_series, n_samples))
     innovations = rng.standard_normal((n_series, n_samples))

@@ -8,24 +8,3 @@ them by root cause.  This package synthesises an equivalent ticket corpus
 share-of-frequency analyses of Figures 4a/4b
 (:mod:`~repro.tickets.analysis`).
 """
-
-from repro.tickets.model import Ticket
-from repro.tickets.generator import TicketConfig, TicketGenerator
-from repro.tickets.analysis import (
-    CauseShares,
-    duration_share_by_cause,
-    frequency_share_by_cause,
-    opportunity_area,
-    shares_by_cause,
-)
-
-__all__ = [
-    "Ticket",
-    "TicketConfig",
-    "TicketGenerator",
-    "CauseShares",
-    "duration_share_by_cause",
-    "frequency_share_by_cause",
-    "opportunity_area",
-    "shares_by_cause",
-]

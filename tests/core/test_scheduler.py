@@ -137,7 +137,7 @@ class TestScheduling:
             schedule.as_events(per_change_downtime_s=-1.0)
 
     def test_as_events_feed_the_engine(self):
-        from repro.engine import Engine
+        from repro.engine.kernel import Engine
 
         srlgs = srlg_pairs(("c1", ["a", "b"]))
         schedule = schedule_reconfigurations([upgrade("a"), upgrade("b")], srlgs)

@@ -24,7 +24,7 @@ from contextlib import nullcontext
 
 import pytest
 
-from repro.obs import Tracer, tracing
+from repro.obs.trace import Tracer, tracing
 from tests.golden.scenarios import JOURNAL_MODES, SCENARIOS, canonical_json
 
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent.parent / "golden"

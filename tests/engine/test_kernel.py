@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.engine import Engine, Event, SimClock
+from repro.engine.clock import SimClock
+from repro.engine.kernel import Engine, Event
 
 
 class ListSource:

@@ -8,7 +8,7 @@ order, and a raising observer is isolated — counted in
 observers, or the timeline.
 """
 
-from repro.engine import Engine
+from repro.engine.kernel import Engine
 
 
 def _loaded_engine() -> Engine:

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.engine import (
-    Engine,
+from repro.engine.kernel import Engine
+from repro.engine.sources import (
     EwmaAlarmMonitor,
     ScheduledRounds,
     SequenceSource,

@@ -99,14 +99,14 @@ class TestRunSpec:
 
     def test_tickets_uses_component_seed_derivation(self):
         from repro.seeds import component_rng
-        from repro.tickets import TicketGenerator
+        from repro.tickets.generator import TicketGenerator
 
         spec = ScenarioSpec.create("s", "tickets", seed=2017)
         result = run_spec(spec)
         corpus = TicketGenerator().generate(component_rng(2017, "tickets"))
         assert result["n_tickets"] == len(corpus)
         # same derivation => identical corpus => identical opportunity area
-        from repro.tickets import opportunity_area
+        from repro.tickets.analysis import opportunity_area
 
         area = opportunity_area(corpus)
         assert result["opportunity_frequency"] == float(
@@ -165,3 +165,14 @@ class TestFingerprintCompleteness:
                 ), (module, edge.imported)
         for name in experiment_names():
             assert get_experiment(name).run.__module__ in modules
+
+    def test_every_parent_package_is_in_the_closure(self):
+        # importing repro.te.lp runs repro/__init__.py and
+        # repro/te/__init__.py first, so their bytes count too
+        from repro.fingerprint import import_closure
+
+        modules = set(import_closure(registry_mod.__name__))
+        for module in modules:
+            parts = module.split(".")
+            for k in range(1, len(parts)):
+                assert ".".join(parts[:k]) in modules, module

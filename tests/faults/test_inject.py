@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.engine import TelemetryFeed
+from repro.engine.sources import TelemetryFeed
 from repro.faults.inject import FaultInjector, FaultyTelemetryFeed, as_injector
 from repro.faults.spec import FaultPlan, FaultSpec
 from repro.telemetry.timebase import Timebase
@@ -229,7 +229,7 @@ class TestStateLineages:
 
     def make_state(self, links=("l0", "l1")):
         from repro.net.topology import Topology
-        from repro.state import NetworkState
+        from repro.state.model import NetworkState
 
         topology = Topology("faulty")
         for i, link_id in enumerate(links):

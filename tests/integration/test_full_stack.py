@@ -8,22 +8,16 @@ construction cannot.
 import numpy as np
 import pytest
 
-from repro.core import (
-    ConstantPenalty,
-    TrafficDisruptionPenalty,
-    augment_topology,
-    schedule_reconfigurations,
-    translate,
-)
-from repro.net import (
-    FiberPlant,
-    abilene,
-    gravity_demands,
-    site_coordinates,
-)
+from repro.core.augmentation import augment_topology
+from repro.core.penalties import ConstantPenalty, TrafficDisruptionPenalty
+from repro.core.scheduler import schedule_reconfigurations
+from repro.core.translation import translate
+from repro.net.demands import gravity_demands
+from repro.net.plant import FiberPlant
+from repro.net.topologies import abilene, site_coordinates
 from repro.optics.modulation import DEFAULT_MODULATIONS
 from repro.sim.whatif import replay_tickets
-from repro.te import MultiCommodityLp
+from repro.te.lp import MultiCommodityLp
 from repro.telemetry.dataset import BackboneConfig, BackboneDataset
 from repro.tickets.generator import TicketConfig, TicketGenerator
 
@@ -77,7 +71,8 @@ class TestTelemetryToTicketsToWhatIf:
         ).generate(np.random.default_rng(21))
 
         # map the ticketed cables onto a ring topology of matching size
-        from repro.net import Topology, duplex_srlgs
+        from repro.net.srlg import duplex_srlgs
+        from repro.net.topology import Topology
 
         topo = Topology("ring")
         nodes = [f"s{i}" for i in range(n_cables)]
@@ -105,7 +100,7 @@ class TestTheoremOnPlantDerivedHeadroom:
     """Theorem 1 on physically derived (not hand-set) headroom."""
 
     def test_equivalence(self, plant):
-        from repro.core import check_theorem1
+        from repro.core.theorem import check_theorem1
 
         topology = plant.with_headroom()
         report = check_theorem1(

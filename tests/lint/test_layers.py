@@ -75,6 +75,26 @@ class TestCheckLayers:
         assert [f.code for f in findings] == ["L001"]
         assert findings[0].line == 2
 
+    def test_package_init_counts_for_its_children(self, tmp_path):
+        # importing pkg.state.model runs pkg/state/__init__.py first, so
+        # what the package imports is reached through every child
+        pkg = make_tree(
+            tmp_path,
+            {
+                "pkg/__init__.py": "",
+                "pkg/state/__init__.py": "\n\nfrom pkg.sim import run\n",
+                "pkg/state/model.py": "VALUE = 1\n",
+                "pkg/sim.py": "def run():\n    return None\n",
+            },
+        )
+        graph = build_import_graph(pkg)
+        findings = check_layers(graph, CONTRACT, {})
+        by_module = {f.path: f for f in findings}
+        assert sorted(by_module) == ["pkg.state", "pkg.state.model"]
+        child = by_module["pkg.state.model"]
+        assert child.line == 1  # the package runs before the module's first line
+        assert "via pkg.state.model -> pkg.state -> pkg.sim" in child.message
+
     def test_clean_tree_has_no_findings(self, tmp_path):
         pkg = make_tree(
             tmp_path,

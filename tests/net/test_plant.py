@@ -141,9 +141,10 @@ class TestTelemetry:
 
     def test_drives_controller_end_to_end(self, plant):
         """The full integration: plant telemetry through the closed loop."""
-        from repro.core import DynamicCapacityController, run_policy
+        from repro.core.controller import DynamicCapacityController
+        from repro.core.policies import run_policy
         from repro.net.demands import gravity_demands
-        from repro.sim import replay_controller
+        from repro.sim.replay import replay_controller
 
         demands = gravity_demands(
             plant.topology, 2000.0, np.random.default_rng(2)

@@ -2,7 +2,9 @@
 
 import json
 
-from repro.engine import Engine, SequenceSource, SimClock
+from repro.engine.clock import SimClock
+from repro.engine.kernel import Engine
+from repro.engine.sources import SequenceSource
 from repro.net.topologies import line_topology
 from repro.obs.export import (
     SIM_PID,
@@ -18,7 +20,8 @@ from repro.obs.export import (
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer, tracing
-from repro.state import NetworkState, StateStore
+from repro.state.model import NetworkState
+from repro.state.store import StateStore
 
 
 def traced_run() -> Tracer:

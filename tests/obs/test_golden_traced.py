@@ -9,7 +9,8 @@ tracing on and off.
 
 import json
 
-from repro.obs import Tracer, span_tree_json, strip_wall, chrome_trace, tracing
+from repro.obs.export import span_tree_json, strip_wall, chrome_trace
+from repro.obs.trace import Tracer, tracing
 from tests.golden.scenarios import SCENARIOS
 
 

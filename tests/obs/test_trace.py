@@ -2,7 +2,8 @@
 
 import threading
 
-from repro.engine import Engine, SimClock
+from repro.engine.clock import SimClock
+from repro.engine.kernel import Engine
 from repro.obs import trace
 from repro.obs.trace import Tracer
 

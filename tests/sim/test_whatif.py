@@ -12,11 +12,12 @@ from repro.net.srlg import duplex_srlgs
 from repro.net.topologies import abilene, figure7_topology, line_topology
 from repro.net.topology import Topology
 from repro.obs import metrics
+from repro.obs.trace import Tracer, tracing
 from repro.optics.impairments import RootCause
 from repro.sim import whatif
 from repro.sim.network_availability import cable_event_impacts
 from repro.sim.whatif import LOSS_FLOOR_GBPS, TicketVerdict, replay_tickets
-from repro.state import NetworkState
+from repro.state.model import NetworkState
 from repro.te import incremental
 from repro.te.incremental import batch_throughput
 from repro.te.lp import MultiCommodityLp
@@ -651,3 +652,38 @@ def test_losses_within_the_floor_read_as_zero(monkeypatch):
     assert [values[(cable, True)] for cable in cables] == [
         baseline, baseline, baseline - 2 * LOSS_FLOOR_GBPS,
     ]
+
+
+@pytest.mark.parametrize("query", ["whatif", "drill"])
+def test_query_span_covers_every_solve(monkeypatch, query):
+    """The query's own span is open while the settler solves, so a trace
+    charges the LP time to the what-if replay or the cable drill."""
+    tracer = Tracer()
+    open_at_solve = []
+
+    def recording(solve):
+        def wrapped(*args, **kwargs):
+            open_at_solve.append(
+                [s.name for s in tracer.spans if s.wall_end_s is None]
+            )
+            return solve(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(whatif, "solve_throughput", recording(whatif.solve_throughput))
+    monkeypatch.setattr(whatif, "batch_throughput", recording(whatif.batch_throughput))
+    topo = figure7_topology()
+    demands = [Demand("A", "D", 150.0), Demand("B", "C", 80.0)]
+    srlgs = duplex_srlgs(topo)
+    with tracing(tracer):
+        if query == "whatif":
+            name = "sim.whatif"
+            replay_tickets(
+                topo, demands, [ticket(c, i=i) for i, c in enumerate(srlgs.cables())],
+                srlgs, workers=1,
+            )
+        else:
+            name = "sim.network_availability"
+            cable_event_impacts(topo, demands, srlgs, workers=1)
+    assert open_at_solve, "the query solved nothing"
+    assert all(name in names for names in open_at_solve), open_at_solve

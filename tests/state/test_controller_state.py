@@ -7,7 +7,7 @@ from repro.core.controller import DynamicCapacityController
 from repro.core.policies import run_policy
 from repro.net.demands import gravity_demands
 from repro.net.topologies import abilene
-from repro.state import NetworkState
+from repro.state.model import NetworkState
 
 
 def healthy_snrs(topology, snr_db=16.0):

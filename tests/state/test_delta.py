@@ -11,18 +11,18 @@ import math
 import pytest
 
 from repro.net.topologies import figure7_topology, line_topology
-from repro.state import (
+from repro.state.delta import (
     BvtDelta,
     CapacityDelta,
     DarkDelta,
     HealthDelta,
     ModulationDelta,
-    NetworkState,
     apply_deltas,
     delta_counts,
     delta_payload,
     diff,
 )
+from repro.state.model import NetworkState
 
 
 def states_bit_identical(a, b):

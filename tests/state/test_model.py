@@ -4,11 +4,8 @@ import pytest
 
 from repro.net.srlg import degrade_cable, duplex_srlgs, fail_cable
 from repro.net.topologies import figure7_topology, line_topology
-from repro.state import (
-    NetworkState,
-    capacity_digest,
-    structure_digest,
-)
+from repro.state.digest import capacity_digest, structure_digest
+from repro.state.model import NetworkState
 
 
 def topology_signature(topology):

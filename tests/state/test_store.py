@@ -3,8 +3,9 @@
 import pytest
 
 from repro.net.topologies import line_topology
-from repro.obs import Tracer, tracing
-from repro.state import NetworkState, StateStore
+from repro.obs.trace import Tracer, tracing
+from repro.state.model import NetworkState
+from repro.state.store import StateStore
 
 
 def make_store(capacity=64):

@@ -32,7 +32,7 @@ from repro.net.topologies import abilene
 from repro.net.topology import Topology
 from repro.optics.impairments import RootCause
 from repro.sim.whatif import replay_tickets
-from repro.state import NetworkState
+from repro.state.model import NetworkState
 from repro.te import pathlp
 from repro.te.incremental import SOLVE_METHODS, TeSolveCache
 from repro.te.lp import (

@@ -22,7 +22,7 @@ from repro.net.topologies import abilene, figure7_topology, line_topology
 from repro.obs import metrics
 from repro.optics.impairments import AmplifierDegradation
 from repro.sim.replay import replay_controller
-from repro.state import NetworkState
+from repro.state.model import NetworkState
 from repro.te.incremental import (
     SOLVE_METHODS,
     CachedTeAlgorithm,
