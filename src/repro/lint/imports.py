@@ -163,10 +163,11 @@ def build_import_graph(package_root: Path) -> ImportGraph:
                 for target in _resolve_from(name, is_package, node, universe):
                     if target == top or target.startswith(prefix):
                         record(target, node.lineno)
-        # importing a module first runs its parent package's __init__
+        # importing a module first runs its parent package's __init__,
+        # before the module's first line, even if it names its parent later
         parent = name.rpartition(".")[0]
         if parent in universe:
-            found.setdefault(parent, 1)
+            found[parent] = 1
         edges[name] = tuple(
             ImportEdge(imported=target, line=line)
             for target, line in sorted(found.items())

@@ -83,7 +83,8 @@ class TestCheckLayers:
             {
                 "pkg/__init__.py": "",
                 "pkg/state/__init__.py": "\n\nfrom pkg.sim import run\n",
-                "pkg/state/model.py": "VALUE = 1\n",
+                # naming the parent on a later line does not move the edge
+                "pkg/state/model.py": "VALUE = 1\n\nimport pkg.state\n",
                 "pkg/sim.py": "def run():\n    return None\n",
             },
         )
