@@ -335,10 +335,6 @@ class DynamicCapacityController:
         self._journal: StateJournal | None = None
         #: rounds sealed by _commit_round (the journal's round counter)
         self.rounds_completed = 0
-        #: scenario-provided context journaled with each round frame
-        #: (sample time, round indices — whatever the host needs back
-        #: to resume); hosts assign it before calling step()
-        self._round_context: dict[str, Any] = {}
 
     @property
     def state(self) -> NetworkState:
@@ -423,7 +419,7 @@ class DynamicCapacityController:
         Returns the recovered runs' committed round payloads, oldest
         first (empty for a fresh journal): the host scenario replays
         their contexts/reports into its own accounting and skips that
-        many round events, after which the continued run is
+        many rounds, after which the continued run is
         bit-identical to an uninterrupted one.
         """
         if self._journal is not None:
@@ -522,7 +518,9 @@ class DynamicCapacityController:
             if restore is not None:
                 restore(runtime["faults"])
 
-    def _commit_round(self, report: ControllerReport) -> None:
+    def _commit_round(
+        self, report: ControllerReport, context: Mapping[str, Any]
+    ) -> None:
         """Seal one round: journal the round frame, honour crash seams.
 
         The round frame is the durability point — everything before it
@@ -545,7 +543,7 @@ class DynamicCapacityController:
         if self._journal is not None:
             payload = {
                 "round": round_index,
-                "context": dict(self._round_context),
+                "context": dict(context),
                 "report": report_payload(report),
                 "runtime": self.runtime_payload(),
             }
@@ -703,50 +701,14 @@ class DynamicCapacityController:
                 _trace.point("te.retry", attempt=attempt, backoff_s=delay_s)
         raise AssertionError("unreachable")
 
-    # -- engine integration ---------------------------------------------------
-
-    def make_round_handler(
-        self,
-        demands: Sequence[Demand],
-        *,
-        engine: "Any | None" = None,
-        collect: "Callable[[Any, ControllerReport], None] | None" = None,
-    ) -> "Callable[[Any], ControllerReport]":
-        """Adapt :meth:`step` into an event handler for TE-round events.
-
-        The returned handler expects events whose payload is a
-        :class:`~repro.engine.sources.TelemetrySample` (``snr_db`` mapping plus
-        grid position), runs one control-loop round on it, and
-
-        * hands ``(sample, report)`` to ``collect`` for scenario-side
-          accounting, and
-        * publishes a ``controller.report`` notification on ``engine``
-          so observers can meter every round without threading state
-          through the scenario.
-
-        The handler is a pure adapter: it draws no randomness and
-        reorders nothing, so an engine-hosted replay is bit-identical
-        to calling :meth:`step` in a loop.
-        """
-
-        def handle(event: "Any") -> ControllerReport:
-            sample = event.payload
-            self._round_context = {"time_s": sample.time_s}
-            report = self.step(sample.snr_db, demands)
-            if collect is not None:
-                collect(sample, report)
-            if engine is not None:
-                engine.publish("controller.report", report)
-            return report
-
-        return handle
-
     # -- the control loop -----------------------------------------------------
 
     def step(
         self,
         snr_by_link: Mapping[str, float],
         demands: Sequence[Demand],
+        *,
+        context: Mapping[str, Any] | None = None,
     ) -> ControllerReport:
         """One TE recomputation round.
 
@@ -757,6 +719,10 @@ class DynamicCapacityController:
                 triggers hold-then-fallback handling (see the
                 constructor's robustness knobs).
             demands: the traffic matrix for this round.
+            context: the host's own record of this round (sample time,
+                round counters — whatever it needs back to resume),
+                journaled with the round frame and handed back by
+                :meth:`bind_journal` on a resume.
         """
         _metrics.counter("controller.rounds").inc()
         with _trace.span("controller.round") as sp:
@@ -770,7 +736,7 @@ class DynamicCapacityController:
                     downtime_s=report.reconfiguration_downtime_s,
                     te_fallback=report.te_fallback,
                 )
-        self._commit_round(report)
+        self._commit_round(report, context or {})
         return report
 
     def _step_round(

@@ -19,7 +19,7 @@ near-optimal for the sparse conflicts real plants have.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Sequence
 
 from repro.core.translation import LinkUpgrade
 from repro.net.srlg import SrlgMap
@@ -59,31 +59,6 @@ class ReconfigurationSchedule:
         if per_change_downtime_s < 0:
             raise ValueError("downtime must be non-negative")
         return self.n_batches * per_change_downtime_s
-
-    def as_events(
-        self, *, start_s: float = 0.0, per_change_downtime_s: float = 0.0
-    ) -> tuple["Any", ...]:
-        """The schedule as ``reconfig.batch`` engine events.
-
-        Batches land on the timeline back to back: batch *i* starts
-        once batch *i-1*'s (parallel) changes have finished, i.e. at
-        ``start_s + i * per_change_downtime_s``.  Payload is the
-        ``(batch_index, batch)`` pair.  Feed the result to
-        :meth:`repro.engine.kernel.Engine.schedule` or wrap it in a source to
-        meter maintenance windows alongside the rest of a scenario.
-        """
-        from repro.engine.kernel import Event
-
-        if per_change_downtime_s < 0:
-            raise ValueError("downtime must be non-negative")
-        return tuple(
-            Event(
-                start_s + index * per_change_downtime_s,
-                "reconfig.batch",
-                (index, batch),
-            )
-            for index, batch in enumerate(self.batches)
-        )
 
 
 def schedule_reconfigurations(

@@ -1,15 +1,12 @@
-"""The discrete-event engine the timed simulators run on.
+"""The discrete-event engine the BVT testbed runs on.
 
-One unmodified control loop serving every scenario is the paper's core
-argument; this package is the reproduction's version of that argument
-applied to itself.  :mod:`repro.engine.kernel` is the deterministic
-timeline (priority-queue event loop, shared :class:`SimClock`,
-component-keyed RNG); :mod:`repro.engine.sources` supplies the stock
-event streams (telemetry samples, scheduled TE rounds, fixed
-sequences, EWMA alarms).  The controller replay, the reaction-lag
-study and the BVT testbed are thin scenario definitions over this
-kernel — handlers, not loops.  A scenario with no timeline is a plain
-loop instead: the ticket what-if and the cable drill settle every
-value up front (:func:`repro.sim.whatif.settle_scenarios`) and never
-build an engine.
+:mod:`repro.engine.kernel` is a deterministic timeline (priority-queue
+event loop, shared :class:`~repro.engine.clock.SimClock`,
+component-keyed RNG) and :mod:`repro.engine.sources` its event
+sources.  The BVT testbed's repeat trials are its one scenario: their
+handlers advance the shared clock through each reconfiguration.  The
+controller runs (replay and reaction-lag study), the ticket what-if and
+the cable drill are plain loops and build no engine; the controller
+runs only share :class:`~repro.engine.clock.SimClock` for their sim
+time.
 """

@@ -1,11 +1,11 @@
-"""The simulated wall clock of the event engine.
+"""The simulated wall clock every timed simulation shares.
 
-Absorbed from ``repro.bvt.clock``, where it was born as the transceiver
-simulator's time source; it is now the single clock every simulation
-shares.  The transceiver model never sleeps; every hardware step
-*advances* this clock by the step's drawn duration, and the engine
-advances it to each event's timestamp.  A 200-trial experiment that
-would take hours of real hardware time runs in milliseconds.
+Born as the transceiver simulator's time source.  The transceiver model
+never sleeps; every hardware step *advances* this clock by the step's
+drawn duration, and the engine advances it to each event's timestamp.
+A 200-trial experiment that would take hours of real hardware time runs
+in milliseconds.  The controller runs own one too, advanced to each
+telemetry sample's time, so their trace spans carry sim times.
 """
 
 from __future__ import annotations

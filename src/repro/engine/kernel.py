@@ -1,10 +1,10 @@
 """A deterministic discrete-event simulation kernel.
 
-One event kernel, many thin scenarios: every simulator with a
-timeline — controller replay, reaction-lag study, the BVT testbed — is
-a set of event handlers over this timeline instead of a hand-rolled
-``for`` loop.  A scenario with no timeline (the ticket what-if, the
-cable fail-vs-flap drill) is a plain loop and builds no engine.
+The BVT testbed runs on it: its handlers advance the shared clock
+through each reconfiguration, past later same-time events that must
+still drain in order.  The controller runs, the ticket what-if and the
+cable fail-vs-flap drill walk their inputs in plain loops and build no
+engine.
 
 Determinism is the design constraint everything else bends to:
 
@@ -16,14 +16,14 @@ Determinism is the design constraint everything else bends to:
   alias each other's streams;
 * event *sources* (:mod:`repro.engine.sources`) are merged lazily: the
   engine holds one pending event per source and pulls the next only
-  after dispatching it, so a years-long telemetry stream is consumed
-  incrementally, never materialized.
+  after dispatching it, so a long stream is consumed incrementally,
+  never materialized.
 
 Handlers react to events by kind; observers see every dispatched event
 and are the metrics/hook API (they must not mutate scenario state the
 handlers depend on).  Handlers may :meth:`~Engine.schedule` more events
 (timer-style) or :meth:`~Engine.publish` immediate notifications at the
-current time — completions, alarms, per-round reports.
+current time — the testbed's reconfiguration completions.
 """
 
 from __future__ import annotations
@@ -85,7 +85,7 @@ class EngineStats:
 
 
 class Engine:
-    """The deterministic event loop every timed simulator shares."""
+    """The deterministic event loop the BVT testbed runs on."""
 
     def __init__(self, *, clock: SimClock | None = None, seed: int = 0):
         self.clock = clock if clock is not None else SimClock()
@@ -98,7 +98,6 @@ class Engine:
         self._sources: list[Iterator[Event]] = []
         self._source_horizon: list[float] = []
         self._rngs: dict[str, np.random.Generator] = {}
-        self._stopped = False
 
     # -- randomness ---------------------------------------------------------
 
@@ -177,10 +176,10 @@ class Engine:
     def publish(self, kind: str, payload: Any = None) -> Event:
         """Dispatch a notification immediately, at the current time.
 
-        This is how derived occurrences — EWMA alarms, emergency rounds,
-        BVT reconfiguration completions, controller reports — get onto
-        the timeline without a round-trip through the queue: handlers
-        and observers see them synchronously, in causal order.
+        This is how derived occurrences — BVT reconfiguration
+        completions — get onto the timeline without a round-trip
+        through the queue: handlers and observers see them
+        synchronously, in causal order.
         """
         event = Event(
             self.clock.now_s, kind, payload, priority=0, seq=self._next_seq
@@ -188,10 +187,6 @@ class Engine:
         self._next_seq += 1
         self._dispatch(event)
         return event
-
-    def stop(self) -> None:
-        """Halt the run after the current event finishes dispatching."""
-        self._stopped = True
 
     # -- the loop -----------------------------------------------------------
 
@@ -224,9 +219,8 @@ class Engine:
         models own their own elapsed time), in which case time simply
         does not move backward.
         """
-        self._stopped = False
         dispatched = 0
-        while self._heap and not self._stopped:
+        while self._heap:
             if max_events is not None and dispatched >= max_events:
                 break
             time_s = self._heap[0][0]

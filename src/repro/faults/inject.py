@@ -4,7 +4,7 @@
 into live perturbations at the three seams the system exposes:
 
 * **telemetry** — :meth:`FaultInjector.wrap_feed` wraps a
-  :class:`~repro.engine.sources.TelemetryFeed` in a
+  :class:`~repro.telemetry.traces.TelemetryFeed` in a
   :class:`FaultyTelemetryFeed` that serves dropped (NaN), stuck,
   delayed and corrupted readings;
 * **hardware** — :meth:`FaultInjector.bvt_verdict` is the failure hook
@@ -19,8 +19,8 @@ per-sample corruption uses an rng keyed on ``(seed, spec, link,
 sample-index)`` — so reading the feed in any order (full walks,
 strided TE rounds, random access) yields the same faulted values.
 Hook draws (``bvt``/``te``) are sequential per component stream, which
-is deterministic because the engine dispatches events in a total
-order.  The injector carries per-kind counters (:attr:`counts`) so a
+is deterministic because a controller run steps its rounds one after
+another, in sample order.  The injector carries per-kind counters (:attr:`counts`) so a
 run can report its fault exposure.
 """
 
@@ -31,13 +31,13 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
-from repro.engine.sources import TelemetryFeed, TelemetrySample
 from repro.faults.spec import FaultPlan, FaultSpec
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
 from repro.seeds import component_rng, component_seed
 from repro.state.model import NetworkState
 from repro.state.store import StateStore
+from repro.telemetry.traces import TelemetryFeed, TelemetrySample
 
 
 def as_injector(faults: "FaultPlan | FaultInjector | None") -> "FaultInjector | None":

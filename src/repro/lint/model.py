@@ -146,18 +146,20 @@ _rule(
 _rule(
     "L002",
     "the engine hosts scenarios; it never imports experiment plumbing",
-    "repro.engine is the deterministic kernel under every timed simulator.  "
-    "Importing repro.experiments or the CLI from it would couple event "
-    "dispatch to registry/artifact code and create import cycles.",
-    "Scenario-specific behaviour belongs in repro.sim.* or the "
-    "experiment registry, wired in via sources/handlers.  The contract "
-    "lives in repro/lint/layers.toml.",
+    "repro.engine is the deterministic kernel under the BVT testbed, "
+    "and its SimClock times the controller runs.  Importing "
+    "repro.experiments, repro.sim or the CLI from it would couple event "
+    "dispatch and sim time to registry/artifact code and create import "
+    "cycles.",
+    "Scenario-specific behaviour belongs in repro.sim.*, repro.bvt or "
+    "the experiment registry, wired in via sources/handlers.  The "
+    "contract lives in repro/lint/layers.toml.",
 )
 _rule(
     "L003",
     "repro.obs observes; it must not import what it observes",
-    "Observability attaches from outside (engine observer hooks, "
-    "explicit spans) and is proven byte-inert.  If repro.obs imported "
+    "Observability attaches from outside (explicit spans, a bound sim "
+    "clock, engine observer hooks) and is proven byte-inert.  If repro.obs imported "
     "the engine, controller, simulators or TE it could no longer be "
     "non-invasive — and every layer that reports into it would become "
     "an import cycle.",
@@ -174,8 +176,9 @@ _rule(
     "repro.engine, repro.telemetry or repro.bvt from either module would "
     "bring back the event machinery (and its import closure) that the "
     "answer never needed.",
-    "Keep timed scenarios on the engine in their own modules; the "
-    "settler and its callers take topology, demands and SRLGs as data.  "
+    "Keep timed runs (the controller runs over telemetry, the testbed "
+    "on the engine) in their own modules; the settler and its callers "
+    "take topology, demands and SRLGs as data.  "
     "The contract lives in repro/lint/layers.toml.",
 )
 _rule(

@@ -2,13 +2,14 @@
 
 Every string a run can emit as an observability name — span and
 point-event names (:mod:`repro.obs.trace`), metric series
-(:mod:`repro.obs.metrics`) and the event kinds the discrete-event
-engine publishes or its sources emit — is declared here once, with a
-one-line description.  The exporters read the catalog (Prometheus
-``# HELP`` lines come from it), and ``repro lint`` rule **T001** checks
-every name literal in the source against it, so code and docs cannot
-drift: adding a name without describing it here is a lint failure, and
-``tests/obs/test_names.py`` fails on a name no module uses any more.
+(:mod:`repro.obs.metrics`) and the event kinds the BVT testbed's
+discrete-event engine publishes or its source emits — is declared here
+once, with a one-line description.  The exporters read the catalog
+(Prometheus ``# HELP`` lines come from it), and ``repro lint`` rule
+**T001** checks every name literal in the source against it, so code
+and docs cannot drift: adding a name without describing it here is a
+lint failure, and ``tests/obs/test_names.py`` fails on a name no module
+uses any more.
 
 Convention: dotted lowercase, ``component.thing[.detail]``
 (:data:`NAME_PATTERN`).  Components match the package that emits the
@@ -77,15 +78,11 @@ METRICS: dict[str, str] = {
     "te.cache.structure_miss": "LP structures assembled fresh",
 }
 
-#: engine event kinds — what the engine publishes and its sources emit
+#: engine event kinds — what the BVT testbed's engine publishes and its
+#: source emits
 EVENTS: dict[str, str] = {
-    "anomaly.alarm": "EWMA dip detector crossed its threshold",
     "bvt.reconfigured": "testbed ladder target applied",
     "bvt.request": "testbed ladder target scheduled",
-    "controller.report": "controller round report published",
-    "te.emergency": "reactive/proactive emergency TE round triggered",
-    "te.round": "scheduled TE round due",
-    "telemetry.sample": "one link SNR sample ingested",
 }
 
 #: every declared name -> description (the surface T001 checks)

@@ -5,23 +5,25 @@ A :class:`Tracer` records *what happened when* inside one run:
 * **spans** — named, nested intervals (a TE solve, a BVT
   reconfiguration, a whole scenario) with free-form attributes;
 * **point events** — instantaneous occurrences (a retry, a fault
-  activation, every event the engine dispatches).
+  activation, a state transition, every event the testbed's engine
+  dispatches).
 
 Everything is **dual-clocked**.  Simulated time comes from a bound
-clock (any object with ``now_s`` — the engine's
-:class:`~repro.engine.clock.SimClock`); wall time comes from
-``time.perf_counter``.  The sim-time side of a trace is fully
-deterministic for a fixed seed; the wall-time side is the profiling
-view.  Exporters (:mod:`repro.obs.export`) keep the two on separate
+clock (any object with ``now_s``: a controller run binds its own
+:class:`~repro.engine.clock.SimClock` for the run through
+:func:`sim_clock`, the testbed's engine its clock through
+:meth:`Tracer.observe`); wall time comes from ``time.perf_counter``.
+The sim-time side of a trace is fully deterministic for a fixed seed;
+the wall-time side is the profiling view.  Exporters (:mod:`repro.obs.export`) keep the two on separate
 tracks so CI can strip the wall clock and byte-diff the rest.
 
 Determinism contract: the tracer only *reads*.  It draws no
 randomness, never mutates scenario state, and attaches to the engine
 through the observer hook (:meth:`Tracer.observe` →
 :meth:`~repro.engine.kernel.Engine.add_observer`), which runs after the
-handlers of every event and cannot reorder them.  The golden suite
-runs all five committed scenarios with tracing on and demands
-byte-identical results.
+handlers of every event and cannot reorder them; a plain-loop run only
+opens spans and reads its clock.  The golden suite runs all five
+committed scenarios with tracing on and demands byte-identical results.
 
 Enablement is ambient, like :func:`repro.obs.metrics.isolated`: code under
 ``with tracing(tracer):`` sees the tracer through
@@ -89,9 +91,10 @@ class Tracer:
     """Recorder for one run's spans and point events.
 
     ``clock`` is the simulated-time source (anything with a ``now_s``
-    attribute); it can also be bound later — typically by
-    :meth:`observe`, which adopts the engine's clock.  Without a clock
-    the sim-time fields are ``None`` and only the wall clock ticks.
+    attribute); it can also be bound later — for one run by
+    :func:`sim_clock`, or by :meth:`observe`, which adopts the engine's
+    clock.  Without a clock the sim-time fields are ``None`` and only
+    the wall clock ticks.
     """
 
     def __init__(self, *, clock: Any | None = None):
@@ -365,11 +368,31 @@ def point(name: str, **attrs: Any) -> PointEvent | None:
     return tracer.point(name, **attrs)
 
 
+@contextmanager
+def sim_clock(clock: Any) -> Iterator[None]:
+    """Read sim time from ``clock`` on the active tracer for the block.
+
+    A controller run binds its own clock for its duration; the
+    tracer's previous clock comes back on exit, so each of several runs
+    under one tracer reports its own sim times.  No-op when off.
+    """
+    tracer = current_tracer()
+    if tracer is None:
+        yield
+        return
+    previous = tracer._clock
+    tracer.bind_clock(clock)
+    try:
+        yield
+    finally:
+        tracer.bind_clock(previous)
+
+
 def observe_engine(engine: Any) -> None:
     """Attach the active tracer (if any) to ``engine`` — no-op when off.
 
-    The one-liner every engine-hosted scenario calls right after
-    constructing its :class:`~repro.engine.kernel.Engine`.
+    The BVT testbed calls it right after constructing its
+    :class:`~repro.engine.kernel.Engine`.
     """
     tracer = current_tracer()
     if tracer is not None:

@@ -1,10 +1,10 @@
 """Runtime safety invariants over the live control loop.
 
-:class:`InvariantMonitor` is an engine *observer*: it rides every
-per-round report event (``controller.report`` from the plain replay,
-``te.round`` / ``te.emergency`` from the reaction simulator) and checks
-the controller's committed state against four invariants that must hold
-in any correct run, faulted or not:
+:class:`InvariantMonitor` is called once per round: the controller runs
+(:mod:`repro.sim.replay`, :mod:`repro.sim.reactive`) hand it each
+round's report right after the step, and it checks the controller's
+committed state against four invariants that must hold in any correct
+run, faulted or not:
 
 * **ber** — no link is configured above the capacity its latest SNR
   reading supports (the BER-feasibility contract the adaptation policy
@@ -21,10 +21,9 @@ in any correct run, faulted or not:
 
 What a violation *does* is the ``policy``: ``"record"`` traces and
 counts it, ``"degrade"`` additionally forces BER-violating links down
-to their feasible capacity, ``"abort"`` stops the engine and marks the
-monitor :attr:`fatal` (the simulators then raise
-:class:`InvariantViolationError` — observers themselves cannot raise,
-the kernel isolates them).  Every violation emits an
+to their feasible capacity, ``"abort"`` marks the monitor :attr:`fatal`
+(the run stops after that round, closes its journal and then raises
+:class:`InvariantViolationError`).  Every violation emits an
 ``invariant.violation`` trace point and an ``invariants.violations``
 counter, which ``run_summary`` surfaces.
 """
@@ -39,9 +38,6 @@ from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
 
 POLICIES = ("record", "degrade", "abort")
-
-#: event kinds whose payload is one round's ControllerReport
-REPORT_KINDS = frozenset({"controller.report", "te.round", "te.emergency"})
 
 
 @dataclass(frozen=True)
@@ -73,12 +69,7 @@ class InvariantViolationError(RuntimeError):
 
 
 class InvariantMonitor:
-    """Engine observer enforcing the runtime safety invariants.
-
-    Attach with ``engine.add_observer(monitor)`` after binding the
-    controller; zero-cost for event kinds outside
-    :data:`REPORT_KINDS`.
-    """
+    """The runtime safety invariants, checked after every round."""
 
     def __init__(self, controller: Any, *, policy: str = "record"):
         if policy not in POLICIES:
@@ -86,33 +77,19 @@ class InvariantMonitor:
         self.controller = controller
         self.policy = policy
         self.violations: list[InvariantViolation] = []
-        #: set when an ``abort`` fired; the hosting simulator raises
+        #: set when an ``abort`` fired; the hosting run stops and raises
         self.fatal = False
-        self._engine: Any | None = None
         self._last_version: int | None = None
-
-    def attach(self, engine: Any) -> "InvariantMonitor":
-        """Register on ``engine`` (kept for the abort policy's stop)."""
-        self._engine = engine
-        engine.add_observer(self)
-        return self
-
-    def __call__(self, event: Any) -> None:
-        if event.kind not in REPORT_KINDS or self.fatal:
-            return
-        # the plain replay's scheduled "te.round" events carry the
-        # telemetry *sample*; only payloads that are reports (its
-        # published "controller.report", the reaction simulator's
-        # round notifications) trigger a check
-        report = event.payload
-        if not hasattr(report, "restored_links"):
-            return
-        self.check_round(report)
 
     # -- the checks ----------------------------------------------------
 
     def check_round(self, report: Any) -> None:
-        """Run every invariant against the post-round committed state."""
+        """Run every invariant against the post-round committed state.
+
+        A no-op once an ``abort`` has fired: the run is over.
+        """
+        if self.fatal:
+            return
         found: list[InvariantViolation] = []
         found.extend(self._check_ber())
         found.extend(self._check_stale_restore(report))
@@ -212,8 +189,6 @@ class InvariantMonitor:
             self._degrade(found)
         elif self.policy == "abort":
             self.fatal = True
-            if self._engine is not None:
-                self._engine.stop()
 
     def _degrade(self, found: list[InvariantViolation]) -> None:
         controller = self.controller

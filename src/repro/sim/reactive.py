@@ -17,12 +17,11 @@ telemetry at full 15-minute resolution and charges that *reaction lag*:
   threshold loses that link's traffic for the sample — the quantity the
   modes compete on.
 
-The walk is an engine scenario: a
-:class:`~repro.engine.sources.TelemetrySource` streams one ``telemetry.sample``
-event per grid point, the :class:`~repro.engine.sources.EwmaAlarmMonitor` turns
-dips into ``anomaly.alarm`` events, and the sample handler publishes a
-``te.round`` or ``te.emergency`` notification for every control-loop
-step it triggers.
+The walk is a plain loop over every telemetry sample: the proactive
+mode's :class:`~repro.telemetry.anomaly.EwmaAlarmMonitor` sees each
+one, the loop charges the lag, and it calls the controller's
+:meth:`~repro.core.controller.DynamicCapacityController.step` for every
+scheduled or emergency round.
 """
 
 from __future__ import annotations
@@ -33,15 +32,14 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from repro.core.controller import DynamicCapacityController
-from repro.engine.kernel import Engine, Event
-from repro.engine.sources import EwmaAlarmMonitor, TelemetryFeed, TelemetrySource
 from repro.faults.inject import FaultInjector
 from repro.faults.spec import FaultPlan
 from repro.net.demands import Demand
 from repro.obs import trace as _trace
 from repro.recovery.reports import restore_report
 from repro.sim.wiring import controller_run
-from repro.telemetry.traces import SnrTrace
+from repro.telemetry.anomaly import EwmaAlarmMonitor
+from repro.telemetry.traces import SnrTrace, TelemetryFeed
 
 _MODES = ("scheduled", "reactive", "proactive")
 
@@ -62,129 +60,6 @@ class ReactiveResult:
     @property
     def total_rounds(self) -> int:
         return self.n_scheduled_rounds + self.n_emergency_rounds
-
-
-class _ReactionScenario:
-    """Per-sample event handler charging reaction lag between rounds."""
-
-    def __init__(
-        self,
-        engine: Engine,
-        controller: DynamicCapacityController,
-        demands: Sequence[Demand],
-        *,
-        mode: str,
-        stride: int,
-        interval_h: float,
-        pessimism_db: float,
-        monitor: EwmaAlarmMonitor | None,
-    ):
-        self.engine = engine
-        self.controller = controller
-        self.demands = demands
-        self.mode = mode
-        self.stride = stride
-        self.interval_h = interval_h
-        self.pessimism_db = pessimism_db
-        self.monitor = monitor
-        self.n_scheduled = 0
-        self.n_emergency = 0
-        self.lost_gbps_hours = 0.0
-        self.throughputs: list[float] = []
-        self.last_solution = None
-        #: samples to pass through untouched on a journal resume (the
-        #: EWMA detectors still observe them — their state must evolve
-        #: exactly as it did before the crash)
-        self.skip_samples = 0
-
-    def on_sample(self, event: Event) -> None:
-        sample = event.payload
-        snrs = sample.snr_db
-        controller = self.controller
-        in_dip: set[str] = set()
-        if self.monitor is not None:
-            in_dip = self.monitor.observe(self.engine, sample)
-        if self.skip_samples > 0:
-            # journal resume: this sample's effects (lag charges,
-            # rounds) are already in the restored accounting
-            self.skip_samples -= 1
-            return
-
-        # 1. charge reaction lag: links below their configured threshold
-        if self.last_solution is not None:
-            for link_id, snr in snrs.items():
-                capacity = controller.capacity.get(link_id, 0.0)
-                if capacity <= 0:
-                    continue
-                threshold = controller.table.required_snr(capacity)
-                if snr < threshold:
-                    self.lost_gbps_hours += (
-                        self.last_solution.link_flow(link_id) * self.interval_h
-                    )
-
-        # 2. decide whether to run the controller now
-        scheduled = sample.index % self.stride == 0
-        emergency = False
-        if not scheduled and self.mode != "scheduled":
-            for link_id, snr in snrs.items():
-                capacity = controller.capacity.get(link_id, 0.0)
-                if capacity <= 0:
-                    continue
-                if snr < controller.table.required_snr(capacity):
-                    emergency = True
-                    break
-                if self.mode == "proactive" and link_id in in_dip:
-                    # fire only if the pessimistic view would actually
-                    # change this link — otherwise a long dip would
-                    # trigger a round at every sample
-                    pessimistic = max(snr - self.pessimism_db, 0.0)
-                    target = controller.policy.target_capacity_gbps(
-                        capacity, pessimistic
-                    )
-                    if target < capacity:
-                        emergency = True
-                        break
-        if not (scheduled or emergency):
-            return
-
-        effective = dict(snrs)
-        if self.mode == "proactive":
-            for link_id in in_dip:
-                effective[link_id] = max(
-                    snrs[link_id] - self.pessimism_db, 0.0
-                )
-        # journaled with the round frame: everything a resumed run
-        # needs to rebuild this scenario's accounting mid-stream (the
-        # counters are written at their post-round values — the round
-        # being committed is this one)
-        controller._round_context = {
-            "time_s": sample.time_s,
-            "sample_index": sample.index,
-            "n_scheduled": self.n_scheduled + (1 if scheduled else 0),
-            "n_emergency": self.n_emergency + (0 if scheduled else 1),
-            "lost_gbps_hours": self.lost_gbps_hours,
-        }
-        report = controller.step(effective, self.demands)
-        self.last_solution = report.solution
-        self.throughputs.append(report.throughput_gbps)
-        if scheduled:
-            self.n_scheduled += 1
-            self.engine.publish("te.round", report)
-        else:
-            self.n_emergency += 1
-            self.engine.publish("te.emergency", report)
-
-    def result(self) -> ReactiveResult:
-        return ReactiveResult(
-            mode=self.mode,
-            n_scheduled_rounds=self.n_scheduled,
-            n_emergency_rounds=self.n_emergency,
-            lost_gbps_hours=self.lost_gbps_hours,
-            mean_throughput_gbps=(
-                float(np.mean(self.throughputs)) if self.throughputs else 0.0
-            ),
-            total_downtime_s=self.controller.total_downtime_s,
-        )
 
 
 def reactive_replay(
@@ -220,7 +95,7 @@ def reactive_replay(
             Under faults the walk sees faulted telemetry (dropouts
             arrive as NaN, which the dip detectors skip and the
             controller's stale handling absorbs).  On a resume the
-            scenario's accounting (round counters, lag charges,
+            run's accounting (round counters, lag charges,
             throughput history) is rebuilt from the journal and
             already-committed samples pass through untouched, so the
             :class:`ReactiveResult` is byte-identical to an
@@ -252,29 +127,123 @@ def reactive_replay(
         journal_dir=journal_dir,
         resume=resume,
         invariants=invariants,
-    ) as (engine, feed, restored):
+    ) as (feed, clock, restored, monitor):
         interval_s = feed.timebase.interval_s
-        scenario = _ReactionScenario(
-            engine,
-            controller,
-            demands,
-            mode=mode,
-            stride=max(int(te_interval_s // interval_s), 1),
-            interval_h=interval_s / 3600.0,
-            pessimism_db=pessimism_db,
-            monitor=detector,
-        )
+        stride = max(int(te_interval_s // interval_s), 1)
+        interval_h = interval_s / 3600.0
+        n_scheduled = n_emergency = 0
+        lost_gbps_hours = 0.0
+        throughputs: list[float] = []
+        last_solution = None
+        #: samples already in the restored accounting on a journal
+        #: resume (the dip detectors still observe them — their state
+        #: must evolve exactly as it did before the crash)
+        n_skip = 0
         if restored:
             reports = [restore_report(r["report"]) for r in restored]
             last_context = restored[-1]["context"]
-            scenario.n_scheduled = int(last_context["n_scheduled"])
-            scenario.n_emergency = int(last_context["n_emergency"])
-            scenario.lost_gbps_hours = float(last_context["lost_gbps_hours"])
-            scenario.throughputs = [r.throughput_gbps for r in reports]
-            scenario.last_solution = reports[-1].solution
-            scenario.skip_samples = int(last_context["sample_index"]) + 1
-        engine.subscribe(TelemetrySource.KIND, scenario.on_sample)
-        engine.add_source(TelemetrySource(feed))
-        with _trace.span("sim.reactive", mode=mode, n_links=len(traces_by_link)):
-            engine.run()
-    return scenario.result()
+            n_scheduled = int(last_context["n_scheduled"])
+            n_emergency = int(last_context["n_emergency"])
+            lost_gbps_hours = float(last_context["lost_gbps_hours"])
+            throughputs = [r.throughput_gbps for r in reports]
+            last_solution = reports[-1].solution
+            n_skip = int(last_context["sample_index"]) + 1
+        with _trace.span(
+            "sim.reactive", mode=mode, n_links=len(traces_by_link)
+        ) as sp:
+            for sample in feed.iter_samples():
+                clock.advance_to(sample.time_s)
+                snrs = sample.snr_db
+                in_dip = detector.observe(sample) if detector is not None else set()
+                if sample.index < n_skip:
+                    continue
+
+                # 1. charge reaction lag: links below their configured
+                # threshold lose their traffic for this sample
+                if last_solution is not None:
+                    for link_id, snr in snrs.items():
+                        capacity = controller.capacity.get(link_id, 0.0)
+                        if capacity <= 0:
+                            continue
+                        if snr < controller.table.required_snr(capacity):
+                            lost_gbps_hours += (
+                                last_solution.link_flow(link_id) * interval_h
+                            )
+
+                # 2. decide whether to run the controller now
+                scheduled = sample.index % stride == 0
+                if not scheduled and (
+                    mode == "scheduled"
+                    or not _emergency(
+                        controller, snrs, in_dip, mode=mode, pessimism_db=pessimism_db
+                    )
+                ):
+                    continue
+
+                effective = dict(snrs)
+                if mode == "proactive":
+                    for link_id in in_dip:
+                        effective[link_id] = max(snrs[link_id] - pessimism_db, 0.0)
+                if scheduled:
+                    n_scheduled += 1
+                else:
+                    n_emergency += 1
+                # journaled with the round frame: everything a resumed
+                # run needs to rebuild this accounting mid-stream (the
+                # counters at their post-round values)
+                report = controller.step(
+                    effective,
+                    demands,
+                    context={
+                        "time_s": sample.time_s,
+                        "sample_index": sample.index,
+                        "n_scheduled": n_scheduled,
+                        "n_emergency": n_emergency,
+                        "lost_gbps_hours": lost_gbps_hours,
+                    },
+                )
+                last_solution = report.solution
+                throughputs.append(report.throughput_gbps)
+                if monitor is not None:
+                    monitor.check_round(report)
+                    if monitor.fatal:
+                        break
+            if sp is not None:
+                sp.set(n_rounds=n_scheduled + n_emergency)
+    return ReactiveResult(
+        mode=mode,
+        n_scheduled_rounds=n_scheduled,
+        n_emergency_rounds=n_emergency,
+        lost_gbps_hours=lost_gbps_hours,
+        mean_throughput_gbps=float(np.mean(throughputs)) if throughputs else 0.0,
+        total_downtime_s=controller.total_downtime_s,
+    )
+
+
+def _emergency(
+    controller: DynamicCapacityController,
+    snrs: Mapping[str, float],
+    in_dip: set[str],
+    *,
+    mode: str,
+    pessimism_db: float,
+) -> bool:
+    """Whether this sample calls for an unscheduled round.
+
+    A link below its configured rate's threshold always does; in
+    proactive mode so does a dipping link whose pessimistic view would
+    walk it down a rung — only then, or a long dip would trigger a round
+    at every sample.
+    """
+    for link_id, snr in snrs.items():
+        capacity = controller.capacity.get(link_id, 0.0)
+        if capacity <= 0:
+            continue
+        if snr < controller.table.required_snr(capacity):
+            return True
+        if mode == "proactive" and link_id in in_dip:
+            pessimistic = max(snr - pessimism_db, 0.0)
+            target = controller.policy.target_capacity_gbps(capacity, pessimistic)
+            if target < capacity:
+                return True
+    return False

@@ -7,11 +7,9 @@ augmented graph, and pays BVT reconfiguration downtime.  The result is
 a time series of throughput and churn — what an operator would see on
 their dashboards after deploying the paper.
 
-The replay is a thin scenario over the event engine
-(:mod:`repro.engine`): a :class:`~repro.engine.sources.ScheduledRounds` source
-emits one ``te.round`` event per TE interval, each carrying the
-telemetry sample the controller sees, and the controller's round
-handler does the rest.
+The replay is the paper's periodic loop: every TE interval it reads the
+telemetry sample due at that time and hands it to the controller's
+:meth:`~repro.core.controller.DynamicCapacityController.step`.
 """
 
 from __future__ import annotations
@@ -22,14 +20,13 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from repro.core.controller import ControllerReport, DynamicCapacityController
-from repro.engine.sources import ScheduledRounds, TelemetryFeed
 from repro.faults.inject import FaultInjector
 from repro.faults.spec import FaultPlan
 from repro.net.demands import Demand
 from repro.obs import trace as _trace
 from repro.recovery.reports import restore_report
 from repro.sim.wiring import controller_run
-from repro.telemetry.traces import SnrTrace
+from repro.telemetry.traces import SnrTrace, TelemetryFeed
 
 
 @dataclass(frozen=True)
@@ -88,9 +85,9 @@ def replay_controller(
         faults, te_cache, journal_dir, resume, invariants: the run
             knobs, bound by :func:`repro.sim.wiring.controller_run`.
             On a resume the recovered rounds are replayed into the
-            result arrays and the engine skips that many round events,
-            so the :class:`ReplayResult` is byte-identical to an
-            uninterrupted run.
+            result arrays and the loop skips that many rounds, so the
+            :class:`ReplayResult` is byte-identical to an uninterrupted
+            run.
 
     Raises:
         repro.recovery.journal.ControllerCrash: when an armed
@@ -108,38 +105,31 @@ def replay_controller(
         journal_dir=journal_dir,
         resume=resume,
         invariants=invariants,
-    ) as (engine, feed, restored):
-        times = [float(r["context"]["time_s"]) for r in restored]
+    ) as (feed, clock, restored, monitor):
+        times: list[float] = []
         reports = [restore_report(r["report"]) for r in restored]
-        handler = controller.make_round_handler(
-            demands,
-            engine=engine,
-            collect=lambda sample, report: (
-                times.append(sample.time_s), reports.append(report)
-            ),
-        )
-        if restored:
-            # the sources replay every sample from t=0 either way (that
-            # is what keeps positionally-keyed fault streams aligned);
-            # the recovered rounds themselves must not re-execute
-            skip = len(restored)
-            inner = handler
-
-            def handler(event):  # noqa: F811 - deliberate gated rebind
-                nonlocal skip
-                if skip > 0:
-                    skip -= 1
-                    return
-                inner(event)
-
-        engine.subscribe(ScheduledRounds.KIND, handler)
-        engine.add_source(
-            ScheduledRounds(feed, te_interval_s=te_interval_s, max_rounds=max_rounds)
-        )
+        stride = max(int(te_interval_s // feed.timebase.interval_s), 1)
+        if max_rounds is not None:
+            # a resumed run reports at least the rounds its journal holds
+            max_rounds = max(max_rounds, len(reports))
         with _trace.span(
             "sim.replay", n_links=len(traces_by_link), te_interval_s=te_interval_s
         ) as sp:
-            engine.run()
+            # every round's sample is read from t=0 either way (that is
+            # what keeps positionally-keyed fault streams aligned, and
+            # it gives the recovered rounds their times); the recovered
+            # rounds themselves must not re-execute
+            for sample in feed.iter_samples(stride=stride, max_samples=max_rounds):
+                clock.advance_to(sample.time_s)
+                times.append(sample.time_s)
+                if len(times) <= len(reports):
+                    continue
+                report = controller.step(sample.snr_db, demands)
+                reports.append(report)
+                if monitor is not None:
+                    monitor.check_round(report)
+                    if monitor.fatal:
+                        break
             if sp is not None:
                 sp.set(n_rounds=len(reports))
 

@@ -1,4 +1,4 @@
-"""The how-to-run knobs of an engine-hosted controller run, bound once.
+"""The how-to-run knobs of a controller run, bound once.
 
 :func:`~repro.sim.replay.replay_controller` and
 :func:`~repro.sim.reactive.reactive_replay` both run through
@@ -12,12 +12,11 @@ from typing import Any, Iterator
 
 from repro.core.controller import DynamicCapacityController
 from repro.engine.clock import SimClock
-from repro.engine.kernel import Engine
-from repro.engine.sources import TelemetryFeed
 from repro.faults.inject import FaultInjector, as_injector
 from repro.faults.spec import FaultPlan
 from repro.obs import trace as _trace
 from repro.recovery.invariants import InvariantMonitor
+from repro.telemetry.traces import TelemetryFeed
 
 
 @contextmanager
@@ -31,11 +30,13 @@ def controller_run(
     journal_dir: "str | None" = None,
     resume: bool | str = False,
     invariants: str | None = None,
-) -> Iterator[tuple[Engine, TelemetryFeed, list[dict[str, Any]]]]:
-    """Bind the run knobs to ``controller``; yield ``(engine, feed, restored)``.
+) -> Iterator[
+    tuple[TelemetryFeed, SimClock, list[dict[str, Any]], InvariantMonitor | None]
+]:
+    """Bind the run knobs to ``controller``; yield ``(feed, clock, restored, monitor)``.
 
     Args:
-        te_interval_s: the scenario's TE period; it cannot be finer than
+        te_interval_s: the run's TE period; it cannot be finer than
             the telemetry.
         faults: a :class:`~repro.faults.spec.FaultPlan` (or armed
             :class:`~repro.faults.inject.FaultInjector`): the yielded
@@ -48,18 +49,20 @@ def controller_run(
             :meth:`~repro.core.controller.DynamicCapacityController.bind_journal`).
         resume: with ``journal_dir``, continue a crashed run: the
             committed rounds come back as ``restored`` (oldest first)
-            for the scenario to replay into its accounting.  ``"auto"``
+            for the run to replay into its accounting.  ``"auto"``
             resumes exactly when the directory holds a journal.
         invariants: arm an
             :class:`~repro.recovery.invariants.InvariantMonitor` with
-            this policy (``"record"``/``"degrade"``/``"abort"``).
+            this policy (``"record"``/``"degrade"``/``"abort"``),
+            yielded as ``monitor`` (``None`` when unarmed).
 
     Every input is validated before the journal writes anything.  The
-    body subscribes its handlers and runs the yielded engine, which the
-    monitor and the ambient tracer already observe.  The journal is
-    closed on the way out, even when the body raised; after a clean
-    body, an ``abort``-policy monitor that stopped the run raises
-    :class:`~repro.recovery.invariants.InvariantViolationError`.
+    body walks the feed, advancing the yielded clock to each sample's
+    time (the active tracer reads it for the run's duration), hands
+    each round's report to ``monitor.check_round`` and stops once an
+    ``abort`` monitor is ``fatal``.  The journal is closed on the way
+    out, even when the body raised; after a clean body, a fatal monitor
+    raises :class:`~repro.recovery.invariants.InvariantViolationError`.
     """
     if te_interval_s < feed.timebase.interval_s:
         raise ValueError("TE interval cannot be finer than the telemetry")
@@ -76,12 +79,10 @@ def controller_run(
     restored: list[dict[str, Any]] = []
     if journal_dir is not None:
         restored = controller.bind_journal(journal_dir, resume=resume)
+    clock = SimClock(start_s=feed.timebase.start_s)
     try:
-        engine = Engine(clock=SimClock(start_s=feed.timebase.start_s))
-        if monitor is not None:
-            monitor.attach(engine)
-        _trace.observe_engine(engine)
-        yield engine, feed, restored
+        with _trace.sim_clock(clock):
+            yield feed, clock, restored, monitor
     finally:
         if journal_dir is not None:
             controller._journal.close()

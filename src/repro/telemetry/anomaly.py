@@ -12,7 +12,8 @@ than ``k_sigma`` below the band flag a dip, and recovery is declared
 once samples return inside it.  Robustness details that matter on real
 telemetry are handled: warm-up before alarming, and freezing the
 statistics during an alarm so the dip itself does not poison the
-baseline.
+baseline.  :class:`EwmaAlarmMonitor` runs one detector per link over a
+fleet's telemetry samples (the reaction-lag study's proactive mode).
 """
 
 from __future__ import annotations
@@ -20,10 +21,11 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from repro.telemetry.traces import SnrTrace
+from repro.telemetry.traces import SnrTrace, TelemetrySample
 
 
 class SignalState(enum.Enum):
@@ -157,6 +159,47 @@ class EwmaDipDetector:
         )
         self._state = SignalState.NORMAL
         return alert
+
+
+class EwmaAlarmMonitor:
+    """Per-link EWMA dip detectors over a fleet's telemetry samples.
+
+    Feed it every telemetry sample; it updates one
+    :class:`EwmaDipDetector` per link (created in trace order, or
+    lazily for a link it has not seen) and returns the set of links
+    currently in a dip.
+    """
+
+    def __init__(self, link_ids: Sequence[str], *, k_sigma: float = 5.0):
+        self._k_sigma = k_sigma
+        self._detectors = {
+            link_id: EwmaDipDetector(k_sigma=k_sigma) for link_id in link_ids
+        }
+
+    @property
+    def n_skipped(self) -> int:
+        """Non-finite samples skipped across all links (dropouts)."""
+        return sum(d.n_skipped for d in self._detectors.values())
+
+    def observe(self, sample: TelemetrySample) -> set[str]:
+        """Update every detector; returns links currently in a dip.
+
+        Tolerates degraded telemetry: a link missing from the monitor
+        gets a detector on first sight, and NaN readings are skipped
+        and counted by the per-link detectors (see
+        :meth:`EwmaDipDetector.update`) rather than corrupting their
+        EWMA state.
+        """
+        in_dip: set[str] = set()
+        for link_id, snr in sample.snr_db.items():
+            detector = self._detectors.get(link_id)
+            if detector is None:
+                detector = EwmaDipDetector(k_sigma=self._k_sigma)
+                self._detectors[link_id] = detector
+            detector.update(snr, sample.index)
+            if detector.state is SignalState.DIP:
+                in_dip.add(link_id)
+        return in_dip
 
 
 def detect_dips(

@@ -17,12 +17,16 @@ A trace is the sum of four components, floored at the measurement limit:
 Receivers cannot report SNR below the DSP's measurement limit, so traces
 are clipped at :data:`MEASUREMENT_FLOOR_DB` (0 dB) — which is why the
 paper's Figure 4c axis starts at 0.
+
+The controller runs read a fleet's traces through a
+:class:`TelemetryFeed`, which checks that they share one grid and
+streams :class:`TelemetrySample` grid points on demand.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -99,15 +103,14 @@ def iter_link_samples(
 ) -> Iterator[tuple[int, float, dict[str, float]]]:
     """Stream ``(index, time_s, snr_by_link)`` one grid point at a time.
 
-    This is the per-sample view replay-style consumers (the event
-    engine) walk: each yielded dict is built on demand, so a multi-year
+    This is the per-sample view replay-style consumers (the controller
+    runs) walk: each yielded dict is built on demand, so a multi-year
     corpus is never expanded into per-sample dicts up front.  ``stride``
     subsamples the grid (every ``stride``-th point), ``max_samples``
     caps how many points are yielded.
 
     ``timebase`` defaults to the first trace's; callers that already
-    validated a shared grid (:class:`repro.engine.sources.TelemetryFeed`)
-    pass it explicitly.
+    validated a shared grid (:class:`TelemetryFeed`) pass it explicitly.
     """
     if not traces_by_link:
         raise ValueError("need at least one trace")
@@ -127,6 +130,179 @@ def iter_link_samples(
                 for link_id, trace in traces_by_link.items()
             },
         )
+
+
+@dataclass(frozen=True)
+class TelemetrySample:
+    """The fleet's SNR at one telemetry grid point."""
+
+    index: int
+    time_s: float
+    snr_db: dict[str, float]
+
+
+class TelemetryFeed:
+    """A validated, streamable view over one fleet's SNR traces.
+
+    Ingestion is guarded up front, with errors that name the offending
+    link — mismatched or unsorted per-link timebases used to surface as
+    opaque numpy indexing failures deep inside a replay.
+    """
+
+    def __init__(self, traces_by_link: Mapping[str, SnrTrace]):
+        if not traces_by_link:
+            raise ValueError("need at least one trace")
+        self.traces_by_link = dict(traces_by_link)
+        ref_link, ref_trace = next(iter(self.traces_by_link.items()))
+        for link_id, trace in self.traces_by_link.items():
+            if trace.timebase != ref_trace.timebase:
+                raise ValueError(
+                    "all traces must share one timebase: link "
+                    f"{link_id!r} has {trace.timebase}, but link "
+                    f"{ref_link!r} has {ref_trace.timebase}"
+                )
+            if len(trace.snr_db) != trace.timebase.n_samples:
+                raise ValueError(
+                    f"link {link_id!r} has {len(trace.snr_db)} samples "
+                    f"for a timebase of {trace.timebase.n_samples}"
+                )
+        self.timebase = ref_trace.timebase
+
+    @classmethod
+    def from_series(
+        cls,
+        series_by_link: Mapping[str, tuple[Sequence[float], Sequence[float]]],
+        *,
+        cable_name: str = "ingest",
+    ) -> "TelemetryFeed":
+        """Build a feed from raw ``link -> (times_s, snr_db)`` arrays.
+
+        This is the external-data ingestion path (operator telemetry
+        dumps); every per-link timebase is checked before anything
+        touches the arrays:
+
+        * times must be strictly increasing (unsorted dumps are a real
+          failure mode of concatenated exports);
+        * times must be uniformly spaced (the grid every analysis
+          assumes);
+        * every link must share the first link's grid exactly.
+        """
+        if not series_by_link:
+            raise ValueError("need at least one trace")
+        ref_link: str | None = None
+        ref_times: np.ndarray | None = None
+        timebase: Timebase | None = None
+        traces: dict[str, SnrTrace] = {}
+        for link_id, (times, values) in series_by_link.items():
+            t = np.asarray(times, dtype=float)
+            v = np.asarray(values, dtype=float)
+            if t.ndim != 1 or t.size == 0:
+                raise ValueError(f"link {link_id!r}: empty or non-1-D time axis")
+            if v.shape != t.shape:
+                raise ValueError(
+                    f"link {link_id!r}: {v.size} samples for {t.size} timestamps"
+                )
+            if not np.all(np.isfinite(t)):
+                bad = int(np.argmax(~np.isfinite(t)))
+                raise ValueError(
+                    f"link {link_id!r}: non-finite sample time at index "
+                    f"{bad} ({t[bad]}); NaN timestamps would silently "
+                    "bypass the ordering checks"
+                )
+            diffs = np.diff(t)
+            if np.any(diffs <= 0):
+                bad = int(np.argmax(diffs <= 0))
+                raise ValueError(
+                    f"link {link_id!r}: sample times are not strictly "
+                    f"increasing (first violation at index {bad + 1}: "
+                    f"{t[bad]} -> {t[bad + 1]})"
+                )
+            if diffs.size and not np.allclose(diffs, diffs[0]):
+                raise ValueError(
+                    f"link {link_id!r}: sample times are not uniformly "
+                    "spaced; resample onto the fleet grid first"
+                )
+            if ref_times is None:
+                ref_link, ref_times = link_id, t
+                interval = float(diffs[0]) if diffs.size else 900.0
+                timebase = Timebase(
+                    n_samples=t.size, interval_s=interval, start_s=float(t[0])
+                )
+            elif t.shape != ref_times.shape or not np.array_equal(t, ref_times):
+                raise ValueError(
+                    "all traces must share one timebase: link "
+                    f"{link_id!r} does not match the grid of link {ref_link!r}"
+                )
+            assert timebase is not None
+            # NaN readings (dropouts) are legitimate payload; the
+            # baseline must come from the finite samples only
+            finite = v[np.isfinite(v)]
+            traces[link_id] = SnrTrace(
+                link_id=link_id,
+                cable_name=cable_name,
+                timebase=timebase,
+                snr_db=v,
+                baseline_db=float(np.median(finite)) if finite.size else 0.0,
+                events=(),
+            )
+        return cls(traces)
+
+    @property
+    def n_samples(self) -> int:
+        return self.timebase.n_samples
+
+    def sample(self, index: int) -> TelemetrySample:
+        """The fleet's SNR dict at one grid point (trace insertion order)."""
+        return TelemetrySample(
+            index=index,
+            time_s=self.timebase.start_s + index * self.timebase.interval_s,
+            snr_db={
+                link_id: float(trace.snr_db[index])
+                for link_id, trace in self.traces_by_link.items()
+            },
+        )
+
+    def iter_samples(
+        self, *, stride: int = 1, max_samples: int | None = None
+    ) -> Iterator[TelemetrySample]:
+        """Stream samples without materializing the whole horizon.
+
+        Scheduled-round access (``stride`` > 1: one TE round every N
+        telemetry points) takes a batch path: each trace's strided
+        samples are gathered with one numpy indexing operation into an
+        (n_links, n_rounds) block — small, because rounds subsample the
+        grid — instead of one scalar fancy-read per (link, round).
+        Values and dict order are identical to the per-sample path.
+        """
+        if stride > 1:
+            index_list = list(range(0, self.timebase.n_samples, stride))
+            if max_samples is not None:
+                index_list = index_list[:max_samples]
+            if not index_list:
+                return
+            link_ids = list(self.traces_by_link)
+            idx = np.asarray(index_list, dtype=np.int64)
+            columns = np.stack(
+                [
+                    np.asarray(self.traces_by_link[l].snr_db, dtype=float)[idx]
+                    for l in link_ids
+                ]
+            )
+            for j, index in enumerate(index_list):
+                yield TelemetrySample(
+                    index=index,
+                    time_s=self.timebase.start_s
+                    + index * self.timebase.interval_s,
+                    snr_db=dict(zip(link_ids, columns[:, j].tolist())),
+                )
+            return
+        for index, time_s, snrs in iter_link_samples(
+            self.traces_by_link,
+            timebase=self.timebase,
+            stride=stride,
+            max_samples=max_samples,
+        ):
+            yield TelemetrySample(index=index, time_s=time_s, snr_db=snrs)
 
 
 def _ar1_noise(

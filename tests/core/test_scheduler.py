@@ -100,7 +100,6 @@ class TestScheduling:
         assert schedule.n_changes == 0
         assert schedule.batches == ()
         assert schedule.estimated_wallclock_s(68.0) == 0.0
-        assert schedule.as_events() == ()
 
     def test_max_batch_size_one_serializes_everything(self):
         srlgs = srlg_pairs(*((f"c{i}", [f"l{i}"]) for i in range(5)))
@@ -122,33 +121,6 @@ class TestScheduling:
         assert schedule.n_batches == len(links)
         assert all(len(b) == 1 for b in schedule.batches)
         assert schedule.n_changes == len(links)
-
-    def test_as_events_staggers_batches(self):
-        srlgs = srlg_pairs(("c1", ["a", "b"]))
-        schedule = schedule_reconfigurations(
-            [upgrade("a", disrupted=9.0), upgrade("b")], srlgs
-        )
-        events = schedule.as_events(start_s=10.0, per_change_downtime_s=68.0)
-        assert [e.time_s for e in events] == [10.0, 78.0]
-        assert all(e.kind == "reconfig.batch" for e in events)
-        assert [e.payload[0] for e in events] == [0, 1]
-        assert events[0].payload[1] is schedule.batches[0]
-        with pytest.raises(ValueError, match="non-negative"):
-            schedule.as_events(per_change_downtime_s=-1.0)
-
-    def test_as_events_feed_the_engine(self):
-        from repro.engine.kernel import Engine
-
-        srlgs = srlg_pairs(("c1", ["a", "b"]))
-        schedule = schedule_reconfigurations([upgrade("a"), upgrade("b")], srlgs)
-        engine = Engine()
-        seen = []
-        engine.subscribe("reconfig.batch", seen.append)
-        for event in schedule.as_events(per_change_downtime_s=68.0):
-            engine.schedule(event.time_s, event.kind, event.payload)
-        engine.run()
-        assert [e.payload[0] for e in seen] == [0, 1]
-        assert engine.clock.now_s == 68.0
 
     def test_plant_integration(self):
         """Duplex pairs conflict: upgrading both directions takes 2 batches."""

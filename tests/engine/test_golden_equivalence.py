@@ -2,15 +2,15 @@
 
 The JSON files under ``tests/golden/`` were generated by the
 pre-engine, hand-rolled simulation loops (see that package's
-docstring).  These tests prove — not assert — that the engine-hosted
-replay, reaction and testbed scenarios, and the what-if and
-cable-impact loops over the scenario settler, reproduce those results
-*bit-identically* for fixed seeds: the comparison is on the canonical
-JSON text, so every float must match to the last bit.
+docstring).  These tests prove — not assert — that the controller
+replay and reaction loops, the engine-hosted testbed, and the what-if
+and cable-impact loops over the scenario settler, reproduce those
+results *bit-identically* for fixed seeds: the comparison is on the
+canonical JSON text, so every float must match to the last bit.
 
-A traced run must show it was traced: the engine-hosted scenarios
-through the engine events the tracer observed, the two settler loops
-(which build no engine) through their own span and its size attribute.
+A traced run must show it was traced: the testbed through the engine
+events the tracer observed, the plain loops (which build no engine)
+through their own span and its size attribute.
 
 Every golden runs under every how-to-run knob that applies to it, all
 crossed in one matrix (see ``AXES``); a knob that changed a result
@@ -40,8 +40,10 @@ AXES = {
     "testbed": _TRACE,
 }
 
-#: the settler loops' own span and the attribute it carries
-_SETTLER_SPANS = {
+#: each plain loop's own span and the size attribute it carries
+_LOOP_SPANS = {
+    "replay": ("sim.replay", "n_rounds"),
+    "reactive": ("sim.reactive", "n_rounds"),
     "whatif": ("sim.whatif", "n_tickets"),
     "network_availability": ("sim.network_availability", "n_cables"),
 }
@@ -79,12 +81,14 @@ def test_engine_matches_legacy_golden(name, knobs, tmp_path):
     )
     if tracer is not None:
         # the run really was traced: spans opened, and the engine
-        # observed or the settler loop's own span recorded
+        # observed or the plain loop's own span recorded
         assert tracer.spans, f"{name!r} ran without opening a single span"
-        if name in _SETTLER_SPANS:
-            span_name, attr = _SETTLER_SPANS[name]
+        if name in _LOOP_SPANS:
+            span_name, attr = _LOOP_SPANS[name]
             spans = [s for s in tracer.spans if s.name == span_name]
-            assert spans and attr in spans[0].attrs, (
+            # the last such span is the run the golden compares (a crashed
+            # run's span closes before its size is known)
+            assert spans and attr in spans[-1].attrs, (
                 f"{name!r} ran without its {span_name!r} span carrying {attr!r}"
             )
         else:

@@ -115,15 +115,6 @@ class TestDispatch:
         assert log == ["b", "a"]  # publish dispatches inside the handler
         assert engine.stats.by_kind == {"a": 1, "b": 1}
 
-    def test_stop_halts_after_current_event(self):
-        engine = Engine()
-        seen = []
-        engine.subscribe("a", lambda e: (seen.append(e), engine.stop()))
-        engine.schedule(1.0, "a")
-        engine.schedule(2.0, "a")
-        engine.run()
-        assert len(seen) == 1
-
     def test_until_and_max_events_bound_the_run(self):
         engine = Engine()
         seen = []

@@ -1,18 +1,11 @@
-"""Tests for the stock event sources and trace ingestion guards."""
+"""Tests for the engine's event source and the telemetry feed's ingestion guards."""
 
 import numpy as np
 import pytest
 
-from repro.engine.kernel import Engine
-from repro.engine.sources import (
-    EwmaAlarmMonitor,
-    ScheduledRounds,
-    SequenceSource,
-    TelemetryFeed,
-    TelemetrySource,
-)
+from repro.engine.sources import SequenceSource
 from repro.telemetry.timebase import Timebase
-from repro.telemetry.traces import SnrTrace, iter_link_samples
+from repro.telemetry.traces import SnrTrace, TelemetryFeed, iter_link_samples
 
 
 def trace(link_id, values, *, interval_s=900.0, start_s=0.0, cable="c"):
@@ -115,21 +108,6 @@ class TestIterLinkSamples:
             list(iter_link_samples({"l0": trace("l0", [1.0])}, stride=0))
 
 
-class TestScheduledRounds:
-    def test_interval_finer_than_grid_rejected(self):
-        feed = TelemetryFeed({"l0": trace("l0", [16.0, 16.0])})
-        with pytest.raises(ValueError, match="finer"):
-            ScheduledRounds(feed, te_interval_s=60.0)
-
-    def test_round_events_at_stride_times(self):
-        feed = TelemetryFeed({"l0": trace("l0", list(range(8)))})
-        source = ScheduledRounds(feed, te_interval_s=1800.0, max_rounds=3)
-        events = list(source.events())
-        assert [e.time_s for e in events] == [0.0, 1800.0, 3600.0]
-        assert all(e.kind == "te.round" for e in events)
-        assert [e.payload.snr_db["l0"] for e in events] == [0.0, 2.0, 4.0]
-
-
 class TestSequenceSource:
     def test_items_keep_order_at_fixed_time(self):
         source = SequenceSource("drill", ["a", "b"], time_s=5.0)
@@ -138,25 +116,6 @@ class TestSequenceSource:
             (5.0, (0, "a")),
             (5.0, (1, "b")),
         ]
-
-
-class TestEwmaAlarmMonitor:
-    def test_alarm_published_on_dip_entry_only(self):
-        values = [16.0] * 60 + [5.0] * 5 + [16.0] * 5
-        feed = TelemetryFeed({"l0": trace("l0", values)})
-        engine = Engine()
-        monitor = EwmaAlarmMonitor(["l0"], k_sigma=5.0)
-        alarms = []
-        engine.subscribe(EwmaAlarmMonitor.KIND, alarms.append)
-        engine.subscribe(
-            TelemetrySource.KIND,
-            lambda e: monitor.observe(engine, e.payload),
-        )
-        engine.add_source(TelemetrySource(feed))
-        engine.run()
-        assert len(alarms) == 1  # one dip -> one alarm, not one per sample
-        assert alarms[0].payload["link_id"] == "l0"
-        assert alarms[0].payload["index"] == 60
 
 
 class TestFromSeriesNanTolerance:
@@ -178,38 +137,3 @@ class TestFromSeriesNanTolerance:
         series = {"dark": ([0.0, 900.0], [float("nan"), float("nan")])}
         feed = TelemetryFeed.from_series(series)
         assert feed.traces_by_link["dark"].baseline_db == 0.0
-
-
-class TestEwmaAlarmMonitorNanTolerance:
-    def test_nan_samples_are_skipped_and_counted(self):
-        values = [16.0] * 60 + [float("nan")] * 5 + [16.0] * 5
-        feed = TelemetryFeed({"l0": trace("l0", values)})
-        monitor = EwmaAlarmMonitor(["l0"], k_sigma=5.0)
-        for sample in feed.iter_samples():
-            monitor.observe(None, sample)
-        assert monitor.n_skipped == 5
-        detector = monitor._detectors["l0"]
-        assert detector.baseline_db == pytest.approx(16.0, abs=0.01)
-
-    def test_dropout_inside_dip_does_not_fake_recovery(self):
-        values = [16.0] * 60 + [5.0, float("nan"), 5.0] + [16.0] * 5
-        feed = TelemetryFeed({"l0": trace("l0", values)})
-        engine = Engine()
-        monitor = EwmaAlarmMonitor(["l0"], k_sigma=5.0)
-        alarms = []
-        engine.subscribe(EwmaAlarmMonitor.KIND, alarms.append)
-        engine.subscribe(
-            TelemetrySource.KIND,
-            lambda e: monitor.observe(engine, e.payload),
-        )
-        engine.add_source(TelemetrySource(feed))
-        engine.run()
-        assert len(alarms) == 1  # the NaN neither closed nor reopened the dip
-
-    def test_unknown_link_gets_detector_on_first_sight(self):
-        from repro.engine.sources import TelemetrySample
-
-        monitor = EwmaAlarmMonitor(["l0"])
-        sample = TelemetrySample(index=0, time_s=0.0, snr_db={"l0": 16.0, "l9": 16.0})
-        monitor.observe(None, sample)
-        assert "l9" in monitor._detectors

@@ -5,11 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from repro.engine.sources import TelemetryFeed
 from repro.faults.inject import FaultInjector, FaultyTelemetryFeed, as_injector
 from repro.faults.spec import FaultPlan, FaultSpec
 from repro.telemetry.timebase import Timebase
-from repro.telemetry.traces import SnrTrace
+from repro.telemetry.traces import SnrTrace, TelemetryFeed
 
 
 def make_feed(n=96, links=("l0", "l1"), base=16.0):

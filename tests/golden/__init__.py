@@ -3,8 +3,8 @@
 :mod:`tests.golden.scenarios` defines fixed-seed scenario builders and
 canonical metric serialization; the committed ``*.json`` files were
 generated from the pre-engine (hand-rolled loop) implementations via
-``python tests/golden/generate_goldens.py``.  The engine-hosted
-simulators and the what-if and cable-impact loops must reproduce them
-byte-for-byte — see
+``python tests/golden/generate_goldens.py``.  The controller
+replay and reaction loops, the engine-hosted testbed and the what-if
+and cable-impact loops must reproduce them byte-for-byte — see
 ``tests/engine/test_golden_equivalence.py``.
 """

@@ -8,6 +8,7 @@ from repro.core.controller import DynamicCapacityController
 from repro.net.topologies import line_topology
 from repro.recovery.invariants import (
     InvariantMonitor,
+    InvariantViolation,
     InvariantViolationError,
 )
 
@@ -100,18 +101,12 @@ class TestPolicies:
         # the enforcement is itself a journaled state transition
         assert controller.state.label == "invariant.degrade"
 
-    def test_abort_stops_engine_and_raises(self):
+    def test_abort_marks_fatal_and_raises(self):
         controller = make_controller()
         monitor = InvariantMonitor(controller, policy="abort")
-        stopped = []
-        monitor.attach(
-            SimpleNamespace(
-                add_observer=lambda obs: None, stop=lambda: stopped.append(True)
-            )
-        )
         doctor_ber_violation(controller)
         monitor.check_round(clean_report())
-        assert monitor.fatal and stopped
+        assert monitor.fatal
         with pytest.raises(InvariantViolationError, match="ber"):
             monitor.raise_if_fatal()
 
@@ -121,27 +116,8 @@ class TestPolicies:
         doctor_ber_violation(controller)
         monitor.check_round(clean_report())
         n = len(monitor.violations)
-        monitor(SimpleNamespace(kind="controller.report", payload=clean_report()))
+        monitor.check_round(clean_report())
         assert len(monitor.violations) == n
-
-
-class TestEventFiltering:
-    def test_non_report_payloads_are_skipped(self):
-        monitor = InvariantMonitor(make_controller())
-        # the plain replay's "te.round" events carry a TelemetrySample,
-        # not a report — the monitor must not treat it as one
-        monitor(SimpleNamespace(kind="te.round", payload=SimpleNamespace(snr_db={})))
-        monitor(SimpleNamespace(kind="telemetry.sample", payload=None))
-        assert monitor.violations == []
-
-    def test_report_kind_payloads_are_checked(self):
-        controller = make_controller()
-        monitor = InvariantMonitor(controller)
-        doctor_ber_violation(controller)
-        monitor(
-            SimpleNamespace(kind="controller.report", payload=clean_report())
-        )
-        assert monitor.violations
 
 
 class TestEndToEnd:
@@ -159,3 +135,29 @@ class TestEndToEnd:
             invariants="abort",  # would raise on any violation
         )
         assert result.n_rounds > 0
+
+    @pytest.mark.parametrize("host", ["replay", "reactive"])
+    def test_abort_stops_the_run_after_the_violating_round(
+        self, host, monkeypatch, tmp_path
+    ):
+        from repro.faults.chaos import _chaos_inputs
+        from repro.sim.reactive import reactive_replay
+        from repro.sim.replay import replay_controller
+
+        violation = InvariantViolation("ber", None, "doctored")
+        monkeypatch.setattr(InvariantMonitor, "_check_ber", lambda self: [violation])
+        topology, traces_by_link, demands = _chaos_inputs(0.5, 7)
+        controller = DynamicCapacityController(topology, seed=7)
+        run = replay_controller if host == "replay" else reactive_replay
+        with pytest.raises(InvariantViolationError, match="doctored"):
+            run(
+                controller,
+                traces_by_link,
+                demands,
+                invariants="abort",
+                journal_dir=str(tmp_path),
+            )
+        assert controller.rounds_completed == 1
+        # the journal was closed with exactly the one committed round
+        resumed = DynamicCapacityController(topology, seed=7)
+        assert len(resumed.bind_journal(str(tmp_path), resume=True)) == 1

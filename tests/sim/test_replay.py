@@ -82,6 +82,22 @@ class TestReplay:
         )
         assert result.n_rounds == 3
 
+    def test_resume_reports_every_journaled_round(self, tmp_path):
+        topo, traces, demands = build_scenario()
+
+        def run(**kwargs):
+            ctrl = DynamicCapacityController(topo, policy=run_policy(), seed=0)
+            return replay_controller(
+                ctrl, traces, demands, te_interval_s=8 * 3600.0,
+                journal_dir=str(tmp_path), **kwargs,
+            )
+
+        full = run(max_rounds=4)
+        resumed = run(max_rounds=2, resume=True)
+        assert resumed.n_rounds == 4
+        np.testing.assert_array_equal(resumed.times_s, full.times_s)
+        np.testing.assert_array_equal(resumed.throughput_gbps, full.throughput_gbps)
+
     def test_validation_errors(self):
         topo, traces, demands = build_scenario()
         ctrl = DynamicCapacityController(topo, seed=0)

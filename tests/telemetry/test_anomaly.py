@@ -1,4 +1,4 @@
-"""Tests for the EWMA dip detector."""
+"""Tests for the EWMA dip detector and the per-link alarm monitor."""
 
 import numpy as np
 import pytest
@@ -6,12 +6,17 @@ import pytest
 from repro.optics.impairments import AmplifierDegradation
 from repro.telemetry.anomaly import (
     DipAlert,
+    EwmaAlarmMonitor,
     EwmaDipDetector,
     SignalState,
     detect_dips,
 )
 from repro.telemetry.timebase import Timebase
-from repro.telemetry.traces import NoiseModel, synthesize_cable_traces
+from repro.telemetry.traces import (
+    NoiseModel,
+    TelemetrySample,
+    synthesize_cable_traces,
+)
 
 
 def make_trace(events=(), days=20.0, sigma=0.15, seed=4):
@@ -168,3 +173,40 @@ class TestNanTolerance:
         detector.update(float("inf"), 0)
         detector.update(float("-inf"), 1)
         assert detector.n_skipped == 2
+
+
+def samples(values, link_id="l0"):
+    """One telemetry sample per value, on the 15-minute grid."""
+    return [
+        TelemetrySample(index=i, time_s=900.0 * i, snr_db={link_id: float(v)})
+        for i, v in enumerate(values)
+    ]
+
+
+class TestEwmaAlarmMonitor:
+    def test_link_in_dip_from_entry_until_recovery(self):
+        monitor = EwmaAlarmMonitor(["l0"], k_sigma=5.0)
+        values = [16.0] * 60 + [5.0] * 5 + [16.0] * 5
+        dipping = [s.index for s in samples(values) if monitor.observe(s)]
+        assert dipping == [60, 61, 62, 63, 64]
+
+    def test_nan_samples_are_skipped_and_counted(self):
+        monitor = EwmaAlarmMonitor(["l0"], k_sigma=5.0)
+        for sample in samples([16.0] * 60 + [float("nan")] * 5 + [16.0] * 5):
+            monitor.observe(sample)
+        assert monitor.n_skipped == 5
+        detector = monitor._detectors["l0"]
+        assert detector.baseline_db == pytest.approx(16.0, abs=0.01)
+
+    def test_dropout_inside_dip_does_not_fake_recovery(self):
+        monitor = EwmaAlarmMonitor(["l0"], k_sigma=5.0)
+        values = [16.0] * 60 + [5.0, float("nan"), 5.0] + [16.0] * 5
+        dipping = [s.index for s in samples(values) if monitor.observe(s)]
+        # the NaN neither closed nor reopened the dip
+        assert dipping == [60, 61, 62]
+
+    def test_unknown_link_gets_detector_on_first_sight(self):
+        monitor = EwmaAlarmMonitor(["l0"])
+        sample = TelemetrySample(index=0, time_s=0.0, snr_db={"l0": 16.0, "l9": 16.0})
+        monitor.observe(sample)
+        assert "l9" in monitor._detectors

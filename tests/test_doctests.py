@@ -5,6 +5,7 @@ import doctest
 import pytest
 
 import repro.analysis.cdf
+import repro.obs
 import repro.obs.metrics
 import repro.optics.units
 import repro.telemetry.timebase
@@ -16,6 +17,7 @@ import repro.telemetry.timebase
         repro.optics.units,
         repro.telemetry.timebase,
         repro.analysis.cdf,
+        repro.obs,
         repro.obs.metrics,
     ],
     ids=lambda m: m.__name__,

@@ -29,6 +29,9 @@ WHATIF_UNUSED = (
     "repro.core",
 )
 
+#: the controller runs are plain loops: no event kernel, no sources
+CONTROLLER_RUN_UNUSED = ("repro.engine.kernel", "repro.engine.sources")
+
 
 def loaded(entry: str, candidates: tuple[str, ...]) -> list[str]:
     """The ``candidates`` a fresh ``import entry`` puts in sys.modules."""
@@ -52,6 +55,8 @@ def loaded(entry: str, candidates: tuple[str, ...]) -> list[str]:
         ("repro.sim.whatif", WHATIF_UNUSED),
         ("repro.sim.network_availability", WHATIF_UNUSED),
         ("repro.core.controller", ("scipy.signal", "networkx", "repro.sim")),
+        ("repro.sim.replay", CONTROLLER_RUN_UNUSED),
+        ("repro.sim.reactive", CONTROLLER_RUN_UNUSED),
     ],
 )
 def test_fresh_process_imports_only_what_it_runs(entry, unused):
