@@ -10,8 +10,9 @@ Times three per-round solve regimes on a mid-size WAN:
 * ``bench.te.round_memo`` — the same network state round after round:
   pure memo hits replaying the stored solution vector.
 
-Then replays a stable-SNR controller scenario to measure the realistic
-memo hit rate, and checks a cache-on vs. cache-off replay agree exactly.
+Then replays a stable-SNR controller scenario to measure how many
+rounds never reach HiGHS (a reused round or a memo hit), and checks a
+cache-on vs. cache-off replay agree exactly.
 The aggregate timer report lands in ``BENCH.json`` (override with
 ``REPRO_BENCH_JSON``) alongside the synthesis bench's timers when both
 files run in one pytest invocation.
@@ -132,9 +133,14 @@ def _stable_replay(te_cache: bool):
 def test_te_replay_hit_rate_and_equivalence():
     with metrics.isolated() as reg:
         cached = _stable_replay(te_cache=True)
+        round_hits = int(reg.counter_value("te.cache.round_hit"))
+        rounds = round_hits + int(reg.counter_value("te.cache.round_miss"))
         hits = int(reg.counter_value("te.cache.memo_hit"))
         misses = int(reg.counter_value("te.cache.memo_miss"))
-    rate = hits / (hits + misses) if hits + misses else 0.0
+    # a reused round skips the TE call, so the memo sees only the rounds
+    # whose inputs were new; a round reaches HiGHS only on a memo miss
+    assert rounds == cached.n_rounds == round_hits + hits + misses
+    rate = (round_hits + hits) / rounds if rounds else 0.0
     uncached = _stable_replay(te_cache=False)
 
     # byte-identical series either way
@@ -143,15 +149,18 @@ def test_te_replay_hit_rate_and_equivalence():
     assert cached.total_capacity_changes == uncached.total_capacity_changes
 
     print(
-        f"\n  replay rounds: {cached.n_rounds}, memo {hits} hits / "
-        f"{misses} misses (hit rate {rate:.2f})"
+        f"\n  replay rounds: {rounds}, {round_hits} reused, memo {hits} hits / "
+        f"{misses} misses (never solved: {rate:.2f})"
     )
     # a stable-SNR replay re-solves an unchanged network almost every
-    # round; the memo must absorb most of them
+    # round; round reuse and the memo must absorb most of them, and
+    # most rounds must not reach the TE call at all
     assert rate > 0.5
+    assert round_hits > rounds / 2
 
     # surface the realistic hit rate in BENCH.json: a ratio is a gauge,
     # not a timer
+    metrics.counter("bench.te.replay.round_hit").inc(round_hits)
     metrics.counter("bench.te.replay.memo_hit").inc(hits)
     metrics.counter("bench.te.replay.memo_miss").inc(misses)
     metrics.gauge("bench.te.replay.hit_rate").set(rate)

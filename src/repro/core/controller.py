@@ -38,7 +38,7 @@ from __future__ import annotations
 import math
 from collections import abc
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterator, Mapping, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
@@ -46,7 +46,7 @@ from repro.bvt.transceiver import Bvt, BvtFaultError, ChangeProcedure
 from repro.core.augmentation import augment_topology
 from repro.core.penalties import PenaltyPolicy, TrafficDisruptionPenalty
 from repro.core.policies import AdaptationPolicy, walk_policy
-from repro.core.translation import LinkUpgrade, translate
+from repro.core.translation import LinkUpgrade, TranslationResult, translate
 from repro.net.demands import Demand
 from repro.net.srlg import SrlgMap
 from repro.net.topology import Topology
@@ -62,12 +62,14 @@ from repro.recovery.reports import report_payload, restore_solution
 from repro.seeds import component_rng
 from repro.state.model import NetworkState
 from repro.state.store import StateStore
-from repro.te.incremental import CachedTeAlgorithm
+from repro.te.incremental import CachedTeAlgorithm, RoundMemo, round_key
 from repro.te.lp import MultiCommodityLp
 from repro.te.solution import TeSolution, TeSolverError, empty_solution
 
 #: a TE algorithm: (topology, demands) -> TeSolution
 TeAlgorithm = Callable[[Topology, Sequence[Demand]], TeSolution]
+
+_T = TypeVar("_T")
 
 
 def default_te_algorithm(topology: Topology, demands: Sequence[Demand]) -> TeSolution:
@@ -118,6 +120,14 @@ class _ReconfigOutcome:
     ok: bool
     retries: int
     backoff_s: float
+
+
+class _RoundDecision(NamedTuple):
+    """What augment → TE → translate decided for one round's inputs."""
+
+    translation: TranslationResult
+    #: links of G' the TE ran on (the ``te.solve`` span's ``n_links``)
+    n_te_links: int
 
 
 @dataclass(frozen=True)
@@ -284,9 +294,12 @@ class DynamicCapacityController:
         (the default) and ``True`` on.  When on and the controller runs
         the *default* TE objective, per-round solves go through a
         private :class:`~repro.te.incremental.TeSolveCache` (structure
-        reuse + exact memoization, bit-identical to fresh solves).  A custom ``te_algorithm`` is never wrapped: its
-        purity is unknown.  Each controller owns its cache, so paired
-        chaos runs and side-by-side policy comparisons stay isolated.
+        reuse + exact memoization, bit-identical to fresh solves), and a
+        round whose augment → TE → translate inputs repeat a recent
+        round's reuses that round's decision without building G' at
+        all.  A custom ``te_algorithm`` is never wrapped: its purity is
+        unknown.  Each controller owns its cache, so paired chaos runs
+        and side-by-side policy comparisons stay isolated.
         """
         self.physical = topology
         self.policy = policy if policy is not None else walk_policy(table=table)
@@ -297,6 +310,8 @@ class DynamicCapacityController:
         )
         self._te_base = te_algorithm
         self.te_algorithm = te_algorithm
+        #: recent rounds' decisions (see _round_memo)
+        self._rounds: RoundMemo | None = None
         self.configure_te_cache(te_cache is not False)
         self.table = table
         self.procedure = procedure
@@ -369,6 +384,24 @@ class DynamicCapacityController:
                 self.te_algorithm = CachedTeAlgorithm()
         else:
             self.te_algorithm = self._te_base
+
+    def _round_memo(self) -> RoundMemo | None:
+        """The memo of recent rounds' decisions, or ``None``.
+
+        Only the cached default TE algorithm gets one: a custom
+        algorithm's purity is unknown, and ``te_cache=False`` computes
+        every round.  The memo is rebuilt empty whenever the TE
+        algorithm, penalty policy, ladder or physical topology it was
+        filled under has been replaced.
+        """
+        if self._te_base is not default_te_algorithm or not isinstance(
+            self.te_algorithm, CachedTeAlgorithm
+        ):
+            return None
+        scope = (self.te_algorithm, self.penalty_policy, self.table, self.physical)
+        if self._rounds is None or not self._rounds.serves(scope):
+            self._rounds = RoundMemo(scope)
+        return self._rounds
 
     # -- fault injection ------------------------------------------------------
 
@@ -651,12 +684,20 @@ class DynamicCapacityController:
         raise AssertionError("unreachable")
 
     def _solve_te(
-        self, topology: Topology, demands: Sequence[Demand]
-    ) -> tuple[TeSolution | None, int, float]:
+        self,
+        solve: Callable[[], _T],
+        *,
+        n_links: int,
+        n_demands: int,
+        reused: bool = False,
+    ) -> tuple[_T | None, int, float]:
         """One TE solve with fault injection, retry and backoff.
 
-        Returns ``(solution | None, retries, backoff_s)``; ``None``
-        means every attempt raised and the caller must degrade.
+        ``solve`` runs the TE algorithm or, on a ``reused`` round, hands
+        back the earlier round's decision: the fault gate, the retries
+        and their backoff draws are the same either way.  Returns
+        ``(result | None, retries, backoff_s)``; ``None`` means every
+        attempt raised and the caller must degrade.
 
         Retry attempts within a round reuse the already-assembled LP:
         the injected fault gate raises *before* the algorithm runs, and
@@ -665,25 +706,23 @@ class DynamicCapacityController:
         controller's :class:`~repro.te.incremental.TeSolveCache` — so a
         retried round pays at most one assembly, not one per attempt.
         """
-        with _trace.span(
-            "te.solve", n_links=len(topology.links), n_demands=len(demands)
-        ) as sp:
-            solution, retries, backoff_s = self._solve_te_attempts(
-                topology, demands
-            )
+        with _trace.span("te.solve", n_links=n_links, n_demands=n_demands) as sp:
+            result, retries, backoff_s = self._solve_te_attempts(solve)
             if sp is not None:
                 sp.set(
-                    ok=solution is not None,
+                    ok=result is not None,
                     retries=retries,
                     backoff_s=backoff_s,
                 )
-            if solution is None:
+                if reused:
+                    sp.set(reused=True)
+            if result is None:
                 _metrics.counter("controller.te_fallbacks").inc()
-            return solution, retries, backoff_s
+            return result, retries, backoff_s
 
     def _solve_te_attempts(
-        self, topology: Topology, demands: Sequence[Demand]
-    ) -> tuple[TeSolution | None, int, float]:
+        self, solve: Callable[[], _T]
+    ) -> tuple[_T | None, int, float]:
         attempts = 1 + (self.retry.max_retries if self.retry is not None else 0)
         retries = 0
         backoff_s = 0.0
@@ -691,7 +730,7 @@ class DynamicCapacityController:
             try:
                 if self._faults is not None and self._faults.te_fails():
                     raise TeSolverError("injected TE solver failure")
-                return self.te_algorithm(topology, demands), retries, backoff_s
+                return solve(), retries, backoff_s
             except TeSolverError:
                 if attempt + 1 >= attempts:
                     return None, retries, backoff_s
@@ -700,6 +739,24 @@ class DynamicCapacityController:
                 backoff_s += delay_s
                 _trace.point("te.retry", attempt=attempt, backoff_s=delay_s)
         raise AssertionError("unreachable")
+
+    def _working_topology(self, rows: Sequence[tuple[str, float, float]]) -> Topology:
+        """The graph Algorithm 1 augments: the physical nodes and one
+        link per ``(link_id, capacity, headroom)`` row."""
+        working = Topology(f"{self.physical.name}@step")
+        for node in self.physical.nodes:
+            working.add_node(node)
+        for link_id, capacity, headroom in rows:
+            link = self.physical.link(link_id)
+            working.add_link(
+                link.src,
+                link.dst,
+                capacity,
+                headroom_gbps=headroom,
+                weight=link.weight,
+                link_id=link_id,
+            )
+        return working
 
     # -- the control loop -----------------------------------------------------
 
@@ -879,10 +936,10 @@ class DynamicCapacityController:
                         fault_loss += restore - current
         self._commit(adapt, "adapt")
 
-        # 3. working topology at post-downgrade capacities, with headroom
-        working = Topology(f"{self.physical.name}@step")
-        for node in self.physical.nodes:
-            working.add_node(node)
+        # 3. the working topology at post-downgrade capacities, with
+        #    headroom: one (link_id, capacity, headroom) row per live
+        #    real link
+        rows: list[tuple[str, float, float]] = []
         for link in self.physical.real_links():
             capacity = self.capacity[link.link_id]
             if capacity <= 0:
@@ -893,29 +950,49 @@ class DynamicCapacityController:
                 if snr is not None
                 else 0.0
             )
-            working.add_link(
-                link.src,
-                link.dst,
-                capacity,
-                headroom_gbps=headroom,
-                weight=link.weight,
-                link_id=link.link_id,
-            )
+            rows.append((link.link_id, capacity, headroom))
 
-        # 4-5. augment and run the unmodified TE algorithm; if every
-        #      attempt raises, degrade to the last known-good solution
-        #      (or the empty allocation) rather than crashing the loop
-        augmented = augment_topology(
-            working,
-            penalty_policy=self.penalty_policy,
-            current_traffic=self._traffic,
-        )
-        te_solution, te_retries, te_backoff = self._solve_te(
-            augmented.topology, demands
-        )
+        # 4-5. augment, run the unmodified TE algorithm and translate its
+        #      output — or, when the rows, the traffic memory and the
+        #      demands repeat a recent round's, reuse that round's
+        #      decision behind the same fault gate.  If every attempt
+        #      raises, degrade to the last known-good solution (or the
+        #      empty allocation) rather than crashing the loop
+        rounds = self._round_memo()
+        key = decision = working = None
+        if rounds is not None:
+            key = round_key(rows, self._traffic, demands)
+            decision = rounds.get(key)
+        if decision is not None:
+            translation, te_retries, te_backoff = self._solve_te(
+                lambda: decision.translation,
+                n_links=decision.n_te_links,
+                n_demands=len(demands),
+                reused=True,
+            )
+        else:
+            working = self._working_topology(rows)
+            augmented = augment_topology(
+                working,
+                penalty_policy=self.penalty_policy,
+                current_traffic=self._traffic,
+            )
+            te_solution, te_retries, te_backoff = self._solve_te(
+                lambda: self.te_algorithm(augmented.topology, demands),
+                n_links=len(augmented.topology.links),
+                n_demands=len(demands),
+            )
+            translation = None
+            if te_solution is not None:
+                translation = translate(augmented, te_solution, table=self.table)
+                if rounds is not None:
+                    rounds.put(
+                        key,
+                        _RoundDecision(translation, len(augmented.topology.links)),
+                    )
         n_retries += te_retries
         backoff_s += te_backoff
-        te_fallback = te_solution is None
+        te_fallback = translation is None
 
         if te_fallback:
             # hold: no upgrades, keep the traffic memory, reuse the
@@ -923,7 +1000,10 @@ class DynamicCapacityController:
             held = (
                 self._last_solution
                 if self._last_solution is not None
-                else empty_solution(working, demands)
+                else empty_solution(
+                    working if working is not None else self._working_topology(rows),
+                    demands,
+                )
             )
             solution = held
             upgrades: tuple[LinkUpgrade, ...] = ()
@@ -931,19 +1011,22 @@ class DynamicCapacityController:
             disrupted = 0.0
             n_batches = 0
         else:
-            # 6. translate and execute upgrades; optionally drain first
-            #    so slow reconfigurations hit no traffic (Section 4.2)
-            translation = translate(augmented, te_solution, table=self.table)
+            # 6. execute the upgrades; optionally drain first so slow
+            #    reconfigurations hit no traffic (Section 4.2)
             solution = translation.solution
             upgrades = translation.upgrades
             interim = None
             disrupted = sum(u.disrupted_traffic_gbps for u in upgrades)
             if self.drain_before_change and upgrades:
+                if working is None:
+                    working = self._working_topology(rows)
                 drained = working.copy(f"{working.name}-drained")
                 for upgrade in upgrades:
                     drained.remove_link(upgrade.link_id)
                 interim, drain_retries, drain_backoff = self._solve_te(
-                    drained, demands
+                    lambda: self.te_algorithm(drained, demands),
+                    n_links=len(drained.links),
+                    n_demands=len(demands),
                 )
                 n_retries += drain_retries
                 backoff_s += drain_backoff

@@ -30,7 +30,7 @@ SPANS: dict[str, str] = {
     "sim.replay": "whole controller trace replay",
     "sim.whatif": "whole ticket-corpus what-if replay",
     "sweep.point": "one sweep grid point: resolve, run, persist",
-    "te.solve": "one TE solve (cache hits included) inside a round",
+    "te.solve": "one TE solve inside a round (cache hits included; reused=True when the round reused an earlier round's decision)",
     "testbed.modulation_changes": "one Figure-6b modulation-change ladder",
 }
 
@@ -74,6 +74,8 @@ METRICS: dict[str, str] = {
     "te.cache.memo_hit": "TE solves replayed from the memo cache",
     "te.cache.memo_miss": "TE solves that ran the solver",
     "te.cache.replay": "timer: memoized solution replay",
+    "te.cache.round_hit": "controller rounds that reused an earlier round's augment/TE/translate decision",
+    "te.cache.round_miss": "controller rounds that computed their decision",
     "te.cache.structure_hit": "LP structures reused via rebind",
     "te.cache.structure_miss": "LP structures assembled fresh",
 }

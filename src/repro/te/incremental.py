@@ -3,7 +3,7 @@
 The paper's control loop re-runs an *unmodified* TE algorithm every
 telemetry round — and its own §2 data says SNR (hence the capacity
 vector) is stable for 83% of links, so most rounds hand the solver an
-LP it has already seen.  This module exploits that in three layers:
+LP it has already seen.  This module exploits that in four layers:
 
 1. **Structure reuse** — the assembled :class:`~repro.te.lp.
    MultiCommodityLp` (conservation/capacity blocks, the HiGHS models
@@ -43,6 +43,15 @@ LP it has already seen.  This module exploits that in three layers:
    worker keeps its own cache, so "the same cable, degraded" and "the
    same plant, a new traffic matrix" reuse the assembled blocks
    worker-locally.
+4. **Round reuse** — a controller round whose augment → TE → translate
+   inputs repeat a recent round's (:func:`round_key`: each live real
+   link's ``(link_id, capacity, headroom)``, the traffic memory that
+   prices upgrades, and the demands) reuses that round's translated
+   decision from a :class:`RoundMemo`, so no working topology, G',
+   state snapshot or :class:`TeSolution` is built.  Only the
+   controller's own cached default TE algorithm gets one, and it is
+   dropped whenever the TE algorithm or penalty policy it was filled
+   under changes (:meth:`RoundMemo.serves`).
 
 Invalidation needs no explicit hooks: any link appearing, disappearing
 (e.g. forced dark by a fault) or changing endpoints, and any demand
@@ -62,7 +71,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Hashable, Sequence
+from typing import Hashable, Mapping, Sequence
 
 import numpy as np
 
@@ -360,6 +369,62 @@ class CachedTeAlgorithm:
         return self.cache.solve(
             topology, demands, method=self.method, state=state
         ).solution
+
+
+# -- round reuse -------------------------------------------------------------
+
+
+def round_key(
+    rows: Sequence[tuple[str, float, float]],
+    traffic: Mapping[str, float],
+    demands: Sequence[Demand],
+) -> Hashable:
+    """Everything one controller round's augment → TE → translate reads.
+
+    ``rows`` holds ``(link_id, capacity, headroom)`` per live real link
+    in link order (endpoints and weights come from the fixed physical
+    topology); ``traffic`` is the per-link traffic memory the penalty
+    policy prices each upgrade with; the demands enter as their
+    :func:`~repro.state.digest.demand_digest`.  Equal keys mean equal
+    inputs, so a reused round's decision is the one a fresh
+    computation would reach.
+    """
+    return (tuple(rows), tuple(traffic.items()), demand_digest(demands))
+
+
+class RoundMemo:
+    """An LRU of whole rounds, :func:`round_key` -> decision, holding
+    at most :data:`DEFAULT_MEMO_SIZE`.
+
+    ``scope`` holds the objects the stored decisions were computed
+    under (the TE algorithm, the penalty policy, ...); the owner asks
+    :meth:`serves` before each lookup and starts a new memo when any
+    of them was replaced.
+    """
+
+    def __init__(self, scope: tuple[object, ...]):
+        self.scope = scope
+        self._entries: OrderedDict[Hashable, object] = OrderedDict()
+
+    def serves(self, scope: tuple[object, ...]) -> bool:
+        """True when ``scope`` is, object for object, this memo's."""
+        return len(scope) == len(self.scope) and all(
+            a is b for a, b in zip(scope, self.scope)
+        )
+
+    def get(self, key: Hashable) -> object | None:
+        entry = self._entries.get(key)
+        if entry is None:
+            _metrics.counter("te.cache.round_miss").inc()
+        else:
+            _metrics.counter("te.cache.round_hit").inc()
+            self._entries.move_to_end(key)
+        return entry
+
+    def put(self, key: Hashable, entry: object) -> None:
+        self._entries[key] = entry
+        while len(self._entries) > DEFAULT_MEMO_SIZE:
+            self._entries.popitem(last=False)
 
 
 # -- batched what-if solves ------------------------------------------------

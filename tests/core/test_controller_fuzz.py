@@ -3,7 +3,8 @@
 Whatever SNR sequence telemetry throws at it, the controller must keep
 its invariants: capacities stay on the modulation ladder (or zero), TE
 solutions audit clean, downtime only accrues when hardware is touched,
-and the loop is deterministic given its seed.
+the loop is deterministic given its seed, and the TE cache (round
+reuse included) changes nothing a round reports or carries forward.
 """
 
 import numpy as np
@@ -11,11 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.controller import DynamicCapacityController
+from repro.core.controller import DynamicCapacityController, RetryPolicy
 from repro.core.policies import crawl_policy, run_policy, walk_policy
+from repro.faults.inject import FaultInjector
+from repro.faults.spec import FaultPlan, FaultSpec
 from repro.net.demands import gravity_demands
 from repro.net.topologies import figure7_topology
 from repro.optics.modulation import DEFAULT_MODULATIONS
+from repro.recovery.reports import report_payload
 
 LADDER = set(DEFAULT_MODULATIONS.capacities_gbps) | {0.0}
 
@@ -23,13 +27,28 @@ snr_values = st.floats(min_value=0.0, max_value=22.0)
 policies = st.sampled_from([run_policy, walk_policy, crawl_policy])
 
 
-def make_controller(policy_factory):
+def make_controller(policy_factory, **kwargs):
     topo = figure7_topology()
     return (
         topo,
-        DynamicCapacityController(topo, policy=policy_factory(), seed=1),
+        DynamicCapacityController(topo, policy=policy_factory(), seed=1, **kwargs),
         gravity_demands(topo, 600.0, np.random.default_rng(0)),
     )
+
+
+@st.composite
+def recurring_rounds(draw):
+    """SNR rows for up to 8 rounds, drawn from a pool of at most three,
+    so that rounds repeat and the round-reuse path runs."""
+    pool = draw(
+        st.lists(
+            st.lists(snr_values, min_size=8, max_size=8), min_size=1, max_size=3
+        )
+    )
+    picks = draw(
+        st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=8)
+    )
+    return [pool[i] for i in picks]
 
 
 class TestControllerInvariants:
@@ -101,3 +120,53 @@ class TestControllerInvariants:
         assert controller.capacity[victim] < 100.0  # flapped or failed
         controller.step(healthy, demands)
         assert controller.capacity[victim] >= 100.0
+
+
+class TestCachedEqualsUncached:
+    """``te_cache=None`` (memo, structure reuse, round reuse) against
+    ``te_cache=False``, compared after every round."""
+
+    @staticmethod
+    def _assert_rounds_equal(rounds, policy_factory, plan=None, **kwargs):
+        (topo, cached, demands), (_, uncached, _) = (
+            make_controller(policy_factory, te_cache=te_cache, **kwargs)
+            for te_cache in (None, False)
+        )
+        if plan is not None:
+            cached.bind_faults(FaultInjector(plan))
+            uncached.bind_faults(FaultInjector(plan))
+        link_ids = [l.link_id for l in topo.real_links()]
+        for snr_row in rounds:
+            snrs = dict(zip(link_ids, snr_row))
+            a = cached.step(snrs, demands)
+            b = uncached.step(snrs, demands)
+            assert report_payload(a) == report_payload(b)
+            assert cached.runtime_payload() == uncached.runtime_payload()
+
+    @settings(max_examples=25, deadline=None)
+    @given(rounds=recurring_rounds(), policy_factory=policies)
+    def test_every_round_matches(self, rounds, policy_factory):
+        self._assert_rounds_equal(rounds, policy_factory)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        rounds=recurring_rounds(),
+        policy_factory=policies,
+        fault_seed=st.integers(0, 2**16),
+    )
+    def test_every_round_matches_under_faults(
+        self, rounds, policy_factory, fault_seed
+    ):
+        # TE failures and BVT faults draw from the injector's streams
+        # once per attempt: a reused round must draw exactly as many
+        plan = FaultPlan(
+            specs=(
+                FaultSpec("te.exception", probability=0.3),
+                FaultSpec("bvt.failure", probability=0.2),
+                FaultSpec("bvt.power_cycle", probability=0.1),
+            ),
+            seed=fault_seed,
+        )
+        self._assert_rounds_equal(
+            rounds, policy_factory, plan, retry=RetryPolicy(max_retries=1)
+        )
