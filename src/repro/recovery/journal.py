@@ -9,11 +9,14 @@ that survives a process death (``SIGKILL``) at any byte:
   truncate it instead of aborting; canonical JSON (sorted keys, compact
   separators, shortest-repr floats) makes the files byte-deterministic
   across runs — no timestamps ever enter a framed record.
-* **Two record kinds.**  ``transition`` frames carry one
-  :class:`~repro.state.store.StateStore` commit (version chain +
-  ``delta_payload`` list); a ``round`` frame carries the controller's
-  round context, its :class:`ControllerReport` payload and the runtime
-  snapshot (rng states, traffic, BVT rates).  The **round frame is the
+* **Two record kinds.**  A ``transition`` frame carries one
+  :class:`~repro.state.store.StateStore` commit: its version chain,
+  label and ``updates``, the ``{link_id: {field: new value}}`` mapping
+  of :func:`~repro.state.delta.delta_updates` — only what changed,
+  with no before values (recovery never reads them).  A ``round``
+  frame carries the controller's round context, its
+  :class:`ControllerReport` payload and the runtime snapshot (rng
+  states, traffic, BVT rates).  The **round frame is the
   commit point**: recovery only accepts transitions that a later round
   frame covers, so a crash between a state commit and the round commit
   rolls the half-done round back and resume re-executes it — which is
@@ -23,8 +26,14 @@ that survives a process death (``SIGKILL``) at any byte:
   temp file and ``rename``d into place every ``checkpoint_every`` round
   commits, after which the WAL rolls to a fresh segment.  Recovery
   starts from the newest *valid* checkpoint (a corrupt one falls back
-  to the previous, replaying more deltas) and replays framed deltas
-  bit-for-bit via :func:`~repro.state.delta.apply_deltas`.
+  to the previous, replaying more frames) and applies each committed
+  frame's updates with :meth:`~repro.state.model.NetworkState.evolve`,
+  the same function the live commit ran, so the recovered state equals
+  the live one by construction.  The typed-delta rows of
+  :meth:`StateJournal.iter_transitions` (the durable timeline) are
+  rebuilt by replaying from the oldest checkpoint and diffing each
+  state against its parent.  Frame offsets come from the bytes on
+  disk (:func:`scan_frames`), never from re-encoding a record.
 
 Two failure models differ in what they need.  A process death needs
 only ``write`` plus ``flush``: every frame is flushed as it is
@@ -54,7 +63,7 @@ from typing import Any, Iterator, Mapping
 
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
-from repro.state.delta import StateDelta, apply_deltas, delta_from_payload, delta_payload
+from repro.state.delta import StateDelta, delta_payload, delta_updates, diff
 from repro.state.model import NetworkState
 from repro.state.serialize import state_from_payload, state_to_payload
 
@@ -91,17 +100,20 @@ def encode_frame(obj: Mapping[str, Any]) -> bytes:
     return b"%d:%08x:%s\n" % (len(data), zlib.crc32(data), data)
 
 
-def iter_frames(raw: bytes) -> tuple[list[dict[str, Any]], int]:
-    """Decode consecutive frames; returns ``(records, clean_length)``.
+def scan_frames(raw: bytes) -> tuple[list[dict[str, Any]], list[int]]:
+    """Decode consecutive frames; returns ``(records, ends)``.
 
-    ``clean_length`` is the byte offset of the first damaged or
-    incomplete frame — everything past it is a torn tail.  Damage is
-    *any* framing violation: short header, non-numeric length, CRC
-    mismatch, missing newline.  Parsing never raises; the caller
-    decides whether a torn tail is acceptable (newest segment) or
-    corruption (interior segment).
+    ``ends[i]`` is the byte offset just past record ``i`` as it sits in
+    ``raw`` (a valid frame need not be canonical JSON, so re-encoding a
+    record does not give its length back).  The last end is the clean
+    length: everything past it is a torn tail.  Damage is *any* framing
+    violation: short header, non-numeric length, CRC mismatch, missing
+    newline.  Parsing never raises; the caller decides whether a torn
+    tail is acceptable (newest segment) or corruption (interior
+    segment).
     """
     records: list[dict[str, Any]] = []
+    ends: list[int] = []
     offset = 0
     n = len(raw)
     while offset < n:
@@ -131,7 +143,18 @@ def iter_frames(raw: bytes) -> tuple[list[dict[str, Any]], int]:
         except ValueError:
             break
         offset = body_end + 1
-    return records, offset
+        ends.append(offset)
+    return records, ends
+
+
+def iter_frames(raw: bytes) -> tuple[list[dict[str, Any]], int]:
+    """Decode consecutive frames; returns ``(records, clean_length)``.
+
+    :func:`scan_frames` without the per-frame offsets: ``clean_length``
+    is the byte offset of the first damaged or incomplete frame.
+    """
+    records, ends = scan_frames(raw)
+    return records, ends[-1] if ends else 0
 
 
 # -- directory layout --------------------------------------------------
@@ -266,7 +289,7 @@ class StateJournal:
                 "version": version,
                 "parent": parent,
                 "label": label,
-                "deltas": [delta_payload(d) for d in deltas],
+                "updates": delta_updates(deltas),
             }
         )
         self._append(frame, sync=self.fsync == "always")
@@ -325,21 +348,35 @@ class StateJournal:
     def iter_transitions(self) -> Iterator[dict[str, Any]]:
         """Every journaled transition, oldest first (timeline schema).
 
-        Reads the segments straight off disk — flush the active one
-        first so the in-flight tail is visible.
+        Frames hold updates, not deltas: the rows' typed deltas are
+        rebuilt by replaying the segments from the oldest checkpoint
+        and diffing each state against its parent, which gives the
+        rows the live :meth:`StateStore.commit` computed.  Reads the
+        segments straight off disk — flush the active one first so the
+        in-flight tail is visible.
         """
         if self._file is not None:
             self._file.flush()
+        checkpoints = _indexed(self.directory, _CHECKPOINT_PREFIX, ".json")
+        payload = _load_checkpoint(checkpoints[0][1]) if checkpoints else None
+        if payload is None:
+            raise RecoveryError(
+                f"no readable oldest checkpoint in {self.directory}: "
+                "the timeline cannot be rebuilt"
+            )
+        state = state_from_payload(payload["state"])
         for _, path in _indexed(self.directory, _SEGMENT_PREFIX, ".jsonl"):
             records, _ = iter_frames(path.read_bytes())
             for record in records:
                 if record.get("t") == "transition":
+                    child = _replay(state, record, path.name)
                     yield {
                         "version": record["version"],
                         "parent": record["parent"],
                         "label": record["label"],
-                        "deltas": record["deltas"],
+                        "deltas": [delta_payload(d) for d in diff(state, child)],
                     }
+                    state = child
 
 
 # -- recovery ----------------------------------------------------------
@@ -395,11 +432,12 @@ def recover(directory: str | Path) -> RecoveredRun:
 
     Loads the newest checkpoint that parses (corrupt ones fall back to
     older, replaying across more segments), walks every WAL segment in
-    order, applies committed transitions bit-for-bit via
-    :func:`apply_deltas`, and truncates a torn tail on the newest
-    segment.  Interior damage — a torn frame in any segment that is
-    not the newest — is unrecoverable and raises
-    :class:`RecoveryError`, as is a broken version chain.
+    order, applies each committed transition's updates with
+    :meth:`NetworkState.evolve` (the function the live commit ran),
+    and truncates a torn tail on the newest segment.  Interior damage
+    — a torn frame in any segment that is not the newest — is
+    unrecoverable and raises :class:`RecoveryError`, as is a broken
+    version chain or a transition frame without updates.
     """
     directory = Path(directory)
     if not directory.is_dir():
@@ -433,7 +471,8 @@ def recover(directory: str | Path) -> RecoveredRun:
     newest_segment = segments[-1][0] if segments else None
     for segment_version, path in segments:
         raw = path.read_bytes()
-        records, clean = iter_frames(raw)
+        records, ends = scan_frames(raw)
+        clean = ends[-1] if ends else 0
         if clean < len(raw):
             if segment_version != newest_segment:
                 raise RecoveryError(
@@ -446,20 +485,18 @@ def recover(directory: str | Path) -> RecoveredRun:
         # trailing unterminated group is a half-done round to roll back.
         pending: list[dict[str, Any]] = []
         committed_offset = 0
-        offset = 0
-        for record in records:
-            offset += len(encode_frame(record))
+        for record, end in zip(records, ends):
             kind = record.get("t")
             if kind == "transition":
                 pending.append(record)
             elif kind == "round":
                 for t in pending:
-                    _apply_recovered_transition(out, t, segment_version)
+                    _apply_recovered_transition(out, t, path.name)
                 pending.clear()
                 out.rounds.append(
                     {k: v for k, v in record.items() if k != "t"}
                 )
-                committed_offset = offset
+                committed_offset = end
             else:
                 raise RecoveryError(
                     f"unknown record kind {kind!r} in {path.name}"
@@ -490,23 +527,45 @@ def recover(directory: str | Path) -> RecoveredRun:
 
 
 def _apply_recovered_transition(
-    out: RecoveredRun, record: Mapping[str, Any], segment_version: int
+    out: RecoveredRun, record: Mapping[str, Any], segment: str
 ) -> None:
     if record["version"] <= out.checkpoint_version:
         # an older segment overlapping the checkpoint: already included
         out.transitions.append(dict(record))
         return
-    if record["parent"] != out.state.version:
-        raise RecoveryError(
-            f"broken version chain in segment {segment_version}: "
-            f"transition v{record['version']} claims parent "
-            f"v{record['parent']}, journal is at v{out.state.version}"
-        )
-    deltas = [delta_from_payload(p) for p in record["deltas"]]
-    out.state = apply_deltas(
-        out.state, deltas, label=record["label"], version=record["version"]
-    )
+    out.state = _replay(out.state, record, segment)
     out.transitions.append(dict(record))
+
+
+def _replay(
+    state: NetworkState, record: Mapping[str, Any], segment: str
+) -> NetworkState:
+    """Apply one transition frame to its parent state.
+
+    Runs :meth:`NetworkState.evolve` on the frame's updates — the
+    function the live commit ran — so the result equals the journaled
+    state by construction; only the version is taken from the frame.
+    """
+    updates = record.get("updates")
+    if updates is None:
+        raise RecoveryError(
+            f"transition v{record.get('version')} in {segment} has no "
+            "updates (not a journal this version wrote)"
+        )
+    if record["parent"] != state.version:
+        raise RecoveryError(
+            f"broken version chain in {segment}: "
+            f"transition v{record['version']} claims parent "
+            f"v{record['parent']}, journal is at v{state.version}"
+        )
+    try:
+        child = state.evolve(updates, label=record["label"])
+    except (KeyError, ValueError) as exc:
+        raise RecoveryError(
+            f"transition v{record['version']} in {segment} does not apply: {exc}"
+        ) from None
+    child.version = record["version"]
+    return child
 
 
 def reopen(directory: str | Path, **kwargs: Any) -> tuple[StateJournal, RecoveredRun]:

@@ -22,7 +22,8 @@ boundary or into ``state_timeline.jsonl`` instead of whole snapshots.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Mapping, Union
+from math import copysign
+from typing import Any, Union
 
 from repro.state.model import MUTABLE_LINK_FIELDS, NetworkState
 
@@ -95,16 +96,20 @@ StateDelta = Union[
 
 
 def _same(a: Any, b: Any) -> bool:
-    """Value equality that treats two NaNs as equal.
+    """Value equality that treats two NaNs as equal and ±0.0 as different.
 
     Telemetry fields (``snr_db``) legitimately hold NaN mid-fault;
     without this a NaN -> NaN "transition" would emit a delta on every
-    diff forever.
+    diff forever.  ``0.0 == -0.0`` in IEEE terms, but the two print
+    differently, so a sign-of-zero change is a change: without a delta
+    the journal would lose it.
     """
     if a is b:
         return True
-    if isinstance(a, float) and isinstance(b, float) and a != a and b != b:
-        return True
+    if isinstance(a, float) and isinstance(b, float):
+        if a != a:
+            return b != b
+        return a == b and (a != 0.0 or copysign(1.0, a) == copysign(1.0, b))
     return a == b
 
 
@@ -114,56 +119,55 @@ def diff(old: NetworkState, new: NetworkState) -> list[StateDelta]:
     Both states must track the same link set (one lineage: links never
     appear or vanish, they go dark).  Deltas come out in the states'
     link order, fields within a link in a fixed order (dark/capacity,
-    then modulation, then BVT, then health fields alphabetically).
+    then modulation, then BVT, then health fields alphabetically).  A
+    link that goes dark at any capacity other than ``0.0`` (``-0.0``,
+    a negative rate) also gets a :class:`CapacityDelta` from ``0.0``,
+    so replaying the deltas restores the exact value.
     """
-    if old.links.keys() != new.links.keys():
-        missing = old.links.keys() ^ new.links.keys()
+    old_links, new_links = old.links, new.links
+    if old_links.keys() != new_links.keys():
+        missing = old_links.keys() ^ new_links.keys()
         raise ValueError(
             f"states track different links (symmetric diff {sorted(missing)}); "
             "diff only spans one lineage"
         )
     deltas: list[StateDelta] = []
-    for link_id, before in old.links.items():
-        after = new.links[link_id]
+    append = deltas.append
+    for link_id, before in old_links.items():
+        after = new_links[link_id]
         if after is before:
             continue  # structurally shared: untouched by every transition
-        if before.dark != after.dark:
-            deltas.append(
-                DarkDelta(
-                    link_id,
-                    dark=after.dark,
-                    relit_gbps=0.0 if after.dark else after.capacity_gbps,
-                )
-            )
-        elif not _same(before.capacity_gbps, after.capacity_gbps):
-            deltas.append(
-                CapacityDelta(link_id, before.capacity_gbps, after.capacity_gbps)
-            )
-        if not _same(before.modulation, after.modulation):
-            deltas.append(
-                ModulationDelta(link_id, before.modulation, after.modulation)
-            )
-        if not _same(before.bvt_gbps, after.bvt_gbps):
-            deltas.append(BvtDelta(link_id, before.bvt_gbps, after.bvt_gbps))
-        for field_name in _HEALTH_FIELDS:
-            b, a = getattr(before, field_name), getattr(after, field_name)
-            if not _same(b, a):
-                deltas.append(HealthDelta(link_id, field_name, b, a))
+        b, a = before.__dict__, after.__dict__
+        b_cap, a_cap = b[_CAPACITY_FIELD], a[_CAPACITY_FIELD]
+        if (b_cap <= 0) != (a_cap <= 0):
+            if a_cap <= 0:
+                append(DarkDelta(link_id, dark=True, relit_gbps=0.0))
+                if not _same(a_cap, 0.0):
+                    append(CapacityDelta(link_id, 0.0, a_cap))
+            else:
+                append(DarkDelta(link_id, dark=False, relit_gbps=a_cap))
+        elif b_cap is not a_cap and not _same(b_cap, a_cap):
+            append(CapacityDelta(link_id, b_cap, a_cap))
+        bv, av = b[_MODULATION_FIELD], a[_MODULATION_FIELD]
+        if bv is not av and not _same(bv, av):
+            append(ModulationDelta(link_id, bv, av))
+        bv, av = b[_BVT_FIELD], a[_BVT_FIELD]
+        if bv is not av and not _same(bv, av):
+            append(BvtDelta(link_id, bv, av))
+        for name in _HEALTH_FIELDS:
+            bv, av = b[name], a[name]
+            if bv is not av and not _same(bv, av):
+                append(HealthDelta(link_id, name, bv, av))
     return deltas
 
 
-def apply_deltas(
-    base: NetworkState,
-    deltas: list[StateDelta],
-    *,
-    label: str,
-    version: int | None = None,
-) -> NetworkState:
-    """Replay ``deltas`` onto ``base`` as one transition.
+def delta_updates(deltas: list[StateDelta]) -> dict[str, dict[str, Any]]:
+    """The ``{link_id: {field: new}}`` updates a delta list stands for.
 
-    With ``version`` left at its default the result is a normal child
-    (``base.version + 1``); pass the target's version to reproduce a
-    diffed state bit-for-bit.
+    What :meth:`NetworkState.evolve` takes: later deltas on the same
+    field win, so a dark crossing followed by its capacity rider lands
+    on the rider's value.  The journal's transition frames hold exactly
+    this mapping.
     """
     updates: dict[str, dict[str, Any]] = {}
     for delta in deltas:
@@ -180,7 +184,23 @@ def apply_deltas(
             changes[delta.field] = delta.new
         else:  # pragma: no cover - exhaustive over StateDelta
             raise TypeError(f"unknown delta {delta!r}")
-    out = base.evolve(updates, label=label)
+    return updates
+
+
+def apply_deltas(
+    base: NetworkState,
+    deltas: list[StateDelta],
+    *,
+    label: str,
+    version: int | None = None,
+) -> NetworkState:
+    """Replay ``deltas`` onto ``base`` as one transition.
+
+    With ``version`` left at its default the result is a normal child
+    (``base.version + 1``); pass the target's version to reproduce a
+    diffed state bit-for-bit.
+    """
+    out = base.evolve(delta_updates(deltas), label=label)
     if version is not None:
         out.version = version
         out.parent_version = base.version
@@ -204,27 +224,3 @@ def delta_payload(delta: StateDelta) -> dict[str, Any]:
         if name != "link_id":
             payload[name] = value
     return payload
-
-
-_DELTA_TYPES: dict[str, type] = {
-    "capacity": CapacityDelta,
-    "dark": DarkDelta,
-    "modulation": ModulationDelta,
-    "bvt": BvtDelta,
-    "health": HealthDelta,
-}
-
-
-def delta_from_payload(payload: Mapping[str, Any]) -> StateDelta:
-    """The inverse of :func:`delta_payload`.
-
-    Floats survive the JSON round trip bit-for-bit (shortest-repr
-    serialization, NaN included), so a journaled delta replays through
-    :func:`apply_deltas` exactly like the in-memory original.
-    """
-    fields = dict(payload)
-    kind = fields.pop("kind", None)
-    cls = _DELTA_TYPES.get(kind)
-    if cls is None:
-        raise ValueError(f"unknown delta kind {kind!r} (valid: {sorted(_DELTA_TYPES)})")
-    return cls(**fields)

@@ -37,7 +37,7 @@ simulators and must import neither (CI enforces it).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Any, Iterator, Mapping, Sequence
 
@@ -210,12 +210,18 @@ class NetworkState:
                 raise KeyError(
                     f"state v{self.version} has no link {link_id!r}"
                 ) from None
-            bad = set(changes) - MUTABLE_LINK_FIELDS
-            if bad:
+            if not MUTABLE_LINK_FIELDS.issuperset(changes):
+                bad = set(changes) - MUTABLE_LINK_FIELDS
                 raise ValueError(
                     f"immutable or unknown LinkState fields {sorted(bad)}"
                 )
-            links[link_id] = replace(current, **changes)
+            # what dataclasses.replace builds, without re-running the
+            # frozen __init__: the parent's fields with the changes on top
+            child = object.__new__(LinkState)
+            child_fields = child.__dict__
+            child_fields.update(current.__dict__)
+            child_fields.update(changes)
+            links[link_id] = child
         return NetworkState(
             self.base,
             links,

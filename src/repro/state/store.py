@@ -106,16 +106,18 @@ class StateStore:
         self.transitions.append(
             (state.version, state.parent_version, state.label, deltas)
         )
-        counts = delta_counts(deltas)
-        _trace.point(
-            "state.transition",
-            store=self.name,
-            version=state.version,
-            parent=state.parent_version,
-            label=state.label,
-            n_deltas=len(deltas),
-            **{f"n_{kind}": n for kind, n in sorted(counts.items())},
-        )
+        tracer = _trace.current_tracer()
+        if tracer is not None:
+            counts = delta_counts(deltas)
+            tracer.point(
+                "state.transition",
+                store=self.name,
+                version=state.version,
+                parent=state.parent_version,
+                label=state.label,
+                n_deltas=len(deltas),
+                **{f"n_{kind}": n for kind, n in sorted(counts.items())},
+            )
         return deltas
 
     # -- reading -------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import json
 import os
+import zlib
 
 import pytest
 
@@ -14,6 +15,7 @@ from repro.recovery.journal import (
     journal_exists,
     recover,
     reopen,
+    scan_frames,
 )
 from repro.state.model import NetworkState
 from repro.state.store import StateStore
@@ -83,6 +85,17 @@ class TestFrameCodec:
         assert records == [{"t": "round", "round": 0}]
         assert clean == len(good)
 
+    def test_scan_reports_each_frame_end_as_it_sits_on_disk(self):
+        canonical = encode_frame({"t": "round", "round": 0})
+        body = json.dumps({"t": "round", "round": 1, "note": "x y"}).encode()
+        spaced = b"%d:%08x:%s\n" % (len(body), zlib.crc32(body), body)
+        assert b": " in spaced  # valid, CRC-checked, not canonical JSON
+        raw = canonical + spaced + b"7:garb"
+        records, ends = scan_frames(raw)
+        assert [r["round"] for r in records] == [0, 1]
+        assert ends == [len(canonical), len(canonical) + len(spaced)]
+        assert iter_frames(raw) == (records, ends[-1])
+
     def test_garbage_never_raises(self):
         for raw in (b"not a frame", b"12:zzzzzzzz:x\n", b"-5:00000000:\n", b":::"):
             records, clean = iter_frames(raw)
@@ -96,6 +109,69 @@ class TestFrameCodec:
         assert b"unix" not in payload and b"time" not in payload.lower()
         # and the journal's own record schemas stay wall-clock-free
         del states
+
+
+class TestTransitionFrames:
+    def test_frame_holds_only_the_new_values(self, tmp_path):
+        states = make_lineage(2)
+        link_id = next(iter(states[0].links))
+        journal, _ = journal_run(tmp_path, states, rounds_at=(1,))
+        journal.close()
+        records, _ = iter_frames((tmp_path / "wal-0.jsonl").read_bytes())
+        (frame,) = [r for r in records if r["t"] == "transition"]
+        assert frame == {
+            "t": "transition",
+            "version": 1,
+            "parent": 0,
+            "label": "step-1",
+            "updates": {link_id: {"capacity_gbps": 75.0}},
+        }
+
+    def test_frame_without_updates_names_its_segment(self, tmp_path):
+        states = make_lineage(2)
+        journal = StateJournal(tmp_path)
+        journal.start(states[0])
+        journal._append(
+            encode_frame(
+                {"t": "transition", "version": 1, "parent": 0, "label": "x",
+                 "deltas": []}
+            ),
+            sync=False,
+        )
+        journal.commit_round({"round": 0})
+        journal.close()
+        with pytest.raises(RecoveryError, match="wal-0.jsonl.*no updates"):
+            recover(tmp_path)
+
+    def test_signed_zero_survives_recovery(self, tmp_path):
+        states = make_lineage(1)
+        link_id = next(iter(states[0].links))
+        states.append(
+            states[0].evolve(
+                {link_id: {"headroom_gbps": -0.0, "capacity_gbps": -0.0}},
+                label="zero",
+            )
+        )
+        journal, store = journal_run(tmp_path, states, rounds_at=(1,))
+        journal.close()
+        recovered = recover(tmp_path).state.link(link_id)
+        assert repr(recovered.headroom_gbps) == "-0.0"
+        assert repr(recovered.capacity_gbps) == "-0.0"
+        assert store.timeline()[0]["deltas"] == [
+            {"kind": "dark", "link_id": link_id, "dark": True, "relit_gbps": 0.0},
+            {"kind": "capacity", "link_id": link_id, "old_gbps": 0.0,
+             "new_gbps": -0.0},
+            {"kind": "health", "link_id": link_id, "field": "headroom_gbps",
+             "old": 0.0, "new": -0.0},
+        ]
+
+    def test_timeline_needs_the_oldest_checkpoint(self, tmp_path):
+        states = make_lineage(3)
+        journal, store = journal_run(tmp_path, states, rounds_at=(1, 2))
+        (tmp_path / "checkpoint-0.json").write_bytes(b"{ torn")
+        with pytest.raises(RecoveryError, match="oldest checkpoint"):
+            store.timeline()
+        journal.close()
 
 
 class TestJournalValidation:
@@ -301,6 +377,40 @@ class TestReopen:
         assert final.n_rounds == 3
         versions = [t["version"] for t in final.transitions]
         assert len(versions) == len(set(versions))
+
+    def test_reopen_after_a_non_canonical_frame_keeps_it(self, tmp_path):
+        # a valid frame need not be canonical JSON; the resume offset
+        # must come from its bytes on disk, not from re-encoding it
+        states = make_lineage(3)
+        journal, _ = journal_run(tmp_path, states[:2], rounds_at=(1,))
+        link_id = next(iter(states[0].links))
+        for record in (
+            {"t": "transition", "version": 2, "parent": 1, "label": "step-2",
+             "updates": {link_id: {"capacity_gbps": 100.0}}},
+            {"t": "round", "round": 1, "marker": 2},
+        ):
+            body = json.dumps(record).encode()  # spaces after separators
+            journal._append(
+                b"%d:%08x:%s\n" % (len(body), zlib.crc32(body), body),
+                sync=True,
+            )
+        journal.close()
+        size = (tmp_path / "wal-0.jsonl").stat().st_size
+
+        journal2, recovered = reopen(tmp_path)
+        assert recovered.n_rounds == 2
+        assert recovered.resume_offset == size
+        store = StateStore(recovered.state)
+        store.attach_journal(journal2)
+        store.commit(
+            recovered.state.evolve({link_id: {"capacity_gbps": 125.0}}, label="next")
+        )
+        journal2.commit_round({"round": 2})
+        journal2.close()
+        final = recover(tmp_path)
+        assert final.n_rounds == 3
+        assert final.torn_tail_bytes == 0
+        assert final.state.link(link_id).capacity_gbps == 125.0
 
     def test_reopen_after_checkpoint_before_roll(self, tmp_path):
         # crash window: checkpoint written, segment not yet rolled —

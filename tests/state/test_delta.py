@@ -20,6 +20,7 @@ from repro.state.delta import (
     apply_deltas,
     delta_counts,
     delta_payload,
+    delta_updates,
     diff,
 )
 from repro.state.model import NetworkState
@@ -177,3 +178,57 @@ def test_delta_payload_is_plain_json():
         "dark": True,
         "relit_gbps": 0.0,
     }
+
+
+def test_sign_of_zero_is_a_change():
+    """``0.0 == -0.0`` in IEEE terms, but the two are different values."""
+    state = NetworkState.from_topology(line_topology(3))
+    link_id = sorted(state.links)[0]
+    negative = state.evolve({link_id: {"headroom_gbps": -0.0}}, label="zero")
+    (delta,) = roundtrip(state, negative)
+    assert delta == HealthDelta(link_id, "headroom_gbps", 0.0, -0.0)
+    replayed = apply_deltas(state, [delta], label="zero")
+    assert repr(replayed.link(link_id).headroom_gbps) == "-0.0"
+    # and back: -0.0 -> 0.0 is a change too, 0.0 -> 0.0 is not
+    positive = negative.evolve({link_id: {"headroom_gbps": 0.0}}, label="z")
+    assert len(diff(negative, positive)) == 1
+    assert diff(state, state.evolve({link_id: {"headroom_gbps": 0.0}}, label="z")) == []
+
+
+def test_dark_at_a_signed_or_negative_capacity_replays_exactly():
+    state = NetworkState.from_topology(line_topology(3))
+    a, b, c = sorted(state.links)[:3]
+    dark = state.evolve(
+        {
+            a: {"capacity_gbps": -0.0},
+            b: {"capacity_gbps": -5.0},
+            c: {"capacity_gbps": 0.0},
+        },
+        label="fail",
+    )
+    deltas = roundtrip(state, dark)
+    assert deltas == [
+        DarkDelta(a, dark=True, relit_gbps=0.0),
+        CapacityDelta(a, 0.0, -0.0),
+        DarkDelta(b, dark=True, relit_gbps=0.0),
+        CapacityDelta(b, 0.0, -5.0),
+        DarkDelta(c, dark=True, relit_gbps=0.0),
+    ]
+    replayed = apply_deltas(state, deltas, label="fail")
+    assert repr(replayed.link(a).capacity_gbps) == "-0.0"
+    assert replayed.link(b).capacity_gbps == -5.0
+
+
+def test_delta_updates_is_what_evolve_takes():
+    state = NetworkState.from_topology(line_topology(3))
+    a, b = sorted(state.links)[:2]
+    child = state.darken([a], label="fail").evolve(
+        {b: {"snr_db": 9.0, "modulation": "PM_QPSK", "bvt_gbps": 100.0}},
+        label="adapt",
+    )
+    updates = delta_updates(diff(state, child))
+    assert updates == {
+        a: {"capacity_gbps": 0.0},
+        b: {"modulation": "PM_QPSK", "bvt_gbps": 100.0, "snr_db": 9.0},
+    }
+    assert state.evolve(updates, label="adapt").links == child.links
