@@ -8,11 +8,8 @@ unsplittable path at the upgraded rate.
 """
 
 from repro.analysis import figures
-from repro.core.gadgets import apply_unsplittable_gadget
-from repro.core.penalties import ConstantPenalty
-from repro.net.paths import k_shortest_paths, path_capacity
-from repro.net.topology import Topology
-from repro.te.maxflow import max_flow
+from repro.experiments.registry import run_spec
+from repro.experiments.spec import ScenarioSpec
 
 
 def test_fig7_one_upgrade_suffices(benchmark):
@@ -31,17 +28,11 @@ def test_fig7_one_upgrade_suffices(benchmark):
 
 
 def test_fig8_unsplittable_gadget(benchmark):
-    def build():
-        topo = Topology("fig8")
-        topo.add_link("A", "B", 100.0, headroom_gbps=100.0, link_id="ab")
-        return apply_unsplittable_gadget(
-            topo, penalty_policy=ConstantPenalty(100.0)
-        )
-
-    gadget = benchmark.pedantic(build, rounds=1, iterations=1)
-    paths = k_shortest_paths(gadget.topology, "A", "B", 3)
-    single_path = max(path_capacity(p) for p in paths)
-    total = max_flow(gadget.topology, "A", "B").value_gbps
+    # the gadget is part of the registered ``allocators`` experiment
+    spec = ScenarioSpec.create("bench/fig8", "allocators")
+    metrics = benchmark.pedantic(run_spec, args=(spec,), rounds=1, iterations=1)
+    single_path = metrics["gadget_single_path_gbps"]
+    total = metrics["gadget_total_gbps"]
 
     print("\nFigure 8 — unsplittable-flow gadget on an upgradable link")
     print(f"  best single-path capacity: {single_path:.0f} Gbps "

@@ -1,34 +1,37 @@
 #!/usr/bin/env python
 """The BVT testbed: why capacity changes take a minute, and the fix.
 
-Drives the transceiver simulator over its MDIO register interface the
-way the paper's testbed does, measuring the downtime of modulation
-changes under the standard procedure (laser power-cycle) and the
-efficient one (in-service constellation swap).  Also captures the
-Figure-5 constellations.
+Drives the transceiver simulator directly, measuring the downtime of
+modulation changes under the standard procedure (laser power-cycle)
+and the efficient one (in-service constellation swap).  Also captures
+the Figure-5 constellations.
 
 Run:  python examples/hitless_reconfiguration.py
 """
 
 import numpy as np
 
-from repro.bvt.mdio import MdioInterface, Register
 from repro.bvt.testbed import Testbed
-from repro.bvt.transceiver import Bvt
+from repro.bvt.transceiver import Bvt, ChangeProcedure
 
 
-def mdio_walkthrough() -> None:
-    """Register-level session, as a field engineer would script it."""
-    print("== MDIO session ==")
-    mdio = MdioInterface(Bvt(), np.random.default_rng(7))
-    print(f"device id:       {mdio.read(Register.DEVICE_ID):#06x}")
-    print(f"current rung:    {mdio.read(Register.CURRENT_MOD)} (100 Gbps)")
+def single_changes() -> None:
+    """Two changes on one transceiver, one per procedure."""
+    print("== one transceiver ==")
+    bvt = Bvt()
+    rng = np.random.default_rng(7)
+    print(f"current rate:    {bvt.capacity_gbps:.0f} Gbps ({bvt.format.name})")
 
-    standard_ms = mdio.set_modulation(200.0)
-    print(f"standard change to 200 Gbps: {standard_ms / 1000.0:.1f} s downtime")
+    standard = bvt.change_modulation(200.0, rng)
+    print(f"standard change to 200 Gbps: {standard.downtime_s:.1f} s downtime")
 
-    efficient_ms = mdio.set_modulation(150.0, efficient=True)
-    print(f"efficient change to 150 Gbps: {efficient_ms} ms downtime")
+    efficient = bvt.change_modulation(
+        150.0, rng, procedure=ChangeProcedure.EFFICIENT
+    )
+    print(
+        f"efficient change to 150 Gbps: "
+        f"{1000.0 * efficient.downtime_s:.0f} ms downtime"
+    )
 
 
 def figure6_experiment() -> None:
@@ -62,6 +65,6 @@ def figure5_constellations() -> None:
 
 
 if __name__ == "__main__":
-    mdio_walkthrough()
+    single_changes()
     figure6_experiment()
     figure5_constellations()

@@ -3,14 +3,14 @@
 Section 3.1 of the paper builds a testbed around an Acacia flex-rate
 transceiver, drives modulation changes over its MDIO management
 interface, and measures how long a capacity change takes.  This package
-is a discrete-event model of that hardware:
+is a discrete-event model of that hardware (driven directly, without
+the register front-end):
 
 * a simulated clock (:class:`~repro.engine.clock.SimClock`, shared
   with the event engine),
 * a laser with power-cycle timing (:mod:`~repro.bvt.laser`),
 * a coherent DSP with full-reprogram and in-service reconfiguration
   paths (:mod:`~repro.bvt.dsp`),
-* an MDIO register file front-end (:mod:`~repro.bvt.mdio`),
 * the transceiver state machine tying them together
   (:mod:`~repro.bvt.transceiver`),
 * the repeat-trial testbed harness of Figures 5/6

@@ -14,6 +14,9 @@ canonical rendering — exactly what a sweep artifact would replay:
 * ``theorem``      — the Theorem-1 equivalence check on a random WAN;
 * ``reactive``     — reaction-lag replay (scheduled/reactive/proactive);
 * ``whatif``       — ticket-corpus what-if replay (binary vs dynamic);
+* ``drill``        — cable drill on Abilene: each cable failed vs flapped;
+* ``allocators``   — Section 4's SWAN, B4, CSPF and path LP on the
+  augmented graph G', plus the Figure-8 gadget;
 * ``chaos``        — fault-injection intensity sweep asserting the
   hardened controller's invariants (exit 1 on any violation);
   ``chaos --crash`` instead crashes the controller at every
@@ -241,6 +244,26 @@ def _cmd_whatif(args: argparse.Namespace) -> int:
         months=args.months,
         offered_gbps=args.offered_gbps,
         fallback_gbps=args.fallback_gbps,
+        seed=args.seed,
+    )
+
+
+def _cmd_drill(args: argparse.Namespace) -> int:
+    return _run_and_render(
+        args,
+        "drill",
+        offered_gbps=args.offered_gbps,
+        fallback_gbps=args.fallback_gbps,
+        seed=args.seed,
+    )
+
+
+def _cmd_allocators(args: argparse.Namespace) -> int:
+    return _run_and_render(
+        args,
+        "allocators",
+        offered_gbps=args.offered_gbps,
+        sparsity=args.sparsity,
         seed=args.seed,
     )
 
@@ -567,6 +590,22 @@ def build_parser() -> argparse.ArgumentParser:
     whatif.add_argument("--fallback-gbps", type=float, default=50.0)
     whatif.add_argument("--seed", type=int, default=2017)
     whatif.set_defaults(handler=_cmd_whatif)
+
+    drill = sub.add_parser(
+        "drill", parents=[shared], help="cable drill: failed vs flapped"
+    )
+    drill.add_argument("--offered-gbps", type=float, default=2500.0)
+    drill.add_argument("--fallback-gbps", type=float, default=50.0)
+    drill.add_argument("--seed", type=int, default=0)
+    drill.set_defaults(handler=_cmd_drill)
+
+    allocators = sub.add_parser(
+        "allocators", parents=[shared], help="Section-4 TE allocators on G'"
+    )
+    allocators.add_argument("--offered-gbps", type=float, default=8000.0)
+    allocators.add_argument("--sparsity", type=float, default=0.5)
+    allocators.add_argument("--seed", type=int, default=9)
+    allocators.set_defaults(handler=_cmd_allocators)
 
     lint = sub.add_parser(
         "lint",

@@ -153,6 +153,7 @@ def _run_study(
     ctx: ExecutionContext, *, cables: int, years: float, seed: int
 ) -> dict[str, Any]:
     from repro.analysis import figures
+    from repro.analysis.margins import margin_report, static_provisioning_frontier
     from repro.telemetry.dataset import BackboneConfig, BackboneDataset
 
     config = BackboneConfig(n_cables=cables, years=years, seed=seed)
@@ -175,6 +176,11 @@ def _run_study(
     else:
         metrics["frac_rescuable"] = float(fig4c.frac_at_least_3db)
         metrics["n_failures"] = int(len(fig4c.min_snrs_db))
+    margins = margin_report(summaries)
+    dynamic = static_provisioning_frontier(summaries, years=years)[-1]
+    metrics["mean_margin_db"] = margins.mean_margin_db
+    metrics["stranded_tbps"] = margins.total_stranded_tbps
+    metrics["dynamic_capacity_gain_ratio"] = float(dynamic.capacity_gain_ratio)
     return metrics
 
 
@@ -192,13 +198,20 @@ def _render_study(m: Mapping[str, Any]) -> str:
         lines.append(
             f"rescuable failures: {100.0 * m['frac_rescuable']:.1f}% (paper: ~25%)"
         )
+    if "mean_margin_db" in m:  # artifacts stored before the margins
+        lines += [
+            f"mean provisioned margin: {m['mean_margin_db']:.1f} dB",
+            f"stranded by static provisioning: {m['stranded_tbps']:.1f} Tbps",
+            f"dynamic capacity vs all-100G: "
+            f"{m['dynamic_capacity_gain_ratio']:.2f}x",
+        ]
     return "\n".join(lines)
 
 
 register(
     Experiment(
         name="study",
-        description="Section-2 telemetry study (Figures 2a/2b/4c)",
+        description="Section-2 telemetry study (Figures 2a/2b/4c, margins)",
         run=_run_study,
         defaults=(("cables", 14), ("years", 1.0), ("seed", 2017)),
         render=_render_study,
@@ -518,6 +531,201 @@ register(
             ("seed", 2017),
         ),
         render=_render_whatif,
+    )
+)
+
+
+#: tunnels per demand for the path-based LP
+_PATH_LP_KS = (1, 2, 4, 8)
+
+
+def _run_allocators(
+    ctx: ExecutionContext, *, offered_gbps: float, sparsity: float, seed: int
+) -> dict[str, Any]:
+    """Section 4: unmodified TE allocators on the augmented backbone G'."""
+    from repro.core.augmentation import augment_topology
+    from repro.core.gadgets import apply_unsplittable_gadget
+    from repro.core.penalties import ConstantPenalty, TrafficDisruptionPenalty
+    from repro.net.demands import gravity_demands
+    from repro.net.paths import k_shortest_paths, path_capacity
+    from repro.net.topologies import us_backbone_like
+    from repro.net.topology import Topology
+    from repro.te.b4 import b4_allocate
+    from repro.te.cspf import cspf_allocate
+    from repro.te.lp import MultiCommodityLp
+    from repro.te.maxflow import max_flow
+    from repro.te.pathlp import PathBasedLp
+    from repro.te.swan import swan_allocate
+
+    topology = us_backbone_like()
+    for link in topology.real_links():
+        topology.replace_link(link.link_id, headroom_gbps=75.0)
+    augmented = augment_topology(
+        topology, penalty_policy=TrafficDisruptionPenalty()
+    ).topology
+    # a plain generator of ``seed``, not a component stream: the §4
+    # ablation benches pin their demand matrices by this seed
+    demands = gravity_demands(
+        topology, offered_gbps, np.random.default_rng(seed), sparsity=sparsity
+    )
+    edge = MultiCommodityLp(augmented, demands).max_throughput()
+    solutions = (
+        ("lp-optimal", edge.solution),
+        ("swan", swan_allocate(augmented, demands)),
+        ("b4", b4_allocate(augmented, demands)),
+        ("cspf", cspf_allocate(augmented, demands)),
+    )
+
+    # Figure 8: one upgradable 100 Gbps link behind the unsplittable gadget
+    square = Topology("fig8")
+    square.add_link("A", "B", 100.0, headroom_gbps=100.0, link_id="ab")
+    gadget = apply_unsplittable_gadget(
+        square, penalty_policy=ConstantPenalty(100.0)
+    ).topology
+    return {
+        "n_demands": len(demands),
+        "allocators": [
+            {
+                "name": name,
+                "gbps": float(solution.total_allocated_gbps),
+                "max_utilization": float(solution.max_utilization),
+                "valid": bool(solution.is_valid()),
+            }
+            for name, solution in solutions
+        ],
+        "edge_lp_gbps": float(edge.objective_value),
+        "path_lp": [
+            {
+                "k": k,
+                "gbps": float(
+                    PathBasedLp(augmented, demands, k_paths=k)
+                    .max_throughput()
+                    .objective_value
+                ),
+            }
+            for k in _PATH_LP_KS
+        ],
+        "gadget_single_path_gbps": max(
+            float(path_capacity(p)) for p in k_shortest_paths(gadget, "A", "B", 3)
+        ),
+        "gadget_total_gbps": float(max_flow(gadget, "A", "B").value_gbps),
+    }
+
+
+def _render_allocators(m: Mapping[str, Any]) -> str:
+    from repro.analysis.report import render_series
+
+    lp_gbps = m["allocators"][0]["gbps"]
+    allocators = render_series(
+        f"TE allocators on the same augmented backbone ({m['n_demands']} demands)",
+        [
+            (a["name"], a["gbps"], a["gbps"] / lp_gbps, a["max_utilization"])
+            for a in m["allocators"]
+        ],
+        header=["allocator", "Gbps", "vs LP", "max util"],
+    )
+    exact = m["edge_lp_gbps"]
+    formulations = render_series(
+        "path-based LP vs the exact edge LP",
+        [("edge (exact)", exact, 1.0)]
+        + [(f"path k={p['k']}", p["gbps"], p["gbps"] / exact) for p in m["path_lp"]],
+        header=["formulation", "Gbps", "vs exact"],
+    )
+    return "\n".join(
+        [
+            allocators,
+            f"every allocator valid on G' unmodified: "
+            f"{all(a['valid'] for a in m['allocators'])}",
+            formulations,
+            f"Figure-8 gadget: best single path {m['gadget_single_path_gbps']:.0f} Gbps, "
+            f"total {m['gadget_total_gbps']:.0f} Gbps (parallel links: 100)",
+        ]
+    )
+
+
+register(
+    Experiment(
+        name="allocators",
+        description="Section-4 TE allocators, path LP and Figure-8 gadget on G'",
+        run=_run_allocators,
+        defaults=(("offered_gbps", 8000.0), ("sparsity", 0.5), ("seed", 9)),
+        render=_render_allocators,
+    )
+)
+
+
+def _run_drill(
+    ctx: ExecutionContext, *, offered_gbps: float, fallback_gbps: float, seed: int
+) -> dict[str, Any]:
+    """Cable drill on Abilene: each cable failed (binary) vs flapped."""
+    from repro.net.demands import gravity_demands
+    from repro.net.srlg import duplex_srlgs
+    from repro.net.topologies import abilene
+    from repro.sim.network_availability import cable_event_impacts
+
+    topology = abilene()
+    srlgs = duplex_srlgs(topology)
+    demands = gravity_demands(
+        topology, offered_gbps, component_rng(seed, "drill.demands")
+    )
+    report = cable_event_impacts(
+        topology,
+        demands,
+        srlgs,
+        fallback_capacity_gbps=fallback_gbps,
+        workers=ctx.workers,
+    )
+    return {
+        "n_links": len(topology.real_links()),
+        "n_cables": len(srlgs),
+        "n_demands": len(demands),
+        "baseline_gbps": float(report.impacts[0].baseline_gbps),
+        "mean_rescued_gbps": float(report.mean_rescued_gbps),
+        "cables_fully_survivable": int(report.cables_fully_survivable),
+        "worst_binary_loss_cable": report.worst_binary_loss.cable,
+        "impacts": [
+            {
+                "cable": i.cable,
+                "binary_gbps": float(i.binary_gbps),
+                "dynamic_gbps": float(i.dynamic_gbps),
+            }
+            for i in report.impacts
+        ],
+    }
+
+
+def _render_drill(m: Mapping[str, Any]) -> str:
+    baseline = m["baseline_gbps"]
+    cables = [i["cable"].removeprefix("fiber:") for i in m["impacts"]]
+    width = max(len(c) for c in cables)
+    rows = [
+        f"  {cable:<{width}}  {baseline - i['binary_gbps']:>8.1f}  "
+        f"{baseline - i['dynamic_gbps']:>8.1f}  "
+        f"{i['dynamic_gbps'] - i['binary_gbps']:>8.1f}"
+        for cable, i in zip(cables, m["impacts"])
+    ]
+    return "\n".join(
+        [
+            f"{m['n_links']} links, {m['n_cables']} cables, "
+            f"{m['n_demands']} demands; baseline {baseline:.1f} Gbps",
+            "throughput lost per cable event (Gbps)",
+            f"  {'cable':<{width}}  {'binary':>8}  {'dynamic':>8}  {'rescued':>8}",
+            *rows,
+            f"worst binary loss: {m['worst_binary_loss_cable']}",
+            f"cables whose loss costs nothing: {m['cables_fully_survivable']}",
+            f"mean rescued by flapping instead of failing: "
+            f"{m['mean_rescued_gbps']:.1f} Gbps",
+        ]
+    )
+
+
+register(
+    Experiment(
+        name="drill",
+        description="cable drill: each cable failed vs flapped, network-wide",
+        run=_run_drill,
+        defaults=(("offered_gbps", 2500.0), ("fallback_gbps", 50.0), ("seed", 0)),
+        render=_render_drill,
     )
 )
 

@@ -15,6 +15,8 @@ new dependencies):
   (state below sim/controller, engine below experiments, obs
   non-invasive, the scenario settler off the engine) — checked
   transitively, lazy imports included;
+* **L005** reachability: every module lies in the import closure of
+  an entry point (``[reachability]`` in ``layers.toml``);
 * **T001** trace/metric names dotted lowercase and declared in the
   :mod:`repro.obs.names` catalog.
 

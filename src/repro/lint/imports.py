@@ -6,7 +6,7 @@ keep startup cheap, becomes an edge.  So does the step from each
 module to its parent package, because Python runs the package's
 ``__init__`` before the module (``from repro.te.lp import X`` runs
 ``repro/__init__.py`` and ``repro/te/__init__.py`` too).  The graph
-powers both the layering rules (L001-L004 check the transitive
+powers both the layering rules (L001-L005 check the transitive
 closure) and the artifact fingerprints
 (:func:`repro.fingerprint.import_closure` hashes the closure of an
 entry module).

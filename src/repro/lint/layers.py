@@ -1,4 +1,4 @@
-"""L001-L004: import-DAG layering, declared in ``layers.toml``.
+"""L001-L005: import-DAG layering and reachability, declared in ``layers.toml``.
 
 Generalizes PR 7's ad-hoc runtime probe (import :mod:`repro.state`,
 assert no simulator landed in ``sys.modules``) into a static, transitive
@@ -8,10 +8,14 @@ contract rule, no module in its ``scope`` may reach a module in its
 this is *stricter* than the runtime probe — a deferred import that only
 fires on an error path still violates the boundary.
 
+L005 (``[reachability]``) runs the same closure the other way round:
+every module of the package must be reachable from an entry point, so
+code that only tests, benches or examples import cannot accumulate.
+
 The contract file is TOML; on Python < 3.11 (no :mod:`tomllib`) a
 restricted built-in parser covers the subset the contract uses (string
 scalars, string arrays, ``[[rules]]`` array-of-tables, ``[fingerprint]``
-table) so the 3.10 CI lane lints identically.
+and ``[reachability]`` tables) so the 3.10 CI lane lints identically.
 """
 
 from __future__ import annotations
@@ -38,6 +42,8 @@ class LayerRule:
 class LayerContract:
     rules: tuple[LayerRule, ...]
     fingerprint_exempt: tuple[str, ...]
+    #: entry-point modules whose import closure must cover the package
+    reachability_roots: tuple[str, ...] = ()
 
     def is_exempt(self, module: str) -> bool:
         """True when ``module`` is left out of artifact fingerprints."""
@@ -101,7 +107,10 @@ def load_contract(path: Path | None = None) -> LayerContract:
         for entry in payload.get("rules", [])
     )
     exempt = tuple(payload.get("fingerprint", {}).get("exempt", []))
-    return LayerContract(rules=rules, fingerprint_exempt=exempt)
+    roots = tuple(payload.get("reachability", {}).get("roots", []))
+    return LayerContract(
+        rules=rules, fingerprint_exempt=exempt, reachability_roots=roots
+    )
 
 
 def _under(module: str, prefixes: tuple[str, ...]) -> bool:
@@ -156,3 +165,34 @@ def check_layers(
                 )
             )
     return sorted(findings)
+
+
+def check_reachability(
+    graph: ImportGraph,
+    contract: LayerContract,
+    relpath: dict[str, str],
+) -> list[Finding]:
+    """L005: one finding per module no entry point reaches.
+
+    A graph holding none of the contract's roots belongs to another
+    package and is not checked.
+    """
+    roots = [m for m in contract.reachability_roots if m in graph.files]
+    if not roots:
+        return []
+    reachable = graph.closure(roots)
+    return [
+        Finding(
+            path=relpath.get(module, module),
+            line=1,
+            col=1,
+            code="L005",
+            message=(
+                f"{module} is imported by no entry point "
+                f"({', '.join(roots)}); route it into one or delete it"
+            ),
+            hint=RULES["L005"].hint,
+        )
+        for module in graph.modules
+        if module not in reachable
+    ]

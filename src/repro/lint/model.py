@@ -182,6 +182,17 @@ _rule(
     "The contract lives in repro/lint/layers.toml.",
 )
 _rule(
+    "L005",
+    "module unreachable from every entry point",
+    "A module that no entry point (the `repro` console script, "
+    "`python -m repro`, `python -m repro.lint`) imports, directly or "
+    "lazily, runs only under tests, benches or examples: no command "
+    "reproduces what it claims, yet it is kept, linted and documented.  "
+    "The roots live in repro/lint/layers.toml [reachability].",
+    "Route the module into a registered experiment or CLI command that "
+    "runs it, or delete it with its tests and examples.",
+)
+_rule(
     "T001",
     "trace/metric name off-catalog or not dotted lowercase",
     "Span, point-event, metric and engine-event names are "

@@ -6,7 +6,7 @@ result cache is *content-keyed*: a file's per-file findings are stored
 under ``sha256(source bytes + rule configuration + analyzer
 fingerprint)``, so a cache hit is exact by definition and editing any
 analyzer module (or the name catalog) invalidates every entry, the same
-contract the telemetry summary cache follows.  Graph rules (L001-L004)
+contract the telemetry summary cache follows.  Graph rules (L001-L005)
 always run fresh — they are whole-package properties, cheap next
 to parsing.
 
@@ -26,7 +26,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.lint.baseline import Baseline, apply_baseline, load_baseline
-from repro.lint.layers import LayerContract, check_layers, load_contract
+from repro.lint.layers import (
+    LayerContract,
+    check_layers,
+    check_reachability,
+    load_contract,
+)
 from repro.lint.model import PRAGMA_RE, RULES, Finding, parse_pragmas, split_suppressed
 from repro.lint.rules import RuleConfig, check_file
 
@@ -295,6 +300,7 @@ def lint_paths(
             layer_findings = [
                 f
                 for f in check_layers(graph, contract, relpaths)
+                + check_reachability(graph, contract, relpaths)
                 if f.path in linted_rel
             ]
             raw.extend(layer_findings)

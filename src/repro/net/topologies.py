@@ -116,57 +116,6 @@ def us_backbone_like(capacity_gbps: float = DEFAULT_CAPACITY_GBPS) -> Topology:
     return topo
 
 
-#: site -> (longitude, latitude) degrees, for fiber-plant construction
-SITE_COORDINATES: dict[str, dict[str, tuple[float, float]]] = {
-    "abilene": {
-        "Seattle": (-122.3, 47.6),
-        "Sunnyvale": (-122.0, 37.4),
-        "LosAngeles": (-118.2, 34.1),
-        "Denver": (-105.0, 39.7),
-        "KansasCity": (-94.6, 39.1),
-        "Houston": (-95.4, 29.8),
-        "Atlanta": (-84.4, 33.7),
-        "Indianapolis": (-86.2, 39.8),
-        "Chicago": (-87.6, 41.9),
-        "WashingtonDC": (-77.0, 38.9),
-        "NewYork": (-74.0, 40.7),
-    },
-    "us-backbone-like": {
-        "SEA": (-122.3, 47.6), "PDX": (-122.7, 45.5), "SLC": (-111.9, 40.8),
-        "SFO": (-122.4, 37.8), "SJC": (-121.9, 37.3), "LAX": (-118.2, 34.1),
-        "PHX": (-112.1, 33.4), "ELP": (-106.5, 31.8), "DAL": (-96.8, 32.8),
-        "DEN": (-105.0, 39.7), "KSC": (-94.6, 39.1), "CHI": (-87.6, 41.9),
-        "HOU": (-95.4, 29.8), "ATL": (-84.4, 33.7), "CLE": (-81.7, 41.5),
-        "STL": (-90.2, 38.6), "NYC": (-74.0, 40.7), "MIA": (-80.2, 25.8),
-        "IAD": (-77.4, 38.9), "BOS": (-71.1, 42.4), "CLT": (-80.8, 35.2),
-    },
-    "b4-like": {
-        "us-w1": (-122.3, 47.6), "us-w2": (-121.9, 37.3),
-        "us-sw": (-112.1, 33.4), "us-c1": (-95.0, 39.0),
-        "us-e1": (-77.4, 38.9), "us-e2": (-74.0, 40.7),
-        "eu-w1": (-0.1, 51.5), "eu-w2": (2.3, 48.9), "eu-c1": (8.7, 50.1),
-        "asia-e1": (139.7, 35.7), "asia-e2": (121.5, 25.0),
-        "asia-s1": (103.8, 1.4),
-    },
-}
-
-
-def site_coordinates(topology: Topology) -> dict[str, tuple[float, float]]:
-    """(lon, lat) per site for a canonical topology, by its name.
-
-    Raises :class:`KeyError` for topologies without a coordinate set
-    (lines, squares and random WANs are abstract).
-    """
-    try:
-        coords = SITE_COORDINATES[topology.name]
-    except KeyError:
-        raise KeyError(
-            f"no site coordinates for topology {topology.name!r}; "
-            f"known: {sorted(SITE_COORDINATES)}"
-        ) from None
-    return dict(coords)
-
-
 def random_wan(
     n_nodes: int,
     rng: np.random.Generator,

@@ -9,6 +9,5 @@ measurement study and testbed rely on:
 * ideal and noisy signal constellations (:mod:`~repro.optics.constellation`),
 * a span/amplifier noise budget that produces realistic baseline SNRs
   (:mod:`~repro.optics.fiber`),
-* SNR bookkeeping and feasible-capacity lookups (:mod:`~repro.optics.snr`),
 * parametric impairment events (:mod:`~repro.optics.impairments`).
 """

@@ -13,6 +13,8 @@ some of which happen to carry a penalty, and demands:
   solves (bit-identical to fresh solves; see that module's docstring);
 * :mod:`~repro.te.maxflow` — single-commodity max flow / min-cost
   max-flow on the link-expanded graph (networkx cross-check);
+* :mod:`~repro.te.pathlp` — the path-based (k tunnels per demand) LP
+  SWAN and B4 deploy;
 * :mod:`~repro.te.swan` — SWAN-style priority-class allocation;
 * :mod:`~repro.te.b4` — B4-style max-min fair progressive filling;
 * :mod:`~repro.te.cspf` — a greedy CSPF (MPLS-TE auto-bandwidth style)

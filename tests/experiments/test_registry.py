@@ -1,5 +1,6 @@
 """Tests for the experiment registry and content-addressed spec keys."""
 
+import numpy as np
 import pytest
 
 from repro.experiments import registry as registry_mod
@@ -20,7 +21,7 @@ class TestRegistry:
         names = experiment_names()
         for name in (
             "study", "testbed", "tickets", "throughput",
-            "availability", "theorem", "reactive",
+            "availability", "theorem", "reactive", "drill", "allocators",
         ):
             assert name in names
 
@@ -119,6 +120,108 @@ class TestRunSpec:
         spec = ScenarioSpec.create("s", "reactive", days=0.5)
         payload = json.dumps(run_spec(spec))
         assert json.loads(payload)["mode"] == "reactive"
+
+
+class TestRoutedExperiments:
+    """The §4 allocators, the cable drill and the study's margins."""
+
+    def test_drill_equals_a_direct_drill(self):
+        from repro.net.demands import gravity_demands
+        from repro.net.srlg import duplex_srlgs
+        from repro.net.topologies import abilene
+        from repro.seeds import component_rng
+        from repro.sim.network_availability import cable_event_impacts
+
+        spec = ScenarioSpec.create(
+            "d", "drill", offered_gbps=1500.0, fallback_gbps=25.0, seed=3
+        )
+        result = run_spec(spec)
+        topology = abilene()
+        demands = gravity_demands(
+            topology, 1500.0, component_rng(3, "drill.demands")
+        )
+        report = cable_event_impacts(
+            topology, demands, duplex_srlgs(topology), fallback_capacity_gbps=25.0
+        )
+        assert (result["n_links"], result["n_cables"], result["n_demands"]) == (
+            28, 14, 110,
+        )
+        assert result["baseline_gbps"] == report.impacts[0].baseline_gbps
+        assert result["impacts"] == [
+            {"cable": i.cable, "binary_gbps": i.binary_gbps, "dynamic_gbps": i.dynamic_gbps}
+            for i in report.impacts
+        ]
+        assert result["mean_rescued_gbps"] == report.mean_rescued_gbps
+        assert result["cables_fully_survivable"] == report.cables_fully_survivable
+        assert result["worst_binary_loss_cable"] == report.worst_binary_loss.cable
+        assert "worst binary loss: " in render_result("drill", result)
+
+    def test_drill_workers_come_from_the_context(self):
+        spec = ScenarioSpec.create("d", "drill", offered_gbps=1500.0)
+        assert run_spec(spec, ExecutionContext(workers=2)) == run_spec(spec)
+
+    def test_allocators_run_unmodified_on_g_prime(self):
+        from repro.core.augmentation import augment_topology
+        from repro.core.penalties import TrafficDisruptionPenalty
+        from repro.net.demands import gravity_demands
+        from repro.net.topologies import us_backbone_like
+        from repro.te.b4 import b4_allocate
+
+        spec = ScenarioSpec.create(
+            "a", "allocators", offered_gbps=2000.0, sparsity=0.95, seed=9
+        )
+        result = run_spec(spec)
+        allocators = result["allocators"]
+        assert [a["name"] for a in allocators] == ["lp-optimal", "swan", "b4", "cspf"]
+        lp_gbps = allocators[0]["gbps"]
+        assert result["edge_lp_gbps"] == pytest.approx(lp_gbps)
+        for a in allocators:
+            assert a["valid"], a["name"]
+            assert a["gbps"] <= lp_gbps + 1e-3
+        paths = [p["gbps"] for p in result["path_lp"]]
+        assert [p["k"] for p in result["path_lp"]] == [1, 2, 4, 8]
+        assert paths == sorted(paths)
+        assert paths[-1] <= result["edge_lp_gbps"] + 1e-3
+        assert result["gadget_single_path_gbps"] == 200.0
+        assert result["gadget_total_gbps"] == 200.0
+
+        # the b4 row is a plain b4_allocate on the same augmented backbone
+        topology = us_backbone_like()
+        for link in topology.real_links():
+            topology.replace_link(link.link_id, headroom_gbps=75.0)
+        augmented = augment_topology(
+            topology, penalty_policy=TrafficDisruptionPenalty()
+        ).topology
+        demands = gravity_demands(
+            topology, 2000.0, np.random.default_rng(9), sparsity=0.95
+        )
+        assert result["n_demands"] == len(demands)
+        direct = b4_allocate(augmented, demands).total_allocated_gbps
+        assert allocators[2]["gbps"] == direct
+        assert "Figure-8 gadget" in render_result("allocators", result)
+
+    def test_study_reports_the_margins_of_its_summaries(self):
+        from repro.analysis.margins import margin_report, static_provisioning_frontier
+        from repro.telemetry.dataset import BackboneConfig, BackboneDataset
+
+        spec = ScenarioSpec.create("s", "study", cables=2, years=0.1, seed=5)
+        result = run_spec(spec)
+        summaries = BackboneDataset(
+            BackboneConfig(n_cables=2, years=0.1, seed=5)
+        ).summaries()
+        report = margin_report(summaries)
+        dynamic = static_provisioning_frontier(summaries, years=0.1)[-1]
+        assert result["mean_margin_db"] == report.mean_margin_db
+        assert result["stranded_tbps"] == report.total_stranded_tbps
+        assert result["dynamic_capacity_gain_ratio"] == dynamic.capacity_gain_ratio
+        assert "stranded by static provisioning" in render_result("study", result)
+
+    def test_study_renders_an_artifact_stored_before_the_margins(self):
+        spec = ScenarioSpec.create("s", "study", cables=2, years=0.1, seed=5)
+        result = run_spec(spec)
+        for key in ("mean_margin_db", "stranded_tbps", "dynamic_capacity_gain_ratio"):
+            del result[key]
+        assert "margin" not in render_result("study", result)
 
 
 class TestFingerprintCompleteness:

@@ -13,8 +13,8 @@ from repro.core.penalties import ConstantPenalty, TrafficDisruptionPenalty
 from repro.core.scheduler import schedule_reconfigurations
 from repro.core.translation import translate
 from repro.net.demands import gravity_demands
-from repro.net.plant import FiberPlant
-from repro.net.topologies import abilene, site_coordinates
+from repro.net.srlg import duplex_srlgs
+from repro.net.topologies import abilene
 from repro.optics.modulation import DEFAULT_MODULATIONS
 from repro.sim.whatif import replay_tickets
 from repro.te.lp import MultiCommodityLp
@@ -24,15 +24,25 @@ from repro.tickets.generator import TicketConfig, TicketGenerator
 
 @pytest.fixture(scope="module")
 def plant():
-    topo = abilene()
-    return FiberPlant(topo, site_coordinates(topo), seed=3)
+    """Abilene, one SNR per cable, headroom read off the modulation ladder."""
+    topology = abilene()
+    srlgs = duplex_srlgs(topology)
+    rng = np.random.default_rng(3)
+    for cable in srlgs.cables():
+        snr_db = float(rng.uniform(8.0, 16.0))
+        for link_id in sorted(srlgs.links_of(cable)):
+            capacity = topology.link(link_id).capacity_gbps
+            headroom = DEFAULT_MODULATIONS.headroom_above(capacity, snr_db)
+            if headroom > 0:
+                topology.replace_link(link_id, headroom_gbps=headroom)
+    return topology, srlgs
 
 
 class TestPlanToHardwarePipeline:
     """plant -> augment -> TE -> translate -> schedule."""
 
     def test_upgrade_campaign(self, plant):
-        topology = plant.with_headroom()
+        topology, srlgs = plant
         demands = gravity_demands(
             topology, 6000.0, np.random.default_rng(0)
         )
@@ -47,12 +57,10 @@ class TestPlanToHardwarePipeline:
         )
         assert translation.upgrades, "heavy demand must trigger upgrades"
 
-        schedule = schedule_reconfigurations(
-            translation.upgrades, plant.srlg_map()
-        )
+        schedule = schedule_reconfigurations(translation.upgrades, srlgs)
         # SRLG safety: both directions of a cable never in one batch
         for batch in schedule.batches:
-            cables = [plant.segment_of(i).cable_name for i in batch.link_ids]
+            cables = [c for i in batch.link_ids for c in srlgs.cables_of(i)]
             assert len(cables) == len(set(cables))
         # every upgrade lands in exactly one batch
         batched = [link for batch in schedule.batches for link in batch.link_ids]
@@ -71,7 +79,6 @@ class TestTelemetryToTicketsToWhatIf:
         ).generate(np.random.default_rng(21))
 
         # map the ticketed cables onto a ring topology of matching size
-        from repro.net.srlg import duplex_srlgs
         from repro.net.topology import Topology
 
         topo = Topology("ring")
@@ -97,12 +104,12 @@ class TestTelemetryToTicketsToWhatIf:
 
 
 class TestTheoremOnPlantDerivedHeadroom:
-    """Theorem 1 on physically derived (not hand-set) headroom."""
+    """Theorem 1 on SNR-derived (not hand-set) headroom."""
 
     def test_equivalence(self, plant):
         from repro.core.theorem import check_theorem1
 
-        topology = plant.with_headroom()
+        topology, _ = plant
         report = check_theorem1(
             topology,
             "Seattle",

@@ -11,8 +11,10 @@ from repro.lint.layers import (
     LayerRule,
     _parse_toml_minimal,
     check_layers,
+    check_reachability,
     load_contract,
 )
+from repro.lint.runner import lint_paths
 
 
 def make_tree(root: Path, files: dict[str, str]) -> Path:
@@ -111,12 +113,75 @@ class TestCheckLayers:
         assert check_layers(graph, CONTRACT, {}) == []
 
 
+#: a package with two entry points, a lazily imported module and an orphan
+ORPHAN_TREE = {
+    "pkg/__init__.py": "",
+    "pkg/cli.py": "def main():\n    from pkg.core import run\n    run()\n",
+    "pkg/__main__.py": "from pkg.cli import main\n\nmain()\n",
+    "pkg/core.py": "def run():\n    return None\n",
+    "pkg/orphan.py": "from pkg.core import run\n",
+}
+
+REACHABILITY = LayerContract(
+    rules=(),
+    fingerprint_exempt=(),
+    reachability_roots=("pkg.cli", "pkg.__main__"),
+)
+
+
+class TestReachability:
+    def test_orphan_module_is_named(self, tmp_path):
+        graph = build_import_graph(make_tree(tmp_path, ORPHAN_TREE))
+        relpath = {m: p.name for m, p in graph.files.items()}
+        findings = check_reachability(graph, REACHABILITY, relpath)
+        assert [(f.code, f.path, f.line) for f in findings] == [
+            ("L005", "orphan.py", 1)
+        ]
+        assert findings[0].message.startswith("pkg.orphan ")
+
+    def test_lint_run_fails_on_the_orphan(self, tmp_path):
+        make_tree(tmp_path, ORPHAN_TREE)
+        result = lint_paths(
+            [tmp_path / "pkg"], base=tmp_path, contract=REACHABILITY, cache=False
+        )
+        assert [f.code for f in result.findings] == ["L005"]
+        assert "pkg.orphan" in result.findings[0].message
+
+    def test_routing_the_orphan_clears_the_finding(self, tmp_path):
+        tree = dict(ORPHAN_TREE)
+        tree["pkg/core.py"] = (
+            "def run():\n    from pkg import orphan\n    return orphan\n"
+        )
+        tree["pkg/orphan.py"] = "VALUE = 1\n"
+        graph = build_import_graph(make_tree(tmp_path, tree))
+        assert check_reachability(graph, REACHABILITY, {}) == []
+
+    def test_package_without_a_root_is_not_checked(self, tmp_path):
+        graph = build_import_graph(make_tree(tmp_path, ORPHAN_TREE))
+        other = LayerContract(
+            rules=(), fingerprint_exempt=(), reachability_roots=("repro.cli",)
+        )
+        assert check_reachability(graph, other, {}) == []
+
+
 class TestContractFile:
     def test_real_contract_loads(self):
         contract = load_contract()
         codes = {rule.code for rule in contract.rules}
         assert codes == {"L001", "L002", "L003", "L004"}
         assert "repro.obs" in contract.fingerprint_exempt
+        assert contract.reachability_roots == (
+            "repro.cli", "repro.__main__", "repro.lint.__main__"
+        )
+
+    def test_console_script_is_a_reachability_root(self):
+        tomllib = pytest.importorskip("tomllib")  # absent on Python 3.10
+        pyproject = Path(__file__).resolve().parents[2] / "pyproject.toml"
+        scripts = tomllib.loads(pyproject.read_text(encoding="utf-8"))[
+            "project"
+        ]["scripts"]
+        targets = {target.partition(":")[0] for target in scripts.values()}
+        assert targets <= set(load_contract().reachability_roots)
 
     def test_minimal_parser_agrees_with_tomllib(self):
         tomllib = pytest.importorskip("tomllib")  # absent on Python 3.10
@@ -136,4 +201,8 @@ class TestContractFile:
         assert (
             tuple(payload["fingerprint"]["exempt"])
             == contract.fingerprint_exempt
+        )
+        assert (
+            tuple(payload["reachability"]["roots"])
+            == contract.reachability_roots
         )

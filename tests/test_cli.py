@@ -17,7 +17,10 @@ class TestParser:
 
     @pytest.mark.parametrize(
         "command",
-        ["study", "testbed", "tickets", "throughput", "availability", "theorem"],
+        [
+            "study", "testbed", "tickets", "throughput", "availability",
+            "theorem", "drill", "allocators",
+        ],
     )
     def test_known_commands_parse(self, command):
         args = build_parser().parse_args([command])
@@ -55,6 +58,19 @@ class TestCommands:
     def test_availability_small(self, capsys):
         assert main(["availability", "--cables", "2", "--years", "0.1"]) == 0
         assert "binary failures" in capsys.readouterr().out
+
+    def test_drill(self, capsys):
+        assert main(["drill", "--offered-gbps", "1500"]) == 0
+        out = capsys.readouterr().out
+        assert "28 links, 14 cables, 110 demands" in out
+        assert "worst binary loss" in out
+
+    def test_allocators_small(self, capsys):
+        argv = ["allocators", "--offered-gbps", "2000", "--sparsity", "0.95"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "every allocator valid on G' unmodified: True" in out
+        assert "path k=8" in out
 
 
 class TestGlobalFlags:
@@ -133,6 +149,26 @@ class TestSweepCommands:
         assert "2 fresh" in capsys.readouterr().out
         assert main(["sweep", "run", str(spec)]) == 0
         assert "2 reused" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "experiment, params",
+        [
+            ("drill", {"offered_gbps": 1500.0}),
+            ("allocators", {"offered_gbps": 2000.0, "sparsity": 0.95}),
+        ],
+    )
+    def test_sweep_runs_the_routed_experiments(
+        self, tmp_path, capsys, experiment, params
+    ):
+        import json
+
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps({
+            "name": "r", "experiment": experiment, "params": params,
+            "axes": {"seed": [1]},
+        }))
+        assert main(["sweep", "run", str(path), "--quiet"]) == 0
+        assert "1 fresh" in capsys.readouterr().out
 
     def test_list_and_show(self, tmp_path, capsys):
         main(["sweep", "run", str(self.write_spec(tmp_path))])
