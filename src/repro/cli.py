@@ -1,27 +1,19 @@
 """Command-line interface: ``python -m repro <command>`` or ``repro``.
 
-Experiment subcommands are thin wrappers over the experiment registry
-(:mod:`repro.experiments`): each one builds a
-:class:`~repro.experiments.spec.ScenarioSpec` from its flags, executes it
-with :func:`~repro.experiments.registry.run_spec` and prints the experiment's
-canonical rendering — exactly what a sweep artifact would replay:
-
-* ``study``        — the Section-2 telemetry study (Figures 2a/2b/4c);
-* ``testbed``      — the BVT modulation-change experiment (Figure 6b);
-* ``tickets``      — root-cause shares of the ticket corpus (Figure 4a/4b);
-* ``throughput``   — static vs. dynamic TE sweep;
-* ``availability`` — binary failures vs. dynamic flaps;
-* ``theorem``      — the Theorem-1 equivalence check on a random WAN;
-* ``reactive``     — reaction-lag replay (scheduled/reactive/proactive);
-* ``whatif``       — ticket-corpus what-if replay (binary vs dynamic);
-* ``drill``        — cable drill on Abilene: each cable failed vs flapped;
-* ``allocators``   — Section 4's SWAN, B4, CSPF and path LP on the
-  augmented graph G', plus the Figure-8 gadget;
-* ``chaos``        — fault-injection intensity sweep asserting the
-  hardened controller's invariants (exit 1 on any violation);
-  ``chaos --crash`` instead crashes the controller at every
-  (round, seam) point and asserts journal recovery is byte-identical
-  to an uninterrupted run.
+Every experiment in :mod:`repro.experiments.registry` is a subcommand
+built from its registration (``repro --help`` lists their
+descriptions): one ``--param-name`` flag per entry of its ``defaults``,
+typed by the default and limited to its ``choices``.  Only the flags
+given go into the :class:`~repro.experiments.spec.ScenarioSpec`, which
+:func:`~repro.experiments.registry.run_spec` executes; the command
+prints the experiment's canonical rendering — exactly what a sweep
+artifact would replay — and exits 1 when the experiment's ``ok``
+verdict is false.  ``chaos`` sweeps the ``chaos`` experiment over an
+intensity grid and asserts the hardened controller's invariants (exit
+1 on any violation); ``chaos --crash`` instead crashes the controller
+at every (round, seam) point and asserts journal recovery is
+byte-identical to an uninterrupted run.  ``repro lint ARGS`` hands ARGS
+to :mod:`repro.lint.cli` as they are.
 
 ``sweep`` drives grids of those experiments::
 
@@ -31,23 +23,21 @@ canonical rendering — exactly what a sweep artifact would replay:
     repro sweep resume quick-1a2b3c4d            # finish a killed run
     repro sweep compare RUN [RUN_B]              # vs paper, or run vs run
 
-Global flags (``--workers``, ``--no-cache``, ``--bench-json``,
-``--trace``, ``--journal``) are accepted both before and after the
-subcommand.  ``--workers N`` spreads work over N processes (also the
+Global flags (``--workers``, ``--no-cache``, ``--trace``,
+``--journal``) are accepted both before and after the subcommand.
+``--workers N`` spreads work over N processes (also the
 ``REPRO_WORKERS`` env var); ``--no-cache`` bypasses the on-disk summary
 cache (``REPRO_CACHE_DIR``), never the in-memory TE solve cache
-(:mod:`repro.te.incremental`), which is always on;
-``--bench-json PATH`` writes the run's timing report (:func:`repro.obs.metrics.collect`)
-to a machine-readable JSON file; ``--journal DIR`` journals controller
-state durably under DIR (:mod:`repro.recovery`) so a crashed run
-resumes instead of restarting — results are byte-identical either way;
-``--trace DIR`` (also the
-``REPRO_TRACE`` env var) records the run under a
-:class:`~repro.obs.trace.Tracer` and writes ``trace.json`` /
-``span_tree.json`` / ``events.jsonl`` / ``metrics.prom`` into DIR —
-results are byte-identical with tracing on or off.  Sweep runs live
-under ``REPRO_SWEEP_DIR`` (default ``~/.cache/repro/sweeps``); sweep
-progress goes to stderr (silence it with ``--quiet``).
+(:mod:`repro.te.incremental`), which is always on; ``--journal DIR``
+journals controller state durably under DIR (:mod:`repro.recovery`) so
+a crashed run resumes instead of restarting — results are
+byte-identical either way; ``--trace DIR`` (also the ``REPRO_TRACE``
+env var) records the run under a :class:`~repro.obs.trace.Tracer` and
+writes ``trace.json`` / ``span_tree.json`` / ``events.jsonl`` /
+``metrics.prom`` into DIR — results are byte-identical with tracing on
+or off.  Sweep runs live under ``REPRO_SWEEP_DIR`` (default
+``~/.cache/repro/sweeps``); sweep progress goes to stderr (silence it
+with ``--quiet``).
 """
 
 from __future__ import annotations
@@ -80,74 +70,56 @@ def _context(args: argparse.Namespace) -> "Any":
     )
 
 
-def _run_and_render(args: argparse.Namespace, name: str, **params: Any) -> int:
-    """The shared experiment-subcommand body: spec -> run -> print."""
-    from repro.experiments.registry import render_result, run_spec
+def _param_flags(
+    parser: argparse.ArgumentParser, experiment: Any, *, skip: tuple[str, ...] = ()
+) -> None:
+    """One ``--param-name`` flag per entry of ``experiment.defaults``.
+
+    The flag's type comes from the default (a tuple default takes one or
+    more values) and its allowed values from ``experiment.choices``.  Its
+    default is suppressed, so only the flags given reach the spec and the
+    registry stays the one place a default is stated.
+    """
+    choices = dict(experiment.choices)
+    for name, default in experiment.defaults:
+        if name in skip:
+            continue
+        many = isinstance(default, tuple)
+        parser.add_argument(
+            "--" + name.replace("_", "-"),
+            dest=name,
+            type=type(default[0] if many else default),
+            nargs="+" if many else None,
+            choices=choices.get(name),
+            default=argparse.SUPPRESS,
+            help=f"default: {' '.join(map(str, default)) if many else default}",
+        )
+
+
+def _params(args: argparse.Namespace, experiment: Any) -> dict[str, Any]:
+    """The experiment parameters given on the command line."""
+    return {
+        name: getattr(args, name)
+        for name, _ in experiment.defaults
+        if hasattr(args, name)
+    }
+
+
+def _cmd_experiment(args: argparse.Namespace) -> int:
+    """Every registered experiment's command: spec -> run -> print."""
+    from repro.experiments.registry import get_experiment, render_result, run_spec
     from repro.experiments.spec import ScenarioSpec
 
-    spec = ScenarioSpec.create(f"cli/{name}", name, **params)
-    result = run_spec(spec, _context(args))
-    print(render_result(name, result))
-    return 0
-
-
-def _cmd_study(args: argparse.Namespace) -> int:
-    return _run_and_render(
-        args, "study", cables=args.cables, years=args.years, seed=args.seed
-    )
-
-
-def _cmd_testbed(args: argparse.Namespace) -> int:
-    return _run_and_render(args, "testbed", changes=args.changes, seed=args.seed)
-
-
-def _cmd_tickets(args: argparse.Namespace) -> int:
-    return _run_and_render(args, "tickets", seed=args.seed)
-
-
-def _cmd_throughput(args: argparse.Namespace) -> int:
-    return _run_and_render(
-        args,
-        "throughput",
-        offered_gbps=args.offered_gbps,
-        snr_db=args.snr_db,
-        scales=tuple(args.scales),
-        seed=args.seed,
-    )
-
-
-def _cmd_availability(args: argparse.Namespace) -> int:
-    return _run_and_render(
-        args, "availability", cables=args.cables, years=args.years, seed=args.seed
-    )
-
-
-def _cmd_theorem(args: argparse.Namespace) -> int:
-    from repro.experiments.registry import render_result, run_spec
-    from repro.experiments.spec import ScenarioSpec
-
+    experiment = get_experiment(args.command)
     spec = ScenarioSpec.create(
-        "cli/theorem", "theorem",
-        nodes=args.nodes, penalty=args.penalty, seed=args.seed,
+        f"cli/{experiment.name}", experiment.name, **_params(args, experiment)
     )
     result = run_spec(spec, _context(args))
-    print(render_result("theorem", result))
-    return 0 if result["holds"] else 1
+    print(render_result(experiment.name, result))
+    return 0 if experiment.ok(result) else 1
 
 
-def _cmd_reactive(args: argparse.Namespace) -> int:
-    return _run_and_render(
-        args,
-        "reactive",
-        days=args.days,
-        mode=args.mode,
-        policy=args.policy,
-        seed=args.seed,
-        te_interval_h=args.te_interval_h,
-    )
-
-
-def _cmd_chaos_crash(args: argparse.Namespace) -> int:
+def _cmd_chaos_crash(args: argparse.Namespace, params: dict[str, Any]) -> int:
     """Crash-equivalence sweep: crash, recover, byte-diff vs reference.
 
     Exit status 0 means every (round, seam) point's crash fault fired,
@@ -168,10 +140,7 @@ def _cmd_chaos_crash(args: argparse.Namespace) -> int:
             args.crash_rounds,
             args.seams,
             journal_root=journal_root,
-            days=args.days,
-            policy=args.policy,
-            seed=args.seed,
-            te_interval_h=args.te_interval_h,
+            **params,
         )
     for point in points:
         print(
@@ -199,20 +168,19 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     and asserts journal recovery is byte-identical to an uninterrupted
     run.
     """
+    from repro.experiments.registry import get_experiment, resolve_params
+    from repro.experiments.spec import ScenarioSpec
     from repro.faults.chaos import chaos_verdicts, run_chaos_point
 
+    given = _params(args, get_experiment("chaos"))
+    params = resolve_params(ScenarioSpec.create("cli/chaos", "chaos", **given))
+    del params["intensity"]  # the --intensities grid replaces it
     if args.crash:
-        return _cmd_chaos_crash(args)
+        del params["retries"]
+        return _cmd_chaos_crash(args, params)
     points = []
     for intensity in args.intensities:
-        point = run_chaos_point(
-            days=args.days,
-            intensity=intensity,
-            policy=args.policy,
-            seed=args.seed,
-            te_interval_h=args.te_interval_h,
-            retries=args.retries,
-        )
+        point = run_chaos_point(intensity=intensity, **params)
         points.append(point)
         counts = ", ".join(
             f"{k}={v}" for k, v in sorted(point["fault_counts"].items())
@@ -236,56 +204,11 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_whatif(args: argparse.Namespace) -> int:
-    return _run_and_render(
-        args,
-        "whatif",
-        tickets=args.tickets,
-        months=args.months,
-        offered_gbps=args.offered_gbps,
-        fallback_gbps=args.fallback_gbps,
-        seed=args.seed,
-    )
-
-
-def _cmd_drill(args: argparse.Namespace) -> int:
-    return _run_and_render(
-        args,
-        "drill",
-        offered_gbps=args.offered_gbps,
-        fallback_gbps=args.fallback_gbps,
-        seed=args.seed,
-    )
-
-
-def _cmd_allocators(args: argparse.Namespace) -> int:
-    return _run_and_render(
-        args,
-        "allocators",
-        offered_gbps=args.offered_gbps,
-        sparsity=args.sparsity,
-        seed=args.seed,
-    )
-
-
 def _cmd_lint(args: argparse.Namespace) -> int:
-    """`repro lint` — delegate to the analyzer's own front end."""
+    """`repro lint ARGS` — ARGS go to the analyzer's own front end."""
     from repro.lint.cli import main as lint_main
 
-    argv: list[str] = list(args.lint_paths)
-    if args.explain:
-        argv = ["--explain", args.explain]
-    if args.strict:
-        argv.append("--strict")
-    if args.lint_format != "text":
-        argv.extend(["--format", args.lint_format])
-    if args.baseline != "lint-baseline.json":
-        argv.extend(["--baseline", args.baseline])
-    if args.write_baseline:
-        argv.append("--write-baseline")
-    if args.no_cache:
-        argv.append("--no-cache")
-    return lint_main(argv)
+    return lint_main([*args.lint_argv, *(["--no-cache"] if args.no_cache else [])])
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
@@ -454,10 +377,6 @@ def _global_flags(parser: argparse.ArgumentParser, *, suppress: bool) -> None:
         help="bypass the on-disk summary cache (see REPRO_CACHE_DIR)",
     )
     parser.add_argument(
-        "--bench-json", type=str, metavar="PATH", default=default(""),
-        help="write the run's timing report (BENCH.json schema) to PATH",
-    )
-    parser.add_argument(
         "--trace", type=str, metavar="DIR", default=default(""),
         help=(
             "record the run with repro.obs and write trace.json / "
@@ -475,6 +394,9 @@ def _global_flags(parser: argparse.ArgumentParser, *, suppress: bool) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.experiments.registry import experiment_names, get_experiment
+    from repro.faults.spec import CRASH_SEAMS
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description=(
@@ -489,79 +411,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    study = sub.add_parser(
-        "study", parents=[shared], help="Section-2 telemetry study"
-    )
-    study.add_argument("--cables", type=int, default=14)
-    study.add_argument("--years", type=float, default=1.0)
-    study.add_argument("--seed", type=int, default=2017)
-    study.set_defaults(handler=_cmd_study)
-
-    testbed = sub.add_parser(
-        "testbed", parents=[shared], help="Figure-6b BVT experiment"
-    )
-    testbed.add_argument("--changes", type=int, default=200)
-    testbed.add_argument("--seed", type=int, default=68)
-    testbed.set_defaults(handler=_cmd_testbed)
-
-    tickets = sub.add_parser(
-        "tickets", parents=[shared], help="Figure-4 root-cause shares"
-    )
-    tickets.add_argument("--seed", type=int, default=2017)
-    tickets.set_defaults(handler=_cmd_tickets)
-
-    throughput = sub.add_parser(
-        "throughput", parents=[shared], help="static vs dynamic TE sweep"
-    )
-    throughput.add_argument("--offered-gbps", type=float, default=6000.0)
-    throughput.add_argument("--snr-db", type=float, default=16.0)
-    throughput.add_argument("--scales", type=float, nargs="+",
-                            default=[0.5, 1.0, 2.0])
-    throughput.add_argument("--seed", type=int, default=1)
-    throughput.set_defaults(handler=_cmd_throughput)
-
-    availability = sub.add_parser(
-        "availability", parents=[shared], help="failures vs flaps"
-    )
-    availability.add_argument("--cables", type=int, default=10)
-    availability.add_argument("--years", type=float, default=1.0)
-    availability.add_argument("--seed", type=int, default=42)
-    availability.set_defaults(handler=_cmd_availability)
-
-    theorem = sub.add_parser(
-        "theorem", parents=[shared], help="Theorem-1 equivalence check"
-    )
-    theorem.add_argument("--nodes", type=int, default=8)
-    theorem.add_argument("--penalty", type=float, default=100.0)
-    theorem.add_argument("--seed", type=int, default=0)
-    theorem.set_defaults(handler=_cmd_theorem)
-
-    reactive = sub.add_parser(
-        "reactive", parents=[shared], help="reaction-lag replay"
-    )
-    reactive.add_argument("--days", type=float, default=2.0)
-    reactive.add_argument("--mode", type=str, default="reactive",
-                          choices=["scheduled", "reactive", "proactive"])
-    reactive.add_argument("--policy", type=str, default="run",
-                          choices=["run", "walk", "crawl"])
-    reactive.add_argument("--seed", type=int, default=1)
-    reactive.add_argument("--te-interval-h", type=float, default=4.0)
-    reactive.set_defaults(handler=_cmd_reactive)
+    for name in experiment_names():
+        if name == "chaos":
+            continue
+        experiment = get_experiment(name)
+        command = sub.add_parser(
+            name,
+            parents=[shared],
+            help=experiment.description,
+            description=experiment.description,
+        )
+        _param_flags(command, experiment)
+        command.set_defaults(handler=_cmd_experiment)
 
     chaos = sub.add_parser(
         "chaos", parents=[shared],
         help="fault-injection sweep asserting the hardening invariants",
     )
-    chaos.add_argument("--days", type=float, default=1.0)
+    _param_flags(chaos, get_experiment("chaos"), skip=("intensity",))
     chaos.add_argument("--intensities", type=float, nargs="+",
                        default=[0.0, 0.5, 1.0, 2.0],
                        help="fault-plan intensity grid (0 = no faults)")
-    chaos.add_argument("--policy", type=str, default="run",
-                       choices=["run", "walk", "crawl"])
-    chaos.add_argument("--seed", type=int, default=7)
-    chaos.add_argument("--te-interval-h", type=float, default=4.0)
-    chaos.add_argument("--retries", type=int, default=3,
-                       help="retry budget for BVT/TE failures (0 = fail fast)")
     chaos.add_argument("--crash", action="store_true",
                        help=(
                            "crash-equivalence mode: crash the controller at "
@@ -570,9 +440,8 @@ def build_parser() -> argparse.ArgumentParser:
                        ))
     chaos.add_argument("--crash-rounds", type=int, nargs="+", default=[0, 2, 5],
                        help="rounds to crash at (with --crash)")
-    chaos.add_argument("--seams", type=str, nargs="+",
-                       default=["pre-commit", "post-commit", "mid-write"],
-                       choices=["pre-commit", "post-commit", "mid-write"],
+    chaos.add_argument("--seams", type=str, nargs="+", default=list(CRASH_SEAMS),
+                       choices=CRASH_SEAMS,
                        help="crash seams to exercise (with --crash)")
     chaos.add_argument("--journal-root", type=str, default="",
                        help=(
@@ -581,58 +450,11 @@ def build_parser() -> argparse.ArgumentParser:
                        ))
     chaos.set_defaults(handler=_cmd_chaos)
 
-    whatif = sub.add_parser(
-        "whatif", parents=[shared], help="ticket-corpus what-if replay"
-    )
-    whatif.add_argument("--tickets", type=int, default=40)
-    whatif.add_argument("--months", type=float, default=7.0)
-    whatif.add_argument("--offered-gbps", type=float, default=300.0)
-    whatif.add_argument("--fallback-gbps", type=float, default=50.0)
-    whatif.add_argument("--seed", type=int, default=2017)
-    whatif.set_defaults(handler=_cmd_whatif)
-
-    drill = sub.add_parser(
-        "drill", parents=[shared], help="cable drill: failed vs flapped"
-    )
-    drill.add_argument("--offered-gbps", type=float, default=2500.0)
-    drill.add_argument("--fallback-gbps", type=float, default=50.0)
-    drill.add_argument("--seed", type=int, default=0)
-    drill.set_defaults(handler=_cmd_drill)
-
-    allocators = sub.add_parser(
-        "allocators", parents=[shared], help="Section-4 TE allocators on G'"
-    )
-    allocators.add_argument("--offered-gbps", type=float, default=8000.0)
-    allocators.add_argument("--sparsity", type=float, default=0.5)
-    allocators.add_argument("--seed", type=int, default=9)
-    allocators.set_defaults(handler=_cmd_allocators)
-
+    # no flags of its own: the arguments after ``lint`` are forwarded
     lint = sub.add_parser(
-        "lint",
-        parents=[shared],
-        help="determinism & layering static analysis (repro.lint)",
-        description=(
-            "AST + import-graph analysis proving the determinism "
-            "contract: wall-clock/randomness/ordering/canonical-JSON "
-            "rules, layering (layers.toml), fingerprint closures, "
-            "trace-name catalog.  Exit 0 clean, 1 findings, 2 usage "
-            "error."
-        ),
+        "lint", parents=[shared], add_help=False,
+        help="determinism & layering static analysis (see repro lint --help)",
     )
-    lint.add_argument(
-        "lint_paths", nargs="*", metavar="PATH", default=["src"],
-        help="files or directories to lint (default: src)",
-    )
-    lint.add_argument("--strict", action="store_true",
-                      help="also fail on stale baseline entries and dead pragmas")
-    lint.add_argument("--format", dest="lint_format",
-                      choices=["text", "json"], default="text")
-    lint.add_argument("--baseline", default="lint-baseline.json",
-                      metavar="PATH", help="burn-down baseline file")
-    lint.add_argument("--write-baseline", action="store_true",
-                      help="rewrite the baseline from current findings")
-    lint.add_argument("--explain", metavar="CODE",
-                      help="print one rule's rationale and fix, then exit")
     lint.set_defaults(handler=_cmd_lint)
 
     export = sub.add_parser(
@@ -658,27 +480,26 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser("sweep", help="declarative experiment sweeps")
     sweep_sub = sweep.add_subparsers(dest="sweep_command", required=True)
 
+    executing = argparse.ArgumentParser(add_help=False, parents=[shared])
+    executing.add_argument("--max-runs", type=int, default=None, metavar="N",
+                           help="execute at most N fresh points, defer the rest")
+    executing.add_argument("--quiet", action="store_true",
+                           help="suppress per-point progress (stderr)")
+
     sweep_run = sweep_sub.add_parser(
-        "run", parents=[shared], help="execute (or resume) a sweep spec file"
+        "run", parents=[executing], help="execute (or resume) a sweep spec file"
     )
     sweep_run.add_argument("specfile", type=str,
                            help="sweep definition (.toml or .json)")
     sweep_run.add_argument("--out", type=str, default="",
                            help="run directory (default: under the sweep root)")
-    sweep_run.add_argument("--max-runs", type=int, default=None, metavar="N",
-                           help="execute at most N fresh points, defer the rest")
-    sweep_run.add_argument("--quiet", action="store_true",
-                           help="suppress per-point progress (stderr)")
     sweep_run.set_defaults(handler=_cmd_sweep_run)
 
     sweep_resume = sweep_sub.add_parser(
-        "resume", parents=[shared], help="finish a killed or capped run"
+        "resume", parents=[executing], help="finish a killed or capped run"
     )
     sweep_resume.add_argument("run", type=str,
                               help="run directory path or name under the root")
-    sweep_resume.add_argument("--max-runs", type=int, default=None, metavar="N")
-    sweep_resume.add_argument("--quiet", action="store_true",
-                              help="suppress per-point progress (stderr)")
     sweep_resume.set_defaults(handler=_cmd_sweep_resume)
 
     sweep_list = sweep_sub.add_parser(
@@ -711,30 +532,27 @@ def _trace_dir(args: argparse.Namespace) -> str:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args, rest = parser.parse_known_args(argv)
+    if args.command == "lint":
+        args.lint_argv = rest
+    elif rest:
+        parser.error(f"unrecognized arguments: {' '.join(rest)}")
     trace_dir = _trace_dir(args)
-    if trace_dir:
-        from repro.obs import metrics
-        from repro.obs.export import export_run, run_summary
-        from repro.obs.trace import Tracer, tracing
+    if not trace_dir:
+        return args.handler(args)
+    from repro.obs import metrics
+    from repro.obs.export import export_run, run_summary
+    from repro.obs.trace import Tracer, tracing
 
-        tracer = Tracer()
-        with tracing(tracer):
-            status = args.handler(args)
-        registry = metrics.current()
-        paths = export_run(trace_dir, tracer, registry)
-        print(run_summary(tracer, registry), file=sys.stderr)
-        for path in sorted(paths.values()):
-            print(f"wrote {path}", file=sys.stderr)
-    else:
+    tracer = Tracer()
+    with tracing(tracer):
         status = args.handler(args)
-    if args.bench_json:
-        from repro.obs import metrics
-
-        path = metrics.write_bench(
-            args.bench_json, extra={"command": args.command}
-        )
-        print(f"wrote {path}")
+    registry = metrics.current()
+    paths = export_run(trace_dir, tracer, registry)
+    print(run_summary(tracer, registry), file=sys.stderr)
+    for path in sorted(paths.values()):
+        print(f"wrote {path}", file=sys.stderr)
     return status
 
 

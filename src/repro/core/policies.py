@@ -87,3 +87,8 @@ def walk_policy(
 def crawl_policy(table: ModulationTable = DEFAULT_MODULATIONS) -> AdaptationPolicy:
     """No upgrades; downgrades replace failures (today's network + flaps)."""
     return AdaptationPolicy("crawl", allow_upgrades=False, table=table)
+
+
+#: the three named operating points by name (the ``policy`` choices of
+#: the ``reactive`` and ``chaos`` experiments)
+POLICIES = {"run": run_policy, "walk": walk_policy, "crawl": crawl_policy}

@@ -6,10 +6,14 @@ Every headline experiment of the reproduction — the ones `cli.py` and
 addressable:
 
 * ``defaults`` — the full parameter set, so a spec only has to name
-  what it changes;
+  what it changes (``repro <name>`` has one ``--flag`` per entry);
+* ``choices`` — the allowed values of the parameters that name one of
+  a fixed set, checked by :func:`resolve_params` before anything runs;
 * ``render`` — the human-readable text the CLI prints, derived from the
   metrics dict alone (so ``repro sweep show`` can re-render an artifact
-  years later without re-running anything).
+  years later without re-running anything);
+* ``ok`` — the run's verdict, ``repro <name>``'s exit status (0 when
+  true).
 
 Every artifact key also hashes the source of this module's static
 import closure (:func:`code_fingerprint`), so editing any code an
@@ -30,6 +34,7 @@ from typing import Any, Callable, Mapping
 
 import numpy as np
 
+from repro.core.policies import POLICIES
 from repro.experiments.spec import ScenarioSpec
 from repro.fingerprint import fingerprint_modules, import_closure
 from repro.seeds import component_rng
@@ -59,6 +64,9 @@ class Experiment:
     run: Callable[..., dict[str, Any]]
     defaults: tuple[tuple[str, Any], ...]
     render: Callable[[dict[str, Any]], str]
+    #: ``(parameter, allowed values)`` pairs
+    choices: tuple[tuple[str, tuple[Any, ...]], ...] = ()
+    ok: Callable[[Mapping[str, Any]], bool] = lambda metrics: True
 
     def defaults_dict(self) -> dict[str, Any]:
         return dict(self.defaults)
@@ -87,7 +95,11 @@ def experiment_names() -> tuple[str, ...]:
 
 
 def resolve_params(spec: ScenarioSpec) -> dict[str, Any]:
-    """Merge the experiment's defaults with the spec's overrides."""
+    """Merge the experiment's defaults with the spec's overrides.
+
+    Raises ``KeyError`` for a parameter the experiment does not have and
+    ``ValueError`` for a value outside the parameter's ``choices``.
+    """
     experiment = get_experiment(spec.experiment)
     defaults = experiment.defaults_dict()
     params = spec.params_dict()
@@ -98,6 +110,12 @@ def resolve_params(spec: ScenarioSpec) -> dict[str, Any]:
             f"{sorted(unknown)} for experiment {spec.experiment!r} "
             f"(valid: {sorted(defaults)})"
         )
+    for name, allowed in experiment.choices:
+        if name in params and params[name] not in allowed:
+            raise ValueError(
+                f"spec {spec.name!r} sets unknown {name} {params[name]!r} "
+                f"for experiment {spec.experiment!r} (valid: {list(allowed)})"
+            )
     defaults.update(params)
     return defaults
 
@@ -447,6 +465,7 @@ register(
         run=_run_theorem,
         defaults=(("nodes", 8), ("penalty", 100.0), ("seed", 0)),
         render=_render_theorem,
+        ok=lambda m: bool(m["holds"]),
     )
 )
 
@@ -730,10 +749,6 @@ register(
 )
 
 
-_POLICIES = ("run", "walk", "crawl")
-_MODES = ("scheduled", "reactive", "proactive")
-
-
 def _run_reactive(
     ctx: ExecutionContext,
     *,
@@ -749,7 +764,6 @@ def _run_reactive(
 ) -> dict[str, Any]:
     """Reaction-lag replay on a 3-node line with one mid-horizon dip."""
     from repro.core.controller import DynamicCapacityController
-    from repro.core.policies import crawl_policy, run_policy, walk_policy
     from repro.net.demands import gravity_demands
     from repro.net.topologies import line_topology
     from repro.optics.impairments import AmplifierDegradation
@@ -757,10 +771,6 @@ def _run_reactive(
     from repro.telemetry.timebase import Timebase
     from repro.telemetry.traces import NoiseModel, synthesize_cable_traces
 
-    if mode not in _MODES:
-        raise ValueError(f"unknown mode {mode!r} (valid: {_MODES})")
-    if policy not in _POLICIES:
-        raise ValueError(f"unknown policy {policy!r} (valid: {_POLICIES})")
     topology = line_topology(3)
     timebase = Timebase.from_duration(days=days)
     link_ids = [l.link_id for l in topology.real_links()]
@@ -783,8 +793,9 @@ def _run_reactive(
     demands = gravity_demands(
         topology, offered_gbps, component_rng(seed, "reactive.demands")
     )
-    policy_fn = {"run": run_policy, "walk": walk_policy, "crawl": crawl_policy}[policy]
-    controller = DynamicCapacityController(topology, policy=policy_fn(), seed=seed)
+    controller = DynamicCapacityController(
+        topology, policy=POLICIES[policy](), seed=seed
+    )
     result = reactive_replay(
         controller,
         dict(zip(link_ids, traces)),
@@ -817,27 +828,11 @@ def _render_reactive(m: Mapping[str, Any]) -> str:
     )
 
 
-def _run_chaos(
-    ctx: ExecutionContext,
-    *,
-    days: float,
-    intensity: float,
-    policy: str,
-    seed: int,
-    te_interval_h: float,
-    retries: int,
-) -> dict[str, Any]:
+def _run_chaos(ctx: ExecutionContext, **params: Any) -> dict[str, Any]:
     """One chaos point: paired fault-injected replays plus invariants."""
     from repro.faults.chaos import run_chaos_point
 
-    return run_chaos_point(
-        days=days,
-        intensity=intensity,
-        policy=policy,
-        seed=seed,
-        te_interval_h=te_interval_h,
-        retries=retries,
-    )
+    return run_chaos_point(**params)
 
 
 def _render_chaos(m: Mapping[str, Any]) -> str:
@@ -876,6 +871,7 @@ register(
             ("retries", 3),
         ),
         render=_render_chaos,
+        choices=(("policy", tuple(POLICIES)),),
     )
 )
 
@@ -897,5 +893,9 @@ register(
             ("dip_hours", 6.0),
         ),
         render=_render_reactive,
+        choices=(
+            ("mode", ("scheduled", "reactive", "proactive")),
+            ("policy", tuple(POLICIES)),
+        ),
     )
 )

@@ -170,13 +170,14 @@ def run_sweep(
     """
     if max_runs is not None and max_runs < 0:
         raise ValueError("max_runs must be non-negative")
+    # keying resolves every point's parameters: a bad one fails here,
+    # before the run directory exists or any point runs
+    keyed = [(spec, spec_key(spec)) for spec in sweep.expand()]
     context = context if context is not None else ExecutionContext()
     store = RunStore(run_dir if run_dir is not None else run_dir_for(sweep))
     store.initialise(sweep)
     say = progress if progress is not None else (lambda line: None)
 
-    specs = sweep.expand()
-    keyed = [(spec, spec_key(spec)) for spec in specs]
     n_total = len(keyed)
     records: list[RunRecord] = []
     todo: list[tuple[ScenarioSpec, str]] = []

@@ -25,7 +25,7 @@ on any violation, making the suite CI-runnable.
 from __future__ import annotations
 
 import json
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -77,6 +77,15 @@ def _chaos_inputs(days: float, seed: int) -> tuple[Any, dict[str, Any], list[Any
     return topology, traces_by_link, demands
 
 
+def _policy(name: str) -> Callable[..., Any]:
+    """The named run/walk/crawl policy factory, or ``ValueError``."""
+    from repro.core.policies import POLICIES
+
+    if name not in POLICIES:
+        raise ValueError(f"unknown policy {name!r} (valid: {tuple(POLICIES)})")
+    return POLICIES[name]
+
+
 def run_chaos_point(
     *,
     days: float = 1.0,
@@ -93,14 +102,11 @@ def run_chaos_point(
     anchor: it must match a plain replay bit for bit.
     """
     from repro.core.controller import DynamicCapacityController, RetryPolicy
-    from repro.core.policies import crawl_policy, run_policy, walk_policy
     from repro.faults.inject import FaultInjector
     from repro.faults.spec import FaultPlan
     from repro.sim.replay import replay_controller
 
-    policies = {"run": run_policy, "walk": walk_policy, "crawl": crawl_policy}
-    if policy not in policies:
-        raise ValueError(f"unknown policy {policy!r} (valid: {tuple(policies)})")
+    make_policy = _policy(policy)
 
     topology, traces_by_link, demands = _chaos_inputs(days, seed)
 
@@ -112,7 +118,7 @@ def run_chaos_point(
         )
         controller = DynamicCapacityController(
             topology,
-            policy=policies[policy](),
+            policy=make_policy(),
             seed=seed,
             retry=RetryPolicy(max_retries=retries) if retries > 0 else None,
             audit=True,
@@ -159,16 +165,6 @@ def run_chaos_point(
     }
 
 
-def run_chaos_sweep(
-    intensities: Sequence[float],
-    **point_kwargs: Any,
-) -> list[dict[str, Any]]:
-    """One :func:`run_chaos_point` per intensity, in the given order."""
-    return [
-        run_chaos_point(intensity=float(i), **point_kwargs) for i in intensities
-    ]
-
-
 def run_crash_point(
     *,
     crash_round: int,
@@ -191,20 +187,17 @@ def run_crash_point(
     metric arrays are byte-identical to the reference's.
     """
     from repro.core.controller import DynamicCapacityController
-    from repro.core.policies import crawl_policy, run_policy, walk_policy
     from repro.faults.spec import FaultPlan, FaultSpec
     from repro.recovery.journal import ControllerCrash
     from repro.sim.replay import ReplayResult, replay_controller
 
-    policies = {"run": run_policy, "walk": walk_policy, "crawl": crawl_policy}
-    if policy not in policies:
-        raise ValueError(f"unknown policy {policy!r} (valid: {tuple(policies)})")
+    make_policy = _policy(policy)
 
     topology, traces_by_link, demands = _chaos_inputs(days, seed)
 
     def fresh_controller() -> DynamicCapacityController:
         return DynamicCapacityController(
-            topology, policy=policies[policy](), seed=seed, audit=True
+            topology, policy=make_policy(), seed=seed, audit=True
         )
 
     def run(**kwargs: Any) -> ReplayResult:

@@ -40,6 +40,24 @@ class TestRegistry:
         with pytest.raises(KeyError, match="unknown parameter"):
             resolve_params(spec)
 
+    @pytest.mark.parametrize(
+        "experiment, param", [("reactive", "mode"), ("reactive", "policy"),
+                              ("chaos", "policy")],
+    )
+    def test_resolve_params_rejects_a_value_outside_choices(
+        self, experiment, param
+    ):
+        spec = ScenarioSpec.create("s", experiment, **{param: "bogus"})
+        with pytest.raises(ValueError, match=f"unknown {param} 'bogus'"):
+            resolve_params(spec)
+
+    def test_policy_choices_are_the_policy_map(self):
+        from repro.core.policies import POLICIES
+
+        for name in ("reactive", "chaos"):
+            choices = dict(get_experiment(name).choices)
+            assert choices["policy"] == tuple(POLICIES)
+
 
 class TestSpecKey:
     def test_defaults_spelled_out_share_key(self):

@@ -75,6 +75,14 @@ class TestRunSweep:
         assert len(lines) == 2
         assert all("ok" in line for line in lines)
 
+    def test_bad_choice_fails_before_any_point_runs(self, tmp_path):
+        sweep = Sweep.create(
+            "r", "reactive", params={"mode": "bogus"}, axes={"seed": [1, 2]}
+        )
+        with pytest.raises(ValueError, match="'scheduled', 'reactive', 'proactive'"):
+            run_sweep(sweep, tmp_path / "run", workers=1)
+        assert not (tmp_path / "run").exists()
+
     def test_failed_point_does_not_abort_sweep(self, tmp_path):
         # nodes=1 makes random_wan/theorem blow up; the other point runs
         sweep = Sweep.create("t", "theorem", axes={"nodes": [1, 5]})

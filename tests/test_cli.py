@@ -1,9 +1,43 @@
 """Tests for the command-line interface."""
 
+import dataclasses
+
 import pytest
 
 from repro.cli import build_parser, main
+from repro.experiments import registry
+from repro.experiments.registry import experiment_names, get_experiment
 from repro.recovery.journal import journal_exists
+
+#: every experiment with a generated command (``chaos`` is hand-built)
+GENERATED = [name for name in experiment_names() if name != "chaos"]
+
+
+class _Ran(Exception):
+    """Raised by a stand-in ``run_spec`` to hand back the spec it got."""
+
+
+@pytest.fixture
+def captured_spec(monkeypatch):
+    """Run ``main`` up to ``run_spec`` and return the spec it builds."""
+
+    def fake_run_spec(spec, context=None):
+        raise _Ran(spec)
+
+    monkeypatch.setattr(registry, "run_spec", fake_run_spec)
+
+    def capture(argv):
+        with pytest.raises(_Ran) as ran:
+            main(argv)
+        return ran.value.args[0]
+
+    return capture
+
+
+def _flag_argv(name, default):
+    """``--flag value...`` setting a parameter to its own default."""
+    values = default if isinstance(default, tuple) else (default,)
+    return ["--" + name.replace("_", "-"), *map(str, values)]
 
 
 class TestParser:
@@ -15,16 +49,115 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["frobnicate"])
 
-    @pytest.mark.parametrize(
-        "command",
-        [
-            "study", "testbed", "tickets", "throughput", "availability",
-            "theorem", "drill", "allocators",
-        ],
-    )
+    @pytest.mark.parametrize("command", experiment_names())
     def test_known_commands_parse(self, command):
         args = build_parser().parse_args([command])
         assert callable(args.handler)
+
+
+class TestGeneratedCommands:
+    """Experiment commands are built from the registry, nothing restated."""
+
+    @pytest.mark.parametrize("command", GENERATED)
+    def test_flagless_command_runs_the_registry_defaults(
+        self, command, captured_spec
+    ):
+        spec = captured_spec([command])
+        assert spec.experiment == command
+        assert spec.params == ()
+
+    @pytest.mark.parametrize("command", experiment_names())
+    def test_every_parameter_is_a_flag(self, command):
+        defaults = get_experiment(command).defaults_dict()
+        if command == "chaos":
+            del defaults["intensity"]  # the --intensities grid replaces it
+        argv = [command]
+        for name, default in defaults.items():
+            argv += _flag_argv(name, default)
+        args = build_parser().parse_args(argv)
+        for name, default in defaults.items():
+            given = getattr(args, name)
+            assert (tuple(given) if isinstance(default, tuple) else given) == default
+
+    def test_only_given_flags_reach_the_spec(self, captured_spec):
+        spec = captured_spec(["reactive", "--dip-db", "0", "--policy", "walk"])
+        assert spec.params_dict() == {"dip_db": 0.0, "policy": "walk"}
+
+    def test_registry_default_decides_what_runs(self, monkeypatch, capsys):
+        testbed = get_experiment("testbed")
+        monkeypatch.setitem(
+            registry._REGISTRY,
+            "testbed",
+            dataclasses.replace(testbed, defaults=(("changes", 7), ("seed", 68))),
+        )
+        assert main(["testbed"]) == 0
+        assert "7 modulation changes per procedure" in capsys.readouterr().out
+
+    def test_reactive_parameters_sweeps_could_already_set(self, capsys):
+        assert main(["reactive", "--dip-db", "0", "--days", "0.5"]) == 0
+        assert "rounds:" in capsys.readouterr().out
+
+    def test_bad_choice_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["reactive", "--mode", "bogus"])
+        assert exc.value.code == 2
+        assert "scheduled" in capsys.readouterr().err
+
+    def test_failed_verdict_exits_1(self, monkeypatch, capsys):
+        monkeypatch.setattr(
+            registry,
+            "run_spec",
+            lambda spec, context=None: {
+                "maxflow_on_full_g": 1.0,
+                "mcmf_on_augmented": 0.0,
+                "maxflow_on_static_g": 0.0,
+                "holds": False,
+            },
+        )
+        assert main(["theorem"]) == 1
+        assert "Theorem 1 holds: False" in capsys.readouterr().out
+
+
+class TestLintCommand:
+    """``repro lint ARGS`` hands ARGS to ``repro.lint.cli`` unchanged."""
+
+    def test_explain(self, capsys):
+        assert main(["lint", "--explain", "L005"]) == 0
+        assert capsys.readouterr().out.startswith("L005: ")
+
+    def test_explain_unknown_rule_is_a_usage_error(self, capsys):
+        assert main(["lint", "--explain", "ZZZ"]) == 2
+        assert "unknown rule code" in capsys.readouterr().err
+
+    def test_clean_file(self, tmp_path, capsys):
+        path = tmp_path / "clean.py"
+        path.write_text("def f(x):\n    return x + 1\n")
+        argv = ["lint", str(path), "--baseline", str(tmp_path / "none.json")]
+        assert main(argv) == 0
+        assert "0 finding(s) in 1 file(s)" in capsys.readouterr().out
+
+    def test_help_is_the_linters_own(self, capsys):
+        assert main(["lint", "--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: repro lint [-h] [--strict]")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--no-cache", "lint", "--strict"], ["lint", "--no-cache", "--strict"]],
+    )
+    def test_no_cache_in_either_position(self, argv, monkeypatch):
+        import repro.lint.cli
+
+        forwarded = []
+        monkeypatch.setattr(
+            repro.lint.cli, "main", lambda args: forwarded.append(args) or 0
+        )
+        assert main(argv) == 0
+        assert forwarded == [["--strict", "--no-cache"]]
+
+    def test_other_commands_reject_unknown_flags(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["tickets", "--strict"])
+        assert exc.value.code == 2
 
 
 class TestCommands:
