@@ -31,13 +31,15 @@ cache (``REPRO_CACHE_DIR``), never the in-memory TE solve cache
 (:mod:`repro.te.incremental`), which is always on; ``--journal DIR``
 journals controller state durably under DIR (:mod:`repro.recovery`) so
 a crashed run resumes instead of restarting — results are
-byte-identical either way; ``--trace DIR`` (also the ``REPRO_TRACE``
-env var) records the run under a :class:`~repro.obs.trace.Tracer` and
-writes ``trace.json`` / ``span_tree.json`` / ``events.jsonl`` /
-``metrics.prom`` into DIR — results are byte-identical with tracing on
-or off.  Sweep runs live under ``REPRO_SWEEP_DIR`` (default
-``~/.cache/repro/sweeps``); sweep progress goes to stderr (silence it
-with ``--quiet``).
+byte-identical either way — for the experiments in
+:data:`~repro.experiments.registry.JOURNALED` and sweeps of them (any
+other command exits 2 instead of ignoring it); ``--trace DIR`` (also
+the ``REPRO_TRACE`` env var) records the run under a
+:class:`~repro.obs.trace.Tracer` and writes ``trace.json`` /
+``span_tree.json`` / ``events.jsonl`` / ``metrics.prom`` into DIR —
+results are byte-identical with tracing on or off.  Sweep runs live
+under ``REPRO_SWEEP_DIR`` (default ``~/.cache/repro/sweeps``); sweep
+progress goes to stderr (silence it with ``--quiet``).
 """
 
 from __future__ import annotations
@@ -58,6 +60,27 @@ def _version() -> str:
         import repro
 
         return repro.__version__
+
+
+def _usage_error(message: str) -> int:
+    """A command-line mistake the parser cannot see: one line, exit 2."""
+    print(f"error: {message}", file=sys.stderr)
+    return 2
+
+
+def _journal_error(
+    args: argparse.Namespace, experiment: str, what: str
+) -> int | None:
+    """Exit 2 when ``--journal`` is given to ``what``, which runs
+    ``experiment`` (or is a command) that never journals."""
+    from repro.experiments.registry import JOURNALED
+
+    if not args.journal or experiment in JOURNALED:
+        return None
+    return _usage_error(
+        f"--journal: {what} does not journal "
+        f"(only `repro {' '.join(JOURNALED)}` and sweeps of it do)"
+    )
 
 
 def _context(args: argparse.Namespace) -> "Any":
@@ -211,15 +234,25 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     return lint_main([*args.lint_argv, *(["--no-cache"] if args.no_cache else [])])
 
 
-def _cmd_report(args: argparse.Namespace) -> int:
-    from repro.analysis.paper_report import ReportScale, build_report
+def _report_scale(args: argparse.Namespace) -> "Any":
+    """``ReportScale.quick()`` (``--full``: ``.paper()``) with the
+    ``--cables`` / ``--years`` / ``--seed`` given on top."""
+    from dataclasses import replace
 
-    scale = (
-        ReportScale.paper()
-        if args.full
-        else ReportScale(n_cables=args.cables, years=args.years, seed=args.seed)
-    )
-    text = build_report(scale)
+    from repro.analysis.paper_report import ReportScale
+
+    if getattr(args, "full", False):
+        return ReportScale.paper()
+    given = {
+        k: getattr(args, k) for k in ("n_cables", "years", "seed") if hasattr(args, k)
+    }
+    return replace(ReportScale.quick(), **given)
+
+
+def _cmd_report(args: argparse.Namespace) -> int:
+    from repro.analysis.paper_report import build_report
+
+    text = build_report(_report_scale(args))
     if args.output:
         from pathlib import Path
 
@@ -234,13 +267,14 @@ def _cmd_export(args: argparse.Namespace) -> int:
     from repro.analysis.export import export_all
     from repro.telemetry.dataset import BackboneConfig, BackboneDataset
 
+    scale = _report_scale(args)
     dataset = BackboneDataset(
-        BackboneConfig(n_cables=args.cables, years=args.years, seed=args.seed)
+        BackboneConfig(n_cables=scale.n_cables, years=scale.years, seed=scale.seed)
     )
-    print(f"synthesising {dataset.n_links()} links x {args.years} years...")
+    print(f"synthesising {dataset.n_links()} links x {scale.years} years...")
     summaries = dataset.summaries(workers=args.workers, cache=not args.no_cache)
     paths = export_all(
-        args.outdir, summaries, years=args.years, seed=args.seed
+        args.outdir, summaries, years=scale.years, seed=scale.seed
     )
     for path in paths:
         print(f"wrote {path}")
@@ -260,10 +294,22 @@ def _progress(args: argparse.Namespace) -> "Any":
 
 
 def _cmd_sweep_run(args: argparse.Namespace) -> int:
+    from repro.experiments.registry import resolve_params
     from repro.experiments.runner import run_sweep
     from repro.experiments.spec import load_sweep
 
-    sweep = load_sweep(args.specfile)
+    # a bad spec is a usage error, found before any point runs
+    try:
+        sweep = load_sweep(args.specfile)
+        for spec in sweep.expand():
+            resolve_params(spec)
+    except (KeyError, ValueError) as exc:
+        return _usage_error(f"sweep spec {args.specfile}: {exc.args[0]}")
+    refused = _journal_error(
+        args, sweep.experiment, f"a sweep of {sweep.experiment!r}"
+    )
+    if refused is not None:
+        return refused
     report = run_sweep(
         sweep,
         args.out or None,
@@ -278,10 +324,15 @@ def _cmd_sweep_run(args: argparse.Namespace) -> int:
 
 def _cmd_sweep_resume(args: argparse.Namespace) -> int:
     from repro.experiments.runner import resume_sweep
-    from repro.experiments.store import resolve_run_dir
+    from repro.experiments.store import RunStore, resolve_run_dir
 
+    run_dir = resolve_run_dir(args.run)
+    experiment = RunStore(run_dir).load_sweep().experiment
+    refused = _journal_error(args, experiment, f"a sweep of {experiment!r}")
+    if refused is not None:
+        return refused
     report = resume_sweep(
-        resolve_run_dir(args.run),
+        run_dir,
         workers=args.workers,
         context=_context(args),
         max_runs=args.max_runs,
@@ -388,7 +439,8 @@ def _global_flags(parser: argparse.ArgumentParser, *, suppress: bool) -> None:
         "--journal", type=str, metavar="DIR", default=default(""),
         help=(
             "journal controller state durably under DIR (repro.recovery); "
-            "a crashed run resumes from it, results are unchanged"
+            "a crashed run resumes from it, results are unchanged "
+            "(reactive runs and sweeps of them; other commands refuse it)"
         ),
     )
 
@@ -457,23 +509,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     lint.set_defaults(handler=_cmd_lint)
 
+    # the report/export data scale; an unset flag keeps ReportScale.quick()'s
+    scale = argparse.ArgumentParser(add_help=False)
+    scale.add_argument("--cables", dest="n_cables", type=int,
+                       default=argparse.SUPPRESS)
+    scale.add_argument("--years", type=float, default=argparse.SUPPRESS)
+    scale.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+
     export = sub.add_parser(
-        "export", parents=[shared], help="write per-figure CSV data"
+        "export", parents=[shared, scale], help="write per-figure CSV data"
     )
     export.add_argument("outdir", type=str)
-    export.add_argument("--cables", type=int, default=12)
-    export.add_argument("--years", type=float, default=1.0)
-    export.add_argument("--seed", type=int, default=2017)
     export.set_defaults(handler=_cmd_export)
 
     report = sub.add_parser(
-        "report", parents=[shared], help="full reproduction report"
+        "report", parents=[shared, scale], help="full reproduction report"
     )
     report.add_argument("--full", action="store_true",
                         help="paper scale (~2,000 links x 2.5 y; slow)")
-    report.add_argument("--cables", type=int, default=12)
-    report.add_argument("--years", type=float, default=1.0)
-    report.add_argument("--seed", type=int, default=2017)
     report.add_argument("--output", type=str, default="")
     report.set_defaults(handler=_cmd_report)
 
@@ -538,6 +591,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         args.lint_argv = rest
     elif rest:
         parser.error(f"unrecognized arguments: {' '.join(rest)}")
+    if args.command != "sweep" or args.sweep_command not in ("run", "resume"):
+        refused = _journal_error(args, args.command, f"repro {args.command}")
+        if refused is not None:
+            return refused
     trace_dir = _trace_dir(args)
     if not trace_dir:
         return args.handler(args)

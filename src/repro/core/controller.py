@@ -359,7 +359,7 @@ class DynamicCapacityController:
     def _commit(self, updates: Mapping[str, Mapping[str, Any]], label: str) -> None:
         """Publish one batch of per-link changes as a state transition."""
         if updates:
-            self.state_store.commit(self.state.evolve(updates, label=label))
+            self.state_store.commit(updates, label=label)
 
     # -- TE solve cache -------------------------------------------------------
 

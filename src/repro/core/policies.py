@@ -92,3 +92,8 @@ def crawl_policy(table: ModulationTable = DEFAULT_MODULATIONS) -> AdaptationPoli
 #: the three named operating points by name (the ``policy`` choices of
 #: the ``reactive`` and ``chaos`` experiments)
 POLICIES = {"run": run_policy, "walk": walk_policy, "crawl": crawl_policy}
+
+#: when the controller recomputes: on its schedule only, also on an SNR
+#: alarm, or also ahead of a predicted dip (:mod:`repro.sim.reactive`;
+#: the ``mode`` choices of the ``reactive`` experiment)
+REACTION_MODES = ("scheduled", "reactive", "proactive")

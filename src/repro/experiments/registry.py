@@ -34,7 +34,7 @@ from typing import Any, Callable, Mapping
 
 import numpy as np
 
-from repro.core.policies import POLICIES
+from repro.core.policies import POLICIES, REACTION_MODES
 from repro.experiments.spec import ScenarioSpec
 from repro.fingerprint import fingerprint_modules, import_closure
 from repro.seeds import component_rng
@@ -53,6 +53,11 @@ class ExecutionContext:
     #: way — a journaled run that crashes merely becomes *resumable* —
     #: so this too is a how-to-run knob, excluded from artifact keys
     journal_dir: str | None = None
+
+
+#: the experiments whose ``run`` journals into ``ExecutionContext.journal_dir``
+#: (``repro --journal DIR`` refuses every other command)
+JOURNALED = ("reactive",)
 
 
 @dataclass(frozen=True)
@@ -894,7 +899,7 @@ register(
         ),
         render=_render_reactive,
         choices=(
-            ("mode", ("scheduled", "reactive", "proactive")),
+            ("mode", REACTION_MODES),
             ("policy", tuple(POLICIES)),
         ),
     )

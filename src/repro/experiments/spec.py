@@ -215,6 +215,13 @@ class Sweep:
 
     @classmethod
     def from_payload(cls, payload: Mapping[str, Any]) -> "Sweep":
+        if "experiment" not in payload:
+            from repro.experiments.registry import experiment_names
+
+            raise KeyError(
+                f"sweep {payload.get('name')!r} names no experiment "
+                f"(known: {', '.join(experiment_names())})"
+            )
         return cls.create(
             name=str(payload["name"]),
             experiment=str(payload["experiment"]),

@@ -120,14 +120,10 @@ class FaultInjector:
             return
         label = f"sample:{index}"
         self.observed_states.commit(
-            self.observed_states.latest.evolve(
-                {l: {"snr_db": observed[l]} for l in diverged}, label=label
-            )
+            {l: {"snr_db": observed[l]} for l in diverged}, label=label
         )
         self.truth_states.commit(
-            self.truth_states.latest.evolve(
-                {l: {"snr_db": truth[l]} for l in diverged}, label=label
-            )
+            {l: {"snr_db": truth[l]} for l in diverged}, label=label
         )
 
     # -- telemetry seam -----------------------------------------------------

@@ -12,9 +12,9 @@ that survives a process death (``SIGKILL``) at any byte:
 * **Two record kinds.**  A ``transition`` frame carries one
   :class:`~repro.state.store.StateStore` commit: its version chain,
   label and ``updates``, the ``{link_id: {field: new value}}`` mapping
-  of :func:`~repro.state.delta.delta_updates` — only what changed,
-  with no before values (recovery never reads them).  A ``round``
-  frame carries the controller's round context, its
+  the commit applied — only what changed, with no before values
+  (recovery never reads them).  A ``round`` frame carries the
+  controller's round context, its
   :class:`ControllerReport` payload and the runtime snapshot (rng
   states, traffic, BVT rates).  The **round frame is the
   commit point**: recovery only accepts transitions that a later round
@@ -29,10 +29,7 @@ that survives a process death (``SIGKILL``) at any byte:
   to the previous, replaying more frames) and applies each committed
   frame's updates with :meth:`~repro.state.model.NetworkState.evolve`,
   the same function the live commit ran, so the recovered state equals
-  the live one by construction.  The typed-delta rows of
-  :meth:`StateJournal.iter_transitions` (the durable timeline) are
-  rebuilt by replaying from the oldest checkpoint and diffing each
-  state against its parent.  Frame offsets come from the bytes on
+  the live one by construction.  Frame offsets come from the bytes on
   disk (:func:`scan_frames`), never from re-encoding a record.
 
 Two failure models differ in what they need.  A process death needs
@@ -59,11 +56,10 @@ import os
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterator, Mapping
+from typing import Any, Mapping
 
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
-from repro.state.delta import StateDelta, delta_payload, delta_updates, diff
 from repro.state.model import NetworkState
 from repro.state.serialize import state_from_payload, state_to_payload
 
@@ -145,16 +141,6 @@ def scan_frames(raw: bytes) -> tuple[list[dict[str, Any]], list[int]]:
         offset = body_end + 1
         ends.append(offset)
     return records, ends
-
-
-def iter_frames(raw: bytes) -> tuple[list[dict[str, Any]], int]:
-    """Decode consecutive frames; returns ``(records, clean_length)``.
-
-    :func:`scan_frames` without the per-frame offsets: ``clean_length``
-    is the byte offset of the first damaged or incomplete frame.
-    """
-    records, ends = scan_frames(raw)
-    return records, ends[-1] if ends else 0
 
 
 # -- directory layout --------------------------------------------------
@@ -280,7 +266,7 @@ class StateJournal:
         version: int,
         parent: int | None,
         label: str,
-        deltas: list[StateDelta],
+        updates: Mapping[str, Mapping[str, Any]],
     ) -> None:
         """Journal one state commit (the :class:`StateStore` hook)."""
         frame = encode_frame(
@@ -289,7 +275,7 @@ class StateJournal:
                 "version": version,
                 "parent": parent,
                 "label": label,
-                "updates": delta_updates(deltas),
+                "updates": updates,
             }
         )
         self._append(frame, sync=self.fsync == "always")
@@ -343,41 +329,6 @@ class StateJournal:
             os.fsync(handle.fileno())
         os.replace(tmp, final)
 
-    # -- reading -------------------------------------------------------
-
-    def iter_transitions(self) -> Iterator[dict[str, Any]]:
-        """Every journaled transition, oldest first (timeline schema).
-
-        Frames hold updates, not deltas: the rows' typed deltas are
-        rebuilt by replaying the segments from the oldest checkpoint
-        and diffing each state against its parent, which gives the
-        rows the live :meth:`StateStore.commit` computed.  Reads the
-        segments straight off disk — flush the active one first so the
-        in-flight tail is visible.
-        """
-        if self._file is not None:
-            self._file.flush()
-        checkpoints = _indexed(self.directory, _CHECKPOINT_PREFIX, ".json")
-        payload = _load_checkpoint(checkpoints[0][1]) if checkpoints else None
-        if payload is None:
-            raise RecoveryError(
-                f"no readable oldest checkpoint in {self.directory}: "
-                "the timeline cannot be rebuilt"
-            )
-        state = state_from_payload(payload["state"])
-        for _, path in _indexed(self.directory, _SEGMENT_PREFIX, ".jsonl"):
-            records, _ = iter_frames(path.read_bytes())
-            for record in records:
-                if record.get("t") == "transition":
-                    child = _replay(state, record, path.name)
-                    yield {
-                        "version": record["version"],
-                        "parent": record["parent"],
-                        "label": record["label"],
-                        "deltas": [delta_payload(d) for d in diff(state, child)],
-                    }
-                    state = child
-
 
 # -- recovery ----------------------------------------------------------
 
@@ -388,20 +339,17 @@ class RecoveredRun:
 
     ``state`` is the last *committed* state (transitions covered by a
     round frame); ``rounds`` the full ordered list of committed round
-    payloads; ``transitions`` the committed transition records (for
-    lineage checks and timeline rebuilds).  ``n_discarded_transitions``
-    counts rolled-back frames from a half-done round and
-    ``torn_tail_bytes`` how many damaged bytes were dropped from the
-    newest segment; ``resume_offset`` is the byte length of the clean
-    committed prefix of the newest segment (where an appender must
-    truncate before continuing).
+    payloads.  ``n_discarded_transitions`` counts rolled-back frames
+    from a half-done round and ``torn_tail_bytes`` how many damaged
+    bytes were dropped from the newest segment; ``resume_offset`` is
+    the byte length of the clean committed prefix of the newest
+    segment (where an appender must truncate before continuing).
     """
 
     state: NetworkState
     checkpoint_version: int
     checkpoint_round: int
     rounds: list[dict[str, Any]] = field(default_factory=list)
-    transitions: list[dict[str, Any]] = field(default_factory=list)
     n_discarded_transitions: int = 0
     torn_tail_bytes: int = 0
     resume_offset: int = 0
@@ -491,7 +439,9 @@ def recover(directory: str | Path) -> RecoveredRun:
                 pending.append(record)
             elif kind == "round":
                 for t in pending:
-                    _apply_recovered_transition(out, t, path.name)
+                    if t["version"] > out.checkpoint_version:
+                        # older frames are already in the checkpoint
+                        out.state = _replay(out.state, t, path.name)
                 pending.clear()
                 out.rounds.append(
                     {k: v for k, v in record.items() if k != "t"}
@@ -524,17 +474,6 @@ def recover(directory: str | Path) -> RecoveredRun:
         torn_bytes=out.torn_tail_bytes,
     )
     return out
-
-
-def _apply_recovered_transition(
-    out: RecoveredRun, record: Mapping[str, Any], segment: str
-) -> None:
-    if record["version"] <= out.checkpoint_version:
-        # an older segment overlapping the checkpoint: already included
-        out.transitions.append(dict(record))
-        return
-    out.state = _replay(out.state, record, segment)
-    out.transitions.append(dict(record))
 
 
 def _replay(

@@ -32,6 +32,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from repro.core.controller import DynamicCapacityController
+from repro.core.policies import REACTION_MODES
 from repro.faults.inject import FaultInjector
 from repro.faults.spec import FaultPlan
 from repro.net.demands import Demand
@@ -40,9 +41,6 @@ from repro.recovery.reports import restore_report
 from repro.sim.wiring import controller_run
 from repro.telemetry.anomaly import EwmaAlarmMonitor
 from repro.telemetry.traces import SnrTrace, TelemetryFeed
-
-_MODES = ("scheduled", "reactive", "proactive")
-
 
 @dataclass(frozen=True)
 class ReactiveResult:
@@ -102,7 +100,8 @@ def reactive_replay(
             uninterrupted run.
 
     Raises:
-        ValueError: for a ``mode`` outside :data:`_MODES`, or a
+        ValueError: for a ``mode`` outside
+            :data:`~repro.core.policies.REACTION_MODES`, or a
             ``te_interval_s`` finer than the telemetry — both validated
             before any journal is written, so a typo cannot silently
             run as a different mode or leave a journal behind.
@@ -111,8 +110,10 @@ def reactive_replay(
         repro.recovery.invariants.InvariantViolationError: when an
             ``abort``-policy monitor stopped the run.
     """
-    if mode not in _MODES:
-        raise ValueError(f"unknown mode {mode!r} (expected one of {_MODES})")
+    if mode not in REACTION_MODES:
+        raise ValueError(
+            f"unknown mode {mode!r} (expected one of {REACTION_MODES})"
+        )
     detector = (
         EwmaAlarmMonitor(list(traces_by_link), k_sigma=detector_k_sigma)
         if mode == "proactive"

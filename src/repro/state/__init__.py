@@ -2,15 +2,13 @@
 
 One authoritative, immutable picture of the network (topology +
 per-link capacity / modulation / health / dark flags + BVT status)
-with copy-on-write transitions, monotonic versions, typed deltas and a
-ring buffer of recent snapshots:
+with copy-on-write transitions and monotonic versions:
 
 * :class:`NetworkState` / :class:`LinkState` — the snapshot model
   (:mod:`repro.state.model`);
-* :func:`diff` / :func:`apply_deltas` and the typed ``*Delta`` records
-  (:mod:`repro.state.delta`);
-* :class:`StateStore` — recent history, what-if forks, transition
-  trace points (:mod:`repro.state.store`);
+* :class:`StateStore` — a lineage's committed head: one commit takes
+  ``{link_id: {field: new value}}`` updates, drops the no-ops, and
+  journals and traces what is left (:mod:`repro.state.store`);
 * :func:`structure_digest` / :func:`capacity_digest` /
   :func:`demand_digest` — the cache-key tuples
   (:mod:`repro.state.digest`);

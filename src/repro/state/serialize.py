@@ -1,7 +1,7 @@
 """Plain-JSON snapshots of topologies and :class:`NetworkState`s.
 
 The durable journal (:mod:`repro.recovery`) checkpoints a full
-``NetworkState`` every K commits and replays deltas on top of it.  For
+``NetworkState`` every K commits and replays updates on top of it.  For
 that to reproduce the in-memory state *bit for bit*, serialization must
 preserve two things the obvious ``dict``-dump would lose:
 

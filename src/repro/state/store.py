@@ -1,185 +1,134 @@
-"""A ring buffer of recent :class:`~repro.state.model.NetworkState`s.
+"""The committed head of one :class:`~repro.state.model.NetworkState` lineage.
 
-The :class:`StateStore` is one lineage's recent history: committing a
-state keeps the last ``capacity`` snapshots for what-if forks and
-post-mortem replay, records the typed deltas of recent transitions, and
-publishes each transition as a ``state.transition`` point event on the
-ambient tracer (:mod:`repro.obs` renders those into
-``state_timeline.jsonl``).
+A transition is the per-link updates it applied: :meth:`StateStore.commit`
+takes a ``{link_id: {field: new value}}`` mapping, drops every field
+whose new value is the same as the parent's (:func:`_same`), evolves
+:attr:`StateStore.latest` with what is left, hands that same mapping to
+the attached journal, and publishes the transition as a
+``state.transition`` point event on the ambient tracer
+(:mod:`repro.obs` renders those into ``state_timeline.jsonl``).
 
 Two stores with a shared ancestor are how fault injection models
 observed-vs-truth divergence: the injector commits what the controller
 *sees* to one lineage and what the network *is* to another, and the
-per-version diff between them is the corruption the faults introduced.
+per-version difference between them is the corruption the faults
+introduced.
 
 Durability is delegated: :meth:`StateStore.attach_journal` hooks a
 :class:`~repro.recovery.journal.StateJournal` (or anything with
-``append_transition`` / ``iter_transitions``) so every commit's deltas
-land in the write-ahead log, and :meth:`timeline` reads the *complete*
-history back through it — which is what lets the in-memory transition
-record be a bounded ring instead of growing without limit.
+``append_transition``) so every commit's updates land in the
+write-ahead log.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Any, Iterator
+from math import copysign
+from typing import Any, Mapping
 
 from repro.obs import trace as _trace
-from repro.state.delta import StateDelta, delta_counts, delta_payload, diff
-from repro.state.model import NetworkState
+from repro.state.model import MUTABLE_LINK_FIELDS, NetworkState
+
+#: how a changed field counts in a ``state.transition`` point; every
+#: field not named here (SNR readings, staleness, configured rate,
+#: headroom, penalty) counts as ``health``
+_KINDS = {"modulation": "modulation", "bvt_gbps": "bvt"}
+
+
+def _same(a: Any, b: Any) -> bool:
+    """Value equality that treats two NaNs as equal and ±0.0 as different.
+
+    Telemetry fields (``snr_db``) legitimately hold NaN mid-fault;
+    without this a NaN -> NaN update would be a change on every commit
+    forever.  ``0.0 == -0.0`` in IEEE terms, but the two print
+    differently, so a sign-of-zero change is a change: dropping it
+    would lose it from the journal.
+    """
+    if a is b:
+        return True
+    if isinstance(a, float) and isinstance(b, float):
+        if a != a:
+            return b != b
+        return a == b and (a != 0.0 or copysign(1.0, a) == copysign(1.0, b))
+    return a == b
+
+
+def _kind_counts(
+    parent: NetworkState, updates: Mapping[str, Mapping[str, Any]]
+) -> dict[str, int]:
+    """How many changed fields of each kind ``updates`` holds.
+
+    A capacity that crosses the dark boundary (``<= 0``) counts as
+    ``dark``, any other capacity change as ``capacity``.
+    """
+    counts: dict[str, int] = {}
+    for link_id, changes in updates.items():
+        for name, value in changes.items():
+            if name == "capacity_gbps":
+                dark = parent.links[link_id].capacity_gbps <= 0
+                kind = "dark" if dark != (value <= 0) else "capacity"
+            else:
+                kind = _KINDS.get(name, "health")
+            counts[kind] = counts.get(kind, 0) + 1
+    return counts
 
 
 class StateStore:
-    """Recent snapshots of one evolving state lineage.
+    """The latest committed state of one evolving lineage."""
 
-    ``capacity`` bounds snapshot memory: the buffer keeps the newest
-    snapshots and silently forgets the oldest, like the transition
-    journal of a production controller.  ``transition_capacity``
-    bounds the in-memory transition record the same way (``None`` =
-    unbounded, the pre-journal behaviour); with a journal attached the
-    evicted transitions remain durably recorded and :meth:`timeline`
-    stays complete.
-    """
-
-    def __init__(
-        self,
-        base: NetworkState,
-        *,
-        capacity: int = 64,
-        transition_capacity: int | None = 1024,
-        name: str = "state",
-    ):
-        if capacity < 1:
-            raise ValueError("store capacity must be >= 1")
-        if transition_capacity is not None and transition_capacity < 1:
-            raise ValueError("transition capacity must be >= 1 (or None)")
+    def __init__(self, base: NetworkState, *, name: str = "state"):
         self.name = name
-        self._snapshots: deque[NetworkState] = deque(maxlen=capacity)
-        self._snapshots.append(base)
-        #: (version, parent_version, label, deltas) per commit — a ring
-        #: of the most recent ``transition_capacity`` transitions
-        self.transitions: deque[
-            tuple[int, int | None, str, list[StateDelta]]
-        ] = deque(maxlen=transition_capacity)
+        self.latest = base
         #: durable write-ahead journal, when bound (see attach_journal)
-        self._journal: Any | None = None
-
-    # -- durability ----------------------------------------------------
+        self.journal: Any | None = None
 
     def attach_journal(self, journal: Any) -> None:
-        """Mirror every future commit's deltas into ``journal``.
+        """Mirror every future commit's updates into ``journal``.
 
         ``journal`` needs ``append_transition(version, parent, label,
-        deltas)`` (called synchronously inside :meth:`commit`, before
-        the trace point — the WAL ordering guarantee) and
-        ``iter_transitions()`` (the complete history for
-        :meth:`timeline`).
+        updates)``, called synchronously inside :meth:`commit` before
+        the trace point (the WAL ordering guarantee).
         """
-        self._journal = journal
+        self.journal = journal
 
-    @property
-    def journal(self) -> Any | None:
-        return self._journal
+    def commit(
+        self, updates: Mapping[str, Mapping[str, Any]], *, label: str
+    ) -> NetworkState:
+        """Apply ``updates`` to :attr:`latest` as one transition.
 
-    # -- committing ----------------------------------------------------
-
-    def commit(self, state: NetworkState) -> list[StateDelta]:
-        """Append a new state; returns the typed deltas vs the latest.
-
-        Emits a ``state.transition`` point event on the ambient tracer
-        carrying the version chain and a per-kind delta count, so a
-        traced run gets a complete state timeline for free.
+        Fields whose new value is :func:`_same` as the parent's are
+        dropped first, so the journal and the trace see only what
+        changed; a commit whose updates are all no-ops still makes a
+        new version.  An unknown link is a ``KeyError``; a field outside
+        :data:`~repro.state.model.MUTABLE_LINK_FIELDS` is kept, so
+        :meth:`NetworkState.evolve` rejects it.  Returns the new state.
         """
-        previous = self.latest
-        if state.version <= previous.version:
-            raise ValueError(
-                f"non-monotonic commit: v{state.version} after "
-                f"v{previous.version} in {self.name!r}"
+        parent = self.latest
+        changed: dict[str, dict[str, Any]] = {}
+        for link_id, fields in updates.items():
+            old = parent.link(link_id).__dict__
+            kept = {
+                name: value
+                for name, value in fields.items()
+                if name not in MUTABLE_LINK_FIELDS or not _same(old[name], value)
+            }
+            if kept:
+                changed[link_id] = kept
+        state = parent.evolve(changed, label=label)
+        if self.journal is not None:
+            self.journal.append_transition(
+                state.version, state.parent_version, label, changed
             )
-        deltas = diff(previous, state)
-        if self._journal is not None:
-            self._journal.append_transition(
-                state.version, state.parent_version, state.label, deltas
-            )
-        self._snapshots.append(state)
-        self.transitions.append(
-            (state.version, state.parent_version, state.label, deltas)
-        )
+        self.latest = state
         tracer = _trace.current_tracer()
         if tracer is not None:
-            counts = delta_counts(deltas)
+            counts = _kind_counts(parent, changed)
             tracer.point(
                 "state.transition",
                 store=self.name,
                 version=state.version,
                 parent=state.parent_version,
-                label=state.label,
-                n_deltas=len(deltas),
+                label=label,
+                n_deltas=sum(counts.values()),
                 **{f"n_{kind}": n for kind, n in sorted(counts.items())},
             )
-        return deltas
-
-    # -- reading -------------------------------------------------------
-
-    @property
-    def latest(self) -> NetworkState:
-        return self._snapshots[-1]
-
-    @property
-    def oldest(self) -> NetworkState:
-        return self._snapshots[0]
-
-    def __len__(self) -> int:
-        return len(self._snapshots)
-
-    def __iter__(self) -> Iterator[NetworkState]:
-        return iter(self._snapshots)
-
-    def get(self, version: int) -> NetworkState:
-        """The retained snapshot at ``version`` (KeyError if evicted)."""
-        for state in self._snapshots:
-            if state.version == version:
-                return state
-        raise KeyError(
-            f"version {version} not retained in {self.name!r} "
-            f"(oldest kept: v{self.oldest.version})"
-        )
-
-    def fork(self, *, label: str, version: int | None = None) -> NetworkState:
-        """A what-if child of a retained snapshot (latest by default)."""
-        base = self.latest if version is None else self.get(version)
-        return base.fork(label=label)
-
-    # -- timeline ------------------------------------------------------
-
-    def timeline(self) -> list[dict[str, Any]]:
-        """Every recorded transition as plain-JSON rows.
-
-        The same schema :func:`repro.obs.export.state_timeline_jsonl`
-        writes, for callers that hold the store rather than a tracer.
-        With a journal attached the rows come from the durable log —
-        the complete lineage, including transitions the in-memory ring
-        has evicted; without one, from the ring.
-        """
-        if self._journal is not None:
-            return [
-                {
-                    "store": self.name,
-                    "version": row["version"],
-                    "parent": row["parent"],
-                    "label": row["label"],
-                    "deltas": list(row["deltas"]),
-                }
-                for row in self._journal.iter_transitions()
-            ]
-        return [
-            {
-                "store": self.name,
-                "version": version,
-                "parent": parent,
-                "label": label,
-                "deltas": [delta_payload(d) for d in deltas],
-            }
-            for version, parent, label, deltas in self.transitions
-        ]
+        return state

@@ -58,6 +58,20 @@ class TestRegistry:
             choices = dict(get_experiment(name).choices)
             assert choices["policy"] == tuple(POLICIES)
 
+    def test_mode_choices_are_the_reaction_modes(self):
+        from repro.core.policies import REACTION_MODES
+
+        assert dict(get_experiment("reactive").choices)["mode"] is REACTION_MODES
+
+    def test_journaled_names_the_experiments_that_read_the_journal_dir(self):
+        import inspect
+
+        reads = {
+            name for name in experiment_names()
+            if "journal_dir" in inspect.getsource(get_experiment(name).run)
+        }
+        assert reads == set(registry_mod.JOURNALED)
+
 
 class TestSpecKey:
     def test_defaults_spelled_out_share_key(self):

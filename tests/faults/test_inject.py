@@ -7,6 +7,7 @@ import pytest
 
 from repro.faults.inject import FaultInjector, FaultyTelemetryFeed, as_injector
 from repro.faults.spec import FaultPlan, FaultSpec
+from repro.obs.trace import Tracer, tracing
 from repro.telemetry.timebase import Timebase
 from repro.telemetry.traces import SnrTrace, TelemetryFeed
 
@@ -235,6 +236,18 @@ class TestStateLineages:
             topology.add_link(f"n{i}", f"n{i + 1}", 100.0, link_id=link_id)
         return NetworkState.from_topology(topology)
 
+    @staticmethod
+    def lineage_points(run):
+        """The ``state.transition`` attrs ``run()`` traces, per lineage."""
+        tracer = Tracer()
+        with tracing(tracer):
+            run()
+        points = {"observed": [], "truth": []}
+        for event in tracer.events:
+            if event.name == "state.transition":
+                points[event.attrs["store"]].append(event.attrs)
+        return points["observed"], points["truth"]
+
     def test_unattached_injector_records_nothing(self):
         injector = FaultInjector(
             plan_of(FaultSpec("telemetry.corrupt", probability=1.0,
@@ -253,13 +266,17 @@ class TestStateLineages:
         )
         injector.attach_state(self.make_state())
         feed = injector.wrap_feed(make_feed(n=8))
-        samples = list(feed.iter_samples())
-        observed, truth = injector.observed_states, injector.truth_states
-        assert len(observed.transitions) > 0
+        samples = []
+        obs_points, truth_points = self.lineage_points(
+            lambda: samples.extend(feed.iter_samples())
+        )
+        assert obs_points
         # version lockstep: the lineages commit the same sample labels
-        assert [t[:3] for t in observed.transitions] == [
-            t[:3] for t in truth.transitions
+        keys = ("version", "parent", "label")
+        assert [[p[k] for k in keys] for p in obs_points] == [
+            [p[k] for k in keys] for p in truth_points
         ]
+        observed, truth = injector.observed_states, injector.truth_states
         # the per-version diff between the lineages IS the corruption
         last_obs, last_truth = observed.latest, truth.latest
         assert last_obs.version == last_truth.version
@@ -278,10 +295,14 @@ class TestStateLineages:
         injector.attach_state(self.make_state())
         feed = injector.wrap_feed(make_feed(n=8))
         assert feed is not injector.wrap_feed  # sanity: identity feed path
-        for sample in TelemetryFeed(make_feed(n=8).traces_by_link).iter_samples():
-            injector.record_sample(sample.index, sample.snr_db, sample.snr_db)
-        assert list(injector.observed_states.transitions) == []
-        assert list(injector.truth_states.transitions) == []
+
+        def run():
+            samples = TelemetryFeed(make_feed(n=8).traces_by_link).iter_samples()
+            for sample in samples:
+                injector.record_sample(sample.index, sample.snr_db, sample.snr_db)
+
+        assert self.lineage_points(run) == ([], [])
+        assert injector.observed_states.latest.version == 0
 
     def test_nan_dropout_is_one_divergence_not_many(self):
         spec = FaultSpec("telemetry.dropout", rate_per_day=50.0,
@@ -289,15 +310,15 @@ class TestStateLineages:
         injector = FaultInjector(plan_of(spec))
         injector.attach_state(self.make_state())
         feed = injector.wrap_feed(make_feed(n=96))
-        for _ in feed.iter_samples():
-            pass
+        obs_points, truth_points = self.lineage_points(
+            lambda: list(feed.iter_samples())
+        )
         # NaN observed vs finite truth diverges (a dropout IS a
-        # corruption), but a NaN *held* across samples is delta-free on
+        # corruption), but a NaN *held* across samples is change-free on
         # the observed side — only the truth keeps moving.  Every
         # committed sample must carry a real change on some lineage.
-        assert injector.observed_states.transitions
-        for obs_t, truth_t in zip(
-            injector.observed_states.transitions,
-            injector.truth_states.transitions,
-        ):
-            assert obs_t[3] or truth_t[3]
+        assert obs_points
+        assert len(obs_points) == len(truth_points)
+        assert any(p["n_deltas"] == 0 for p in obs_points)
+        for obs_p, truth_p in zip(obs_points, truth_points):
+            assert obs_p["n_deltas"] or truth_p["n_deltas"]

@@ -110,8 +110,8 @@ class TestTextArtifacts:
         base = NetworkState.from_topology(line_topology(3))
         store = StateStore(base, name="ctrl")
         with tracing(tracer):
-            store.commit(base.fork(label="round"))
-            store.commit(store.latest.fork(label="round"))
+            store.commit({}, label="round")
+            store.commit({}, label="round")
         assert "state: 2 transitions" in run_summary(tracer)
 
 
@@ -122,7 +122,7 @@ class TestStateTimeline:
         store = StateStore(base, name="ctrl")
         link_id = sorted(base.links)[0]
         with tracing(tracer):
-            store.commit(base.darken([link_id], label="fail"))
+            store.commit({link_id: {"capacity_gbps": 0.0}}, label="fail")
         return tracer
 
     def test_one_line_per_transition(self):

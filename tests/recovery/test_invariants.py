@@ -29,10 +29,8 @@ def doctor_ber_violation(controller):
     link_id = next(iter(controller.state.links))
     feasible = controller.table.feasible_capacity(10.0)
     controller.state_store.commit(
-        controller.state.evolve(
-            {link_id: {"snr_db": 10.0, "capacity_gbps": feasible + 50.0}},
-            label="doctored",
-        )
+        {link_id: {"snr_db": 10.0, "capacity_gbps": feasible + 50.0}},
+        label="doctored",
     )
     return link_id, feasible
 
@@ -76,7 +74,7 @@ class TestChecks:
     def test_journal_lineage_divergence_detected(self):
         controller = make_controller()
         controller.state_store.attach_journal(
-            SimpleNamespace(last_version=123, iter_transitions=lambda: iter(()))
+            SimpleNamespace(last_version=123)
         )
         monitor = InvariantMonitor(controller)
         monitor.check_round(clean_report())

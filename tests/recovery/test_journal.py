@@ -11,13 +11,12 @@ from repro.recovery.journal import (
     RecoveryError,
     StateJournal,
     encode_frame,
-    iter_frames,
     journal_exists,
     recover,
     reopen,
     scan_frames,
 )
-from repro.state.model import NetworkState
+from repro.state.model import MUTABLE_LINK_FIELDS, NetworkState
 from repro.state.store import StateStore
 
 
@@ -36,6 +35,31 @@ def make_lineage(n_states=4):
     return states
 
 
+def every_field(state):
+    """Updates that restate every mutable field of every link in ``state``.
+
+    Committed onto ``state``'s parent they reproduce ``state``: the
+    store drops the fields that did not change.
+    """
+    return {
+        link_id: {name: getattr(link, name) for name in MUTABLE_LINK_FIELDS}
+        for link_id, link in state.links.items()
+    }
+
+
+def transition_frames(directory):
+    """Every transition frame in the journal's segments, in file order."""
+    segments = sorted(
+        directory.glob("wal-*.jsonl"), key=lambda p: int(p.stem.split("-")[1])
+    )
+    return [
+        record
+        for path in segments
+        for record in scan_frames(path.read_bytes())[0]
+        if record["t"] == "transition"
+    ]
+
+
 def journal_run(directory, states, *, rounds_at=(), **kwargs):
     """Write ``states[1:]`` as transitions, sealing rounds where asked.
 
@@ -48,7 +72,7 @@ def journal_run(directory, states, *, rounds_at=(), **kwargs):
     store.attach_journal(journal)
     n_rounds = 0
     for i, state in enumerate(states[1:], start=1):
-        store.commit(state)
+        store.commit(every_field(state), label=state.label)
         if i in rounds_at:
             journal.commit_round({"round": n_rounds, "marker": i})
             n_rounds += 1
@@ -60,9 +84,9 @@ class TestFrameCodec:
     def test_round_trip(self):
         frames = [{"t": "round", "round": i, "x": [1.5, None]} for i in range(5)]
         raw = b"".join(encode_frame(f) for f in frames)
-        records, clean = iter_frames(raw)
+        records, ends = scan_frames(raw)
         assert records == frames
-        assert clean == len(raw)
+        assert ends[-1] == len(raw)
 
     def test_every_truncation_point_yields_clean_prefix(self):
         frames = [{"t": "transition", "version": i} for i in range(3)]
@@ -71,19 +95,19 @@ class TestFrameCodec:
         for f in frames:
             boundaries.append(boundaries[-1] + len(encode_frame(f)))
         for cut in range(len(raw)):
-            records, clean = iter_frames(raw[:cut])
+            records, ends = scan_frames(raw[:cut])
             # the clean prefix is exactly the whole frames before the cut
             n_whole = sum(1 for b in boundaries[1:] if b <= cut)
             assert len(records) == n_whole
-            assert clean == boundaries[n_whole]
+            assert ends == boundaries[1 : n_whole + 1]
 
     def test_corrupt_crc_stops_decoding(self):
         good = encode_frame({"t": "round", "round": 0})
         bad = bytearray(encode_frame({"t": "round", "round": 1}))
         bad[-3] ^= 0xFF  # flip a body byte; CRC now mismatches
-        records, clean = iter_frames(good + bytes(bad))
+        records, ends = scan_frames(good + bytes(bad))
         assert records == [{"t": "round", "round": 0}]
-        assert clean == len(good)
+        assert ends == [len(good)]
 
     def test_scan_reports_each_frame_end_as_it_sits_on_disk(self):
         canonical = encode_frame({"t": "round", "round": 0})
@@ -94,17 +118,15 @@ class TestFrameCodec:
         records, ends = scan_frames(raw)
         assert [r["round"] for r in records] == [0, 1]
         assert ends == [len(canonical), len(canonical) + len(spaced)]
-        assert iter_frames(raw) == (records, ends[-1])
 
     def test_garbage_never_raises(self):
         for raw in (b"not a frame", b"12:zzzzzzzz:x\n", b"-5:00000000:\n", b":::"):
-            records, clean = iter_frames(raw)
-            assert records == [] and clean == 0
+            assert scan_frames(raw) == ([], [])
 
     def test_frames_carry_no_timestamps(self):
         states = make_lineage(3)
         payload = encode_frame(
-            {"t": "transition", "version": 1, "parent": 0, "label": "x", "deltas": []}
+            {"t": "transition", "version": 1, "parent": 0, "label": "x", "updates": {}}
         )
         assert b"unix" not in payload and b"time" not in payload.lower()
         # and the journal's own record schemas stay wall-clock-free
@@ -117,7 +139,7 @@ class TestTransitionFrames:
         link_id = next(iter(states[0].links))
         journal, _ = journal_run(tmp_path, states, rounds_at=(1,))
         journal.close()
-        records, _ = iter_frames((tmp_path / "wal-0.jsonl").read_bytes())
+        records, _ = scan_frames((tmp_path / "wal-0.jsonl").read_bytes())
         (frame,) = [r for r in records if r["t"] == "transition"]
         assert frame == {
             "t": "transition",
@@ -152,26 +174,15 @@ class TestTransitionFrames:
                 label="zero",
             )
         )
-        journal, store = journal_run(tmp_path, states, rounds_at=(1,))
+        journal, _ = journal_run(tmp_path, states, rounds_at=(1,))
         journal.close()
         recovered = recover(tmp_path).state.link(link_id)
         assert repr(recovered.headroom_gbps) == "-0.0"
         assert repr(recovered.capacity_gbps) == "-0.0"
-        assert store.timeline()[0]["deltas"] == [
-            {"kind": "dark", "link_id": link_id, "dark": True, "relit_gbps": 0.0},
-            {"kind": "capacity", "link_id": link_id, "old_gbps": 0.0,
-             "new_gbps": -0.0},
-            {"kind": "health", "link_id": link_id, "field": "headroom_gbps",
-             "old": 0.0, "new": -0.0},
-        ]
-
-    def test_timeline_needs_the_oldest_checkpoint(self, tmp_path):
-        states = make_lineage(3)
-        journal, store = journal_run(tmp_path, states, rounds_at=(1, 2))
-        (tmp_path / "checkpoint-0.json").write_bytes(b"{ torn")
-        with pytest.raises(RecoveryError, match="oldest checkpoint"):
-            store.timeline()
-        journal.close()
+        (frame,) = transition_frames(tmp_path)
+        assert repr(frame["updates"]) == repr(
+            {link_id: {"capacity_gbps": -0.0, "headroom_gbps": -0.0}}
+        )
 
 
 class TestJournalValidation:
@@ -366,17 +377,15 @@ class TestReopen:
         store = StateStore(recovered.state)
         store.attach_journal(journal2)
         store.commit(
-            recovered.state.evolve(
-                {next(iter(recovered.state.links)): {"capacity_gbps": 200.0}},
-                label="redo",
-            )
+            {next(iter(recovered.state.links)): {"capacity_gbps": 200.0}},
+            label="redo",
         )
         journal2.commit_round({"round": 2})
         journal2.close()
         final = recover(tmp_path)
         assert final.n_rounds == 3
-        versions = [t["version"] for t in final.transitions]
-        assert len(versions) == len(set(versions))
+        versions = [t["version"] for t in transition_frames(tmp_path)]
+        assert versions == sorted(set(versions))
 
     def test_reopen_after_a_non_canonical_frame_keeps_it(self, tmp_path):
         # a valid frame need not be canonical JSON; the resume offset
@@ -402,9 +411,7 @@ class TestReopen:
         assert recovered.resume_offset == size
         store = StateStore(recovered.state)
         store.attach_journal(journal2)
-        store.commit(
-            recovered.state.evolve({link_id: {"capacity_gbps": 125.0}}, label="next")
-        )
+        store.commit({link_id: {"capacity_gbps": 125.0}}, label="next")
         journal2.commit_round({"round": 2})
         journal2.close()
         final = recover(tmp_path)
@@ -430,32 +437,3 @@ class TestReopen:
         assert recovered.state.links == states[2].links
         journal2.close()
         assert rolled.exists()  # a fresh segment was opened at the checkpoint
-
-
-class TestTimelineReadThrough:
-    def test_bounded_ring_with_journal_keeps_timeline_complete(self, tmp_path):
-        states = make_lineage(6)
-        journal = StateJournal(tmp_path)
-        journal.start(states[0])
-        store = StateStore(states[0], transition_capacity=2)
-        store.attach_journal(journal)
-        for state in states[1:]:
-            store.commit(state)
-        journal.commit_round({"round": 0})
-        # the in-memory ring forgot the oldest transitions...
-        assert len(store.transitions) == 2
-        # ...but the timeline reads through to the durable log
-        timeline = store.timeline()
-        assert [row["version"] for row in timeline] == [
-            s.version for s in states[1:]
-        ]
-        journal.close()
-
-    def test_bounded_ring_without_journal_truncates(self):
-        states = make_lineage(6)
-        store = StateStore(states[0], transition_capacity=2)
-        for state in states[1:]:
-            store.commit(state)
-        assert [row["version"] for row in store.timeline()] == [
-            s.version for s in states[-2:]
-        ]

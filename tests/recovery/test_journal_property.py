@@ -1,34 +1,27 @@
-"""Property: a journaled lineage recovers to the live state, exactly.
+"""Property: a journaled lineage writes what changed and recovers exactly.
 
 Random update sequences on a small topology — NaN telemetry, signed
 zeros, dark crossings in both directions and every mutable field — are
 committed through a journaled :class:`StateStore` with a round frame
 after each round and a checkpoint roll every two rounds.  Then:
 
+* every transition frame's ``updates`` equal a reference change
+  mapping computed from the parent state with ``repr`` comparisons,
+  apart from the store's own filter (compared as JSON text, which
+  tells NaN and signed zeros apart where ``==`` cannot);
+* the store's state equals the state the unfiltered updates evolve;
 * ``recover(dir).state`` equals the live state field by field, by
-  ``repr`` (so ``-0.0`` vs ``0.0`` and NaN are told apart exactly);
-* the journal's :meth:`StateStore.timeline` rows equal the rows of an
-  unjournaled store's in-memory ring;
-* :func:`diff` equals a ``getattr``-per-field reference diff.
+  ``repr``.
 """
 
 import json
 import tempfile
+from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
 from repro.net.topologies import line_topology
-from repro.recovery.journal import StateJournal, recover
-from repro.state.delta import (
-    _HEALTH_FIELDS,
-    BvtDelta,
-    CapacityDelta,
-    DarkDelta,
-    HealthDelta,
-    ModulationDelta,
-    _same,
-    diff,
-)
+from repro.recovery.journal import StateJournal, recover, scan_frames
 from repro.state.model import NetworkState
 from repro.state.store import StateStore
 
@@ -70,50 +63,49 @@ transition = st.one_of(
 rounds = st.lists(st.lists(transition, min_size=1, max_size=3), max_size=6)
 
 
-def reference_diff(old, new):
-    """``diff`` spelled field by field with ``getattr`` — the oracle."""
-    deltas = []
-    for link_id, before in old.links.items():
-        after = new.links[link_id]
-        if after is before:
-            continue
-        if before.dark != after.dark:
-            deltas.append(
-                DarkDelta(
-                    link_id,
-                    dark=after.dark,
-                    relit_gbps=0.0 if after.dark else after.capacity_gbps,
-                )
-            )
-            if after.dark and not _same(after.capacity_gbps, 0.0):
-                deltas.append(CapacityDelta(link_id, 0.0, after.capacity_gbps))
-        elif not _same(before.capacity_gbps, after.capacity_gbps):
-            deltas.append(
-                CapacityDelta(link_id, before.capacity_gbps, after.capacity_gbps)
-            )
-        if not _same(before.modulation, after.modulation):
-            deltas.append(
-                ModulationDelta(link_id, before.modulation, after.modulation)
-            )
-        if not _same(before.bvt_gbps, after.bvt_gbps):
-            deltas.append(BvtDelta(link_id, before.bvt_gbps, after.bvt_gbps))
-        for name in _HEALTH_FIELDS:
-            b, a = getattr(before, name), getattr(after, name)
-            if not _same(b, a):
-                deltas.append(HealthDelta(link_id, name, b, a))
-    return deltas
+def same_value(old, new):
+    """Floats compare by ``repr`` (NaN is NaN, -0.0 is not 0.0), the rest by ``==``."""
+    if isinstance(old, float) and isinstance(new, float):
+        return repr(old) == repr(new)
+    return old == new
 
 
-def step(state, op, i):
+def reference_changes(parent, updates):
+    """The fields of ``updates`` whose value differs from ``parent``'s."""
+    changes = {}
+    for link_id, fields in updates.items():
+        link = parent.link(link_id)
+        kept = {
+            name: value
+            for name, value in fields.items()
+            if not same_value(getattr(link, name), value)
+        }
+        if kept:
+            changes[link_id] = kept
+    return changes
+
+
+def as_updates(op):
+    """One generated operation as the ``{link: {field: new}}`` it commits."""
     kind, arg = op
-    label = f"{kind}-{i}"
     if kind == "evolve":
-        return state.evolve(arg, label=label)
-    if kind == "darken":
-        return state.darken(arg, label=label)
-    return state.evolve(
-        {link_id: {"capacity_gbps": 100.0} for link_id in arg}, label=label
+        return arg
+    capacity = 0.0 if kind == "darken" else 100.0
+    return {link_id: {"capacity_gbps": capacity} for link_id in arg}
+
+
+def journaled_updates(directory):
+    """Each transition frame's ``updates`` as JSON text, in WAL order."""
+    segments = sorted(
+        Path(directory).glob("wal-*.jsonl"),
+        key=lambda p: int(p.stem.split("-")[1]),
     )
+    return [
+        json.dumps(record["updates"], sort_keys=True)
+        for path in segments
+        for record in scan_frames(path.read_bytes())[0]
+        if record["t"] == "transition"
+    ]
 
 
 def link_reprs(state):
@@ -131,23 +123,72 @@ def test_journal_recovers_the_live_lineage_exactly(plan):
         journal.start(BASE)
         store = StateStore(BASE, name="live")
         store.attach_journal(journal)
-        ring = StateStore(BASE, transition_capacity=None, name="live")
-        state, n = BASE, 0
+        unfiltered, expected, n = BASE, [], 0
         for round_index, ops in enumerate(plan):
             for op in ops:
-                child = step(state, op, n)
+                updates = as_updates(op)
+                expected.append(
+                    json.dumps(
+                        reference_changes(store.latest, updates), sort_keys=True
+                    )
+                )
+                label = f"{op[0]}-{n}"
                 n += 1
-                assert repr(diff(state, child)) == repr(reference_diff(state, child))
-                store.commit(child)
-                ring.commit(child)
-                state = child
+                store.commit(updates, label=label)
+                unfiltered = unfiltered.evolve(updates, label=label)
             journal.commit_round({"round": round_index})
-            journal.maybe_checkpoint(state, round_index + 1)
+            journal.maybe_checkpoint(store.latest, round_index + 1)
+        journal.close()
 
+        assert journaled_updates(directory) == expected
+        live = store.latest
+        assert live.version == unfiltered.version == n
+        assert link_reprs(live) == link_reprs(unfiltered)
         recovered = recover(directory)
         assert recovered.n_rounds == len(plan)
-        assert recovered.state.version == state.version
-        assert link_reprs(recovered.state) == link_reprs(state)
-        # JSON text tells NaN and signed zeros apart where == cannot
-        assert json.dumps(store.timeline()) == json.dumps(ring.timeline())
-        journal.close()
+        assert recovered.state.version == live.version
+        assert link_reprs(recovered.state) == link_reprs(live)
+
+
+def journal_one_commit(directory, before, updates):
+    """Journal ``before`` (one link's fields) then ``updates``; returns the
+    second transition frame's raw bytes."""
+    link_id = LINKS[0]
+    journal = StateJournal(directory, fsync="never")
+    journal.start(BASE)
+    store = StateStore(BASE)
+    store.attach_journal(journal)
+    store.commit({link_id: before}, label="before")
+    store.commit({link_id: updates}, label="after")
+    journal.close()
+    raw = (Path(directory) / "wal-0.jsonl").read_bytes()
+    return raw.splitlines()[1], store.latest
+
+
+def test_nan_to_nan_is_no_change(tmp_path):
+    frame, state = journal_one_commit(
+        tmp_path, {"snr_db": NAN}, {"snr_db": float("nan")}
+    )
+    assert frame.endswith(b'"updates":{},"version":2}')
+    assert state.version == 2
+
+
+def test_positive_to_negative_zero_is_a_change(tmp_path):
+    frame, state = journal_one_commit(
+        tmp_path, {"headroom_gbps": 0.0}, {"headroom_gbps": -0.0}
+    )
+    assert b'"updates":{"%s":{"headroom_gbps":-0.0}}' % LINKS[0].encode() in frame
+    assert repr(state.link(LINKS[0]).headroom_gbps) == "-0.0"
+
+
+def test_all_no_op_commit_bumps_the_version_and_writes_empty_updates(tmp_path):
+    link = BASE.link(LINKS[0])
+    frame, state = journal_one_commit(
+        tmp_path,
+        {"capacity_gbps": link.capacity_gbps},
+        {"penalty": link.penalty, "modulation": link.modulation},
+    )
+    assert frame.endswith(b'"updates":{},"version":2}')
+    assert state.version == 2
+    assert state.links == BASE.links
+    assert recover(tmp_path).state.version == 0  # no round frame sealed it

@@ -45,11 +45,11 @@ replay_controller(
 
 def committed_rounds(journal_dir: Path) -> int:
     """Durably committed round frames, read exactly like recovery would."""
-    from repro.recovery.journal import iter_frames
+    from repro.recovery.journal import scan_frames
 
     n = 0
     for path in journal_dir.glob("wal-*.jsonl"):
-        records, _ = iter_frames(path.read_bytes())
+        records, _ = scan_frames(path.read_bytes())
         n += sum(1 for r in records if r.get("t") == "round")
     return n
 

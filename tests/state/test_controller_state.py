@@ -7,6 +7,7 @@ from repro.core.controller import DynamicCapacityController
 from repro.core.policies import run_policy
 from repro.net.demands import gravity_demands
 from repro.net.topologies import abilene
+from repro.obs.trace import Tracer, tracing
 from repro.state.model import NetworkState
 
 
@@ -27,10 +28,14 @@ def test_controller_state_is_versioned_lineage(demands):
     ctrl = controller()
     assert isinstance(ctrl.state, NetworkState)
     assert ctrl.state.version == 0
-    ctrl.step(healthy_snrs(ctrl.physical), demands)
+    tracer = Tracer()
+    with tracing(tracer):
+        ctrl.step(healthy_snrs(ctrl.physical), demands)
     assert ctrl.state.version > 0
-    # every commit is journaled with the round's phase labels
-    labels = {label for _, _, label, _ in ctrl.state_store.transitions}
+    # every commit is traced with the round's phase labels
+    labels = {
+        e.attrs["label"] for e in tracer.events if e.name == "state.transition"
+    }
     assert labels <= {"telemetry", "adapt", "upgrades"}
     assert "telemetry" in labels
 
@@ -74,7 +79,7 @@ def test_what_if_fork_does_not_disturb_controller(demands):
     ctrl = controller()
     ctrl.step(healthy_snrs(ctrl.physical), demands)
     v = ctrl.state.version
-    fork = ctrl.state_store.fork(label="whatif")
+    fork = ctrl.state.fork(label="whatif")
     dark = fork.darken(sorted(fork.links)[:1], label="whatif.fail")
     assert len(dark.dark_links()) == 1
     # the controller's own lineage is untouched by the fork

@@ -4,7 +4,8 @@ import dataclasses
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.analysis.paper_report import ReportScale
+from repro.cli import _report_scale, build_parser, main
 from repro.experiments import registry
 from repro.experiments.registry import experiment_names, get_experiment
 from repro.recovery.journal import journal_exists
@@ -259,6 +260,39 @@ class TestGlobalFlags:
         assert outputs[1] == outputs[0]
         assert outputs[2] == outputs[0]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["testbed", "--changes", "5"],
+            ["chaos", "--days", "0.5"],
+            ["report"],
+            ["sweep", "list"],
+        ],
+    )
+    def test_journal_flag_on_a_command_that_does_not_journal_exits_2(
+        self, tmp_path, capsys, argv
+    ):
+        journal = tmp_path / "journal"
+        for flagged in (["--journal", str(journal), *argv],
+                        [*argv, "--journal", str(journal)]):
+            assert main(flagged) == 2
+            captured = capsys.readouterr()
+            (line,) = captured.err.splitlines()
+            assert line.startswith("error: --journal:")
+            assert "repro reactive" in line
+            assert captured.out == ""
+        assert not journal.exists()
+
+    def test_report_and_export_default_to_the_quick_scale(self):
+        parser = build_parser()
+        for argv in (["report"], ["export", "out"]):
+            assert _report_scale(parser.parse_args(argv)) == ReportScale.quick()
+        given = parser.parse_args(["export", "out", "--cables", "4", "--seed", "9"])
+        assert _report_scale(given) == ReportScale(n_cables=4, years=1.0, seed=9)
+        assert _report_scale(parser.parse_args(["report", "--full"])) == (
+            ReportScale.paper()
+        )
+
 
 class TestSweepCommands:
     @pytest.fixture(autouse=True)
@@ -275,6 +309,48 @@ class TestSweepCommands:
             "params": {"nodes": 5}, "axes": {"seed": [3, 4]},
         }))
         return path
+
+    @pytest.mark.parametrize(
+        "payload, named",
+        [
+            ({"name": "b", "experiment": "reactive", "params": {"mode": "bogus"}},
+             "'scheduled', 'reactive', 'proactive'"),
+            ({"name": "b", "experiment": "reactive", "params": {"frob": 1}},
+             "'dip_db'"),
+            ({"name": "b", "params": {"days": 1.0}}, "reactive, study"),
+        ],
+        ids=["bad-choice", "unknown-parameter", "no-experiment"],
+    )
+    def test_bad_spec_is_a_usage_error(
+        self, tmp_path, sweep_root, capsys, payload, named
+    ):
+        import json
+
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        assert main(["sweep", "run", str(path)]) == 2
+        captured = capsys.readouterr()
+        (line,) = captured.err.splitlines()
+        assert line.startswith(f"error: sweep spec {path}: ")
+        assert named in line
+        assert "'b'" in line  # the spec is named
+        assert captured.out == ""
+        assert not (sweep_root / "sweeps").exists()  # no point ran
+
+    def test_journal_flag_on_a_sweep_that_does_not_journal_exits_2(
+        self, tmp_path, sweep_root, capsys
+    ):
+        spec = self.write_spec(tmp_path)
+        journal = tmp_path / "journal"
+        assert main(["sweep", "run", str(spec), "--journal", str(journal)]) == 2
+        assert "a sweep of 'theorem' does not journal" in capsys.readouterr().err
+        out_dir = str(tmp_path / "run")
+        assert main(["sweep", "run", str(spec), "--out", out_dir,
+                     "--max-runs", "0"]) == 1
+        capsys.readouterr()
+        assert main(["sweep", "resume", out_dir, "--journal", str(journal)]) == 2
+        assert "a sweep of 'theorem' does not journal" in capsys.readouterr().err
+        assert not journal.exists()
 
     def test_run_then_reuse(self, tmp_path, capsys):
         spec = self.write_spec(tmp_path)
