@@ -13,7 +13,8 @@ intensity grid and asserts the hardened controller's invariants (exit
 1 on any violation); ``chaos --crash`` instead crashes the controller
 at every (round, seam) point and asserts journal recovery is
 byte-identical to an uninterrupted run.  ``repro lint ARGS`` hands ARGS
-to :mod:`repro.lint.cli` as they are.
+to :mod:`repro.lint.cli` as they are, so global flags go before
+``lint``.
 
 ``sweep`` drives grids of those experiments::
 
@@ -23,12 +24,17 @@ to :mod:`repro.lint.cli` as they are.
     repro sweep resume quick-1a2b3c4d            # finish a killed run
     repro sweep compare RUN [RUN_B]              # vs paper, or run vs run
 
+A spec file that cannot be read, a bad spec and an unknown run name
+are usage errors: one ``error:`` line on stderr, exit 2.
+
 Global flags (``--workers``, ``--no-cache``, ``--trace``,
-``--journal``) are accepted both before and after the subcommand.
+``--journal``) are accepted both before and after the subcommand
+(``lint`` excepted).
 ``--workers N`` spreads work over N processes (also the
 ``REPRO_WORKERS`` env var); ``--no-cache`` bypasses the on-disk summary
 cache (``REPRO_CACHE_DIR``), never the in-memory TE solve cache
-(:mod:`repro.te.incremental`), which is always on; ``--journal DIR``
+(:mod:`repro.te.incremental`), which is always on, and it does not
+reach ``lint``, which caches nothing; ``--journal DIR``
 journals controller state durably under DIR (:mod:`repro.recovery`) so
 a crashed run resumes instead of restarting — results are
 byte-identical either way — for the experiments in
@@ -231,7 +237,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     """`repro lint ARGS` — ARGS go to the analyzer's own front end."""
     from repro.lint.cli import main as lint_main
 
-    return lint_main([*args.lint_argv, *(["--no-cache"] if args.no_cache else [])])
+    return lint_main(args.lint_argv)
 
 
 def _report_scale(args: argparse.Namespace) -> "Any":
@@ -303,6 +309,8 @@ def _cmd_sweep_run(args: argparse.Namespace) -> int:
         sweep = load_sweep(args.specfile)
         for spec in sweep.expand():
             resolve_params(spec)
+    except OSError as exc:
+        return _usage_error(f"sweep spec {args.specfile}: {exc.strerror}")
     except (KeyError, ValueError) as exc:
         return _usage_error(f"sweep spec {args.specfile}: {exc.args[0]}")
     refused = _journal_error(
@@ -326,7 +334,10 @@ def _cmd_sweep_resume(args: argparse.Namespace) -> int:
     from repro.experiments.runner import resume_sweep
     from repro.experiments.store import RunStore, resolve_run_dir
 
-    run_dir = resolve_run_dir(args.run)
+    try:
+        run_dir = resolve_run_dir(args.run)
+    except FileNotFoundError as exc:
+        return _usage_error(exc.args[0])
     experiment = RunStore(run_dir).load_sweep().experiment
     refused = _journal_error(args, experiment, f"a sweep of {experiment!r}")
     if refused is not None:
@@ -371,7 +382,10 @@ def _cmd_sweep_show(args: argparse.Namespace) -> int:
     from repro.experiments.registry import render_result
     from repro.experiments.store import RunStore, resolve_run_dir
 
-    store = RunStore(resolve_run_dir(args.run))
+    try:
+        store = RunStore(resolve_run_dir(args.run))
+    except FileNotFoundError as exc:
+        return _usage_error(exc.args[0])
     sweep = store.load_sweep()
     artifacts = store.artifacts()
     print(
@@ -393,12 +407,16 @@ def _cmd_sweep_compare(args: argparse.Namespace) -> int:
     )
     from repro.experiments.store import resolve_run_dir
 
-    run_a = resolve_run_dir(args.run_a)
-    if args.run_b is None:
+    try:
+        run_a = resolve_run_dir(args.run_a)
+        run_b = None if args.run_b is None else resolve_run_dir(args.run_b)
+    except FileNotFoundError as exc:
+        return _usage_error(exc.args[0])
+    if run_b is None:
         checks = compare_to_paper(run_a)
         print(render_paper_checks(checks))
         return 0 if checks and all(c.ok for c in checks) else 1
-    deltas = compare_runs(run_a, resolve_run_dir(args.run_b), rtol=args.rtol)
+    deltas = compare_runs(run_a, run_b, rtol=args.rtol)
     print(render_deltas(deltas))
     return 0 if deltas and all(d.ok for d in deltas) else 1
 
@@ -502,9 +520,10 @@ def build_parser() -> argparse.ArgumentParser:
                        ))
     chaos.set_defaults(handler=_cmd_chaos)
 
-    # no flags of its own: the arguments after ``lint`` are forwarded
+    # no flags of its own, global ones included: the arguments after
+    # ``lint`` are forwarded
     lint = sub.add_parser(
-        "lint", parents=[shared], add_help=False,
+        "lint", add_help=False,
         help="determinism & layering static analysis (see repro lint --help)",
     )
     lint.set_defaults(handler=_cmd_lint)

@@ -36,9 +36,8 @@ bound, the loop's arithmetic is bit-identical to the unhardened one
 from __future__ import annotations
 
 import math
-from collections import abc
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, Mapping, NamedTuple, Sequence, TypeVar
+from typing import Any, Callable, Mapping, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
@@ -196,50 +195,6 @@ class ControllerReport:
         )
 
 
-class _CapacityView(abc.Mapping):
-    """Read-only ``{link_id: capacity_gbps}`` over the controller's state.
-
-    The controller's authoritative record now lives in a
-    :class:`~repro.state.model.NetworkState` lineage; this view keeps the
-    long-standing ``controller.capacity`` mapping interface (lookups,
-    ``.get``, iteration, ``==`` against dicts) working on top of it
-    without a second copy to drift.
-    """
-
-    __slots__ = ("_controller",)
-
-    def __init__(self, controller: "DynamicCapacityController"):
-        self._controller = controller
-
-    def __getitem__(self, link_id: str) -> float:
-        return self._controller.state.link(link_id).capacity_gbps
-
-    def get(self, link_id: str, default: Any = None) -> Any:
-        # overridden (Mapping's mixin goes through __getitem__ +
-        # KeyError) because sim hot paths call this per sample
-        link = self._controller.state.links.get(link_id)
-        return default if link is None else link.capacity_gbps
-
-    def __contains__(self, link_id: object) -> bool:
-        return link_id in self._controller.state.links
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._controller.state.links)
-
-    def __len__(self) -> int:
-        return len(self._controller.state.links)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, abc.Mapping):
-            return dict(self) == dict(other)
-        return NotImplemented
-
-    __hash__ = None  # type: ignore[assignment]
-
-    def __repr__(self) -> str:
-        return f"_CapacityView({dict(self)!r})"
-
-
 class DynamicCapacityController:
     """Stateful controller over one physical topology."""
 
@@ -340,8 +295,6 @@ class DynamicCapacityController:
             NetworkState.from_topology(topology),
             name=f"controller:{topology.name}",
         )
-        #: read-only mapping view over the state (the old public dict)
-        self.capacity: Mapping[str, float] = _CapacityView(self)
         self._bvts: dict[str, Bvt] = {}
         self._traffic: dict[str, float] = {}
         self._last_solution: TeSolution | None = None
@@ -436,8 +389,6 @@ class DynamicCapacityController:
         directory: Any,
         *,
         resume: bool | str = False,
-        checkpoint_every: int = 8,
-        fsync: str = "round",
     ) -> list[dict[str, Any]]:
         """Journal every state transition and round to ``directory``.
 
@@ -465,16 +416,12 @@ class DynamicCapacityController:
                     f"{directory} already holds a journal; pass resume=True "
                     "(or 'auto') to continue it"
                 )
-            journal = StateJournal(
-                directory, checkpoint_every=checkpoint_every, fsync=fsync
-            )
+            journal = StateJournal(directory)
             journal.start(self.state)
             self._journal = journal
             self.state_store.attach_journal(journal)
             return []
-        journal, recovered = reopen(
-            directory, checkpoint_every=checkpoint_every, fsync=fsync
-        )
+        journal, recovered = reopen(directory)
         # re-root the recovered snapshot on the controller's own
         # physical topology: link iteration order (LP variable layout)
         # must come from the object the rest of this run uses
@@ -940,8 +887,9 @@ class DynamicCapacityController:
         #    headroom: one (link_id, capacity, headroom) row per live
         #    real link
         rows: list[tuple[str, float, float]] = []
+        links = self.state.links
         for link in self.physical.real_links():
-            capacity = self.capacity[link.link_id]
+            capacity = links[link.link_id].capacity_gbps
             if capacity <= 0:
                 continue  # link is down this round
             snr = effective.get(link.link_id)
@@ -1066,7 +1014,8 @@ class DynamicCapacityController:
                     # upgrade refused: hold the current (safe) rate
                     reconfig_failed.append(upgrade.link_id)
                     fault_loss += (
-                        upgrade.new_capacity_gbps - self.capacity[upgrade.link_id]
+                        upgrade.new_capacity_gbps
+                        - self.state.links[upgrade.link_id].capacity_gbps
                     )
             self._commit(executed, "upgrades")
 
@@ -1084,10 +1033,11 @@ class DynamicCapacityController:
         #    clean path skips it to stay bit-for-bit unchanged.
         violations: tuple[str, ...] = ()
         if self.audit or self._faults is not None:
+            links = self.state.links
             violations = tuple(
                 link_id
                 for link_id, snr in effective.items()
-                if self.capacity[link_id]
+                if links[link_id].capacity_gbps
                 > self.table.feasible_capacity(snr) + 1e-9
             )
 

@@ -11,9 +11,9 @@ still in flight; :func:`resume_sweep` (or simply re-running the same
 spec file) picks up exactly the missing ones.
 
 Every run executes inside :func:`repro.obs.metrics.isolated`, so its
-artifact carries its *own* timing report instead of an accumulation of
-whatever ran earlier in the process, and also ships its
-:class:`~repro.obs.metrics.MetricsRegistry` in mergeable form.  The sweep folds every completed
+artifact carries its *own* :class:`~repro.obs.metrics.MetricsRegistry`
+(``metrics``, in mergeable form) instead of an accumulation of
+whatever ran earlier in the process.  The sweep folds every completed
 point's registry into one fleet-wide view
 (:attr:`SweepReport.metrics`); merged totals are invariant to the
 worker count.  With ``trace=True`` each point additionally runs under
@@ -118,7 +118,6 @@ def _execute_point(payload: dict[str, Any]) -> dict[str, Any]:
             "spec": spec.to_payload(),
             "experiment": spec.experiment,
             "result": result,
-            "perf": obs_metrics.collect(registry),
             "metrics": registry.to_payload(),
             "elapsed_s": time.perf_counter() - start,  # repro: allow[D001]
             "created_unix": obs_metrics.timestamp_unix(),

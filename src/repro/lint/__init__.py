@@ -20,18 +20,16 @@ new dependencies):
 * **T001** trace/metric names dotted lowercase and declared in the
   :mod:`repro.obs.names` catalog.
 
-Suppression is explicit: ``# repro: allow[CODE] -- reason`` inline, or
-a committed ``lint-baseline.json`` entry for burn-down debt.  Strict
-mode (the CI gate) also flags stale baseline entries (**B001**) and
-dead pragmas (**P001**).
+Suppression is explicit: ``# repro: allow[CODE] -- reason`` inline.
+A pragma that suppresses nothing is itself a finding (**P001**).
 
 Quickstart::
 
-    repro lint --strict src/            # the CI gate
+    repro lint src/                     # the CI gate: exit 0 = clean
     repro lint --explain D003           # why + how to fix
-    python -m repro.lint --format json  # machine-readable findings
+    repro lint --format json src/       # machine-readable findings
 
-The analyzer is itself deterministic: sorted findings, content-keyed
-result cache (``REPRO_NO_CACHE`` bypasses), and it lints itself clean
+The analyzer is itself deterministic (sorted findings, every file
+parsed on every run), and it lints itself clean
 (``tests/lint/test_self_lint.py``).
 """

@@ -1,16 +1,13 @@
-"""``repro lint`` / ``python -m repro.lint`` — the analyzer's front end.
+"""``repro lint`` — the analyzer's front end.
 
 Exit codes (stable, documented in README):
 
-* ``0`` — clean: no active findings (suppressed/baselined don't count);
+* ``0`` — clean: no active findings (pragma-suppressed ones don't count);
 * ``1`` — findings reported;
 * ``2`` — usage error (unknown rule code, bad path, bad format).
 
-``--strict`` additionally fails on stale baseline entries (B001) and
-dead pragmas (P001) — the mode CI runs.  ``--explain CODE`` prints a
-rule's rationale and fix-it guidance.  ``--write-baseline`` rewrites
-``lint-baseline.json`` from the current active findings (the burn-down
-workflow: commit the shrinking file, never grow it silently).
+``--explain CODE`` prints a rule's rationale and fix-it guidance;
+``--format json`` prints the machine-readable findings.
 """
 
 from __future__ import annotations
@@ -21,7 +18,6 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from repro.lint.baseline import load_baseline, write_baseline
 from repro.lint.model import RULES
 from repro.lint.runner import LintResult, lint_paths
 
@@ -43,36 +39,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="files or directories to lint (default: src)",
     )
     parser.add_argument(
-        "--strict",
-        action="store_true",
-        help="also fail on stale baseline entries (B001) and dead pragmas (P001)",
-    )
-    parser.add_argument(
         "--format",
         choices=["text", "json"],
         default="text",
         help="output format (default: text)",
     )
     parser.add_argument(
-        "--baseline",
-        metavar="PATH",
-        default="lint-baseline.json",
-        help="burn-down baseline file (default: ./lint-baseline.json)",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="rewrite the baseline from the current active findings and exit 0",
-    )
-    parser.add_argument(
         "--explain",
         metavar="CODE",
         help="print one rule's rationale and fix-it hint, then exit",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="bypass the content-keyed result cache (also REPRO_NO_CACHE)",
     )
     return parser
 
@@ -91,12 +66,11 @@ def explain(code: str) -> int:
     print()
     print(f"  fix: {rule.hint}")
     print()
-    print(f"  suppress: # repro: allow[{rule.code}] -- <reason>, or a")
-    print("  lint-baseline.json entry for pre-existing debt.")
+    print(f"  suppress: # repro: allow[{rule.code}] -- <reason>")
     return 0
 
 
-def render_text(result: LintResult, *, strict: bool) -> str:
+def render_text(result: LintResult) -> str:
     lines = [f.render() for f in result.findings]
     counts = result.counts_by_code()
     summary = (
@@ -106,9 +80,7 @@ def render_text(result: LintResult, *, strict: bool) -> str:
             if counts
             else ""
         )
-        + f"; suppressed: {len(result.pragma_suppressed)} pragma, "
-        + f"{len(result.baselined)} baseline"
-        + (" (strict)" if strict else "")
+        + f"; suppressed: {len(result.pragma_suppressed)} pragma"
     )
     lines.append(summary)
     return "\n".join(lines)
@@ -131,34 +103,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             file=sys.stderr,
         )
         return USAGE_ERROR
-    baseline_path = Path(args.baseline)
-    try:
-        baseline = load_baseline(baseline_path if baseline_path.exists() else None)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return USAGE_ERROR
-
-    result = lint_paths(
-        paths,
-        baseline=baseline,
-        strict=args.strict and not args.write_baseline,
-        cache=False if args.no_cache else None,
-    )
-
-    if args.write_baseline:
-        write_baseline(baseline_path, result.findings)
-        print(
-            f"wrote {baseline_path} ({len(result.findings)} entr"
-            f"{'y' if len(result.findings) == 1 else 'ies'})"
-        )
-        return 0
-
+    result = lint_paths(paths)
     if args.format == "json":
         print(json.dumps(result.to_payload(), sort_keys=True, indent=1))
     else:
-        print(render_text(result, strict=args.strict))
+        print(render_text(result))
     return 0 if result.clean else 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -6,13 +6,11 @@ rationale and a fix-it hint — ``repro lint --explain CODE`` prints the
 latter two verbatim, and the JSON output embeds the hint so CI
 annotations stay actionable.
 
-Suppression is explicit and auditable, never silent:
-
-* an inline pragma ``# repro: allow[D001]`` (optionally
-  ``allow[D001,D003]``, optionally followed by ``-- reason``) on the
-  offending line, or on a comment-only line immediately above it;
-* a committed :mod:`baseline <repro.lint.baseline>` entry for burn-down
-  of pre-existing findings.
+Suppression is explicit and auditable, never silent: an inline pragma
+``# repro: allow[D001]`` (optionally ``allow[D001,D003]``, optionally
+followed by ``-- reason``) on the offending line, or on a comment-only
+line immediately above it.  A pragma that suppresses nothing is itself
+a finding (**P001**).
 """
 
 from __future__ import annotations
@@ -49,17 +47,6 @@ class Finding:
             "message": self.message,
             "hint": self.hint,
         }
-
-    @classmethod
-    def from_payload(cls, payload: dict[str, Any]) -> "Finding":
-        return cls(
-            path=payload["path"],
-            line=int(payload["line"]),
-            col=int(payload["col"]),
-            code=payload["code"],
-            message=payload["message"],
-            hint=payload.get("hint", ""),
-        )
 
     def render(self) -> str:
         return f"{self.path}:{self.line}:{self.col}: {self.code} {self.message}"
@@ -185,7 +172,7 @@ _rule(
     "L005",
     "module unreachable from every entry point",
     "A module that no entry point (the `repro` console script, "
-    "`python -m repro`, `python -m repro.lint`) imports, directly or "
+    "`python -m repro`) imports, directly or "
     "lazily, runs only under tests, benches or examples: no command "
     "reproduces what it claims, yet it is kept, linted and documented.  "
     "The roots live in repro/lint/layers.toml [reachability].",
@@ -205,17 +192,8 @@ _rule(
     "description to CATALOG in src/repro/obs/names.py.",
 )
 _rule(
-    "B001",
-    "stale baseline entry (strict mode)",
-    "A lint-baseline.json entry that no longer matches any finding "
-    "means the debt was paid; leaving the entry around would let a "
-    "future regression of the same finding slip through unreported.",
-    "Re-run `repro lint --write-baseline` (or delete the entry) so the "
-    "baseline only lists live, justified debt.",
-)
-_rule(
     "P001",
-    "pragma suppresses nothing (strict mode)",
+    "pragma suppresses nothing",
     "An `# repro: allow[CODE]` comment whose code never fires on that "
     "line is dead weight: it documents an exemption that does not "
     "exist and would silently swallow a future, different finding.",

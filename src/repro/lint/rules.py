@@ -1,8 +1,8 @@
 """Per-file AST rules: D001-D004 (determinism) and T001 (naming).
 
 One traversal per file (:func:`check_file`) collects every finding; the
-runner handles pragmas, baselines and caching.  Each rule is scoped the
-way the determinism contract is scoped:
+runner handles pragmas.  Each rule is scoped the way the determinism
+contract is scoped:
 
 * **D001** — wall-clock reads, everywhere except the observability
   modules (:data:`WALL_CLOCK_ALLOWED`), which own the profiling clock;

@@ -1,31 +1,21 @@
-"""The lint driver: discovery, caching, suppression, aggregation.
+"""The lint driver: discovery, suppression, aggregation.
 
-Deterministic by construction — files are discovered in sorted order,
-findings are sorted on ``(path, line, col, code)``, and the on-disk
-result cache is *content-keyed*: a file's per-file findings are stored
-under ``sha256(source bytes + rule configuration + analyzer
-fingerprint)``, so a cache hit is exact by definition and editing any
-analyzer module (or the name catalog) invalidates every entry, the same
-contract the telemetry summary cache follows.  Graph rules (L001-L005)
-always run fresh — they are whole-package properties, cheap next
-to parsing.
-
-``REPRO_NO_CACHE=1`` (or ``cache=False``) bypasses the cache, as
-everywhere else in the repository.
+Deterministic by construction — files are discovered in sorted order
+and findings are sorted on ``(path, line, col, code)``.  Every run
+parses every file: per-file rules (D001-D004, T001) and pragma checks
+(P001) run file by file, the graph rules (L001-L005) once per package,
+since they are whole-package properties.
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
 import io
-import json
-import os
 import tokenize
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from repro.lint.baseline import Baseline, apply_baseline, load_baseline
+from repro.lint.imports import build_import_graph
 from repro.lint.layers import (
     LayerContract,
     check_layers,
@@ -35,8 +25,6 @@ from repro.lint.layers import (
 from repro.lint.model import PRAGMA_RE, RULES, Finding, parse_pragmas, split_suppressed
 from repro.lint.rules import RuleConfig, check_file
 
-_CACHE_SCHEMA = 1
-
 
 @dataclass
 class LintResult:
@@ -44,7 +32,6 @@ class LintResult:
 
     findings: list[Finding] = field(default_factory=list)
     pragma_suppressed: list[Finding] = field(default_factory=list)
-    baselined: list[Finding] = field(default_factory=list)
     n_files: int = 0
 
     @property
@@ -66,7 +53,6 @@ class LintResult:
             "findings": [f.to_payload() for f in self.findings],
             "suppressed": {
                 "pragma": [f.to_payload() for f in self.pragma_suppressed],
-                "baseline": [f.to_payload() for f in self.baselined],
             },
         }
 
@@ -108,90 +94,10 @@ def _package_roots(files: list[Path]) -> list[Path]:
     return sorted(roots)
 
 
-def _cache_dir() -> Path | None:
-    if os.environ.get("REPRO_NO_CACHE"):
-        return None
-    base = os.environ.get("REPRO_CACHE_DIR")
-    root = Path(base) if base else Path.home() / ".cache" / "repro"
-    return root / "lint"
-
-
-_ANALYZER_FINGERPRINT: str | None = None
-
-
-def _analyzer_fingerprint() -> str:
-    """Digest over the analyzer's own source (cache invalidation)."""
-    global _ANALYZER_FINGERPRINT
-    if _ANALYZER_FINGERPRINT is None:
-        from repro.fingerprint import fingerprint_modules
-
-        _ANALYZER_FINGERPRINT = fingerprint_modules(
-            [
-                "repro.lint.baseline",
-                "repro.lint.imports",
-                "repro.lint.layers",
-                "repro.lint.model",
-                "repro.lint.rules",
-                "repro.lint.runner",
-            ]
-        )
-    return _ANALYZER_FINGERPRINT
-
-
-def _config_digest(config: RuleConfig) -> str:
-    payload = {
-        "schema": _CACHE_SCHEMA,
-        "wall": config.wall_clock_allowed,
-        "random": config.randomness_allowed,
-        "order": config.order_sensitive,
-        "json": config.canonical_json,
-        "enabled": sorted(config.enabled),
-        "catalog": sorted(config.resolved_catalog()),
-        "analyzer": _analyzer_fingerprint(),
-    }
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
-def _check_file_cached(
-    path: Path,
-    source: str,
-    module: str,
-    config: RuleConfig,
-    config_digest: str,
-    cache_dir: Path | None,
-) -> list[Finding]:
-    key = hashlib.sha256(
-        (config_digest + "\x00" + module + "\x00" + source).encode("utf-8")
-    ).hexdigest()
-    if cache_dir is not None:
-        entry = cache_dir / f"{key}.json"
-        if entry.exists():
-            try:
-                payload = json.loads(entry.read_text(encoding="utf-8"))
-                return [Finding.from_payload(p) for p in payload["findings"]]
-            except (ValueError, KeyError):
-                pass  # corrupt entry: recompute and overwrite
-    tree = ast.parse(source, filename=str(path))
-    findings = check_file(module, tree, config)
-    if cache_dir is not None:
-        cache_dir.mkdir(parents=True, exist_ok=True)
-        tmp = cache_dir / f".{key}.tmp"
-        tmp.write_text(
-            json.dumps(
-                {"findings": [f.to_payload() for f in findings]},
-                sort_keys=True,
-            ),
-            encoding="utf-8",
-        )
-        os.replace(tmp, cache_dir / f"{key}.json")
-    return findings
-
-
 def _unused_pragma_findings(
     source: str, relpath: str, used_lines: set[int]
 ) -> list[Finding]:
-    """One P001 per pragma whose codes suppressed nothing (strict)."""
+    """One P001 per pragma whose codes suppressed nothing."""
     findings: list[Finding] = []
     try:
         tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
@@ -230,24 +136,15 @@ def lint_paths(
     base: Path | None = None,
     config: RuleConfig | None = None,
     contract: LayerContract | None = None,
-    baseline: Baseline | None = None,
-    strict: bool = False,
-    cache: bool | None = None,
-    graph_rules: bool = True,
 ) -> LintResult:
     """Lint ``paths`` and return the partitioned result.
 
     ``base`` anchors the relative paths findings carry (default: cwd).
-    ``strict`` additionally reports stale baseline entries (B001) and
-    dead pragmas (P001).
     """
     base = (base or Path.cwd()).resolve()
     config = config or RuleConfig()
     contract = contract or load_contract()
-    baseline = baseline or load_baseline(None)
     files = discover_files(paths)
-    cache_dir = _cache_dir() if cache in (None, True) else None
-    config_digest = _config_digest(config)
 
     def rel(path: Path) -> str:
         try:
@@ -255,61 +152,38 @@ def lint_paths(
         except ValueError:
             return path.as_posix()
 
-    raw: list[Finding] = []
+    findings: list[Finding] = []
     pragma_suppressed: list[Finding] = []
-    strict_extras: list[Finding] = []
     for path in files:
         source = path.read_text(encoding="utf-8")
-        module = module_name_of(path)
         relpath = rel(path)
+        tree = ast.parse(source, filename=str(path))
         per_file = [
-            Finding(
-                path=relpath,
-                line=f.line,
-                col=f.col,
-                code=f.code,
-                message=f.message,
-                hint=f.hint,
-            )
-            for f in _check_file_cached(
-                path, source, module, config, config_digest, cache_dir
-            )
+            replace(f, path=relpath)
+            for f in check_file(module_name_of(path), tree, config)
         ]
-        pragmas = parse_pragmas(source)
-        active, suppressed = split_suppressed(per_file, pragmas)
-        raw.extend(active)
+        active, suppressed = split_suppressed(per_file, parse_pragmas(source))
+        findings.extend(active)
         pragma_suppressed.extend(suppressed)
-        if strict:
-            strict_extras.extend(
-                _unused_pragma_findings(
-                    source, relpath, {f.line for f in suppressed}
-                )
-            )
+        findings.extend(
+            _unused_pragma_findings(source, relpath, {f.line for f in suppressed})
+        )
 
-    if graph_rules:
-        from repro.lint.imports import build_import_graph
+    linted_rel = {rel(p) for p in files}
+    for root in _package_roots(files):
+        graph = build_import_graph(root)
+        relpaths = {name: rel(path) for name, path in graph.files.items()}
+        # the graph spans the whole package (closure needs it), but
+        # only modules the user asked to lint may yield findings
+        findings.extend(
+            f
+            for f in check_layers(graph, contract, relpaths)
+            + check_reachability(graph, contract, relpaths)
+            if f.path in linted_rel
+        )
 
-        linted_rel = {rel(p) for p in files}
-        for root in _package_roots(files):
-            graph = build_import_graph(root)
-            relpaths = {
-                name: rel(path) for name, path in graph.files.items()
-            }
-            # the graph spans the whole package (closure needs it), but
-            # only modules the user asked to lint may yield findings
-            layer_findings = [
-                f
-                for f in check_layers(graph, contract, relpaths)
-                + check_reachability(graph, contract, relpaths)
-                if f.path in linted_rel
-            ]
-            raw.extend(layer_findings)
-
-    active, baselined, stale = apply_baseline(raw, baseline, strict=strict)
-    findings = sorted(active + stale + (strict_extras if strict else []))
     return LintResult(
-        findings=findings,
+        findings=sorted(findings),
         pragma_suppressed=sorted(pragma_suppressed),
-        baselined=sorted(baselined),
         n_files=len(files),
     )

@@ -163,7 +163,7 @@ def reactive_replay(
                 # threshold lose their traffic for this sample
                 if last_solution is not None:
                     for link_id, snr in snrs.items():
-                        capacity = controller.capacity.get(link_id, 0.0)
+                        capacity = controller.state.capacity_of(link_id)
                         if capacity <= 0:
                             continue
                         if snr < controller.table.required_snr(capacity):
@@ -237,7 +237,7 @@ def _emergency(
     at every sample.
     """
     for link_id, snr in snrs.items():
-        capacity = controller.capacity.get(link_id, 0.0)
+        capacity = controller.state.capacity_of(link_id)
         if capacity <= 0:
             continue
         if snr < controller.table.required_snr(capacity):

@@ -38,7 +38,7 @@ class TestUpgradePath:
         report = ctrl.step(healthy_snrs(topo), demands)
         for upgrade in report.upgrades:
             assert upgrade.new_capacity_gbps in (125.0, 150.0, 175.0, 200.0)
-            assert ctrl.capacity[upgrade.link_id] == upgrade.new_capacity_gbps
+            assert ctrl.state.capacity_of(upgrade.link_id) == upgrade.new_capacity_gbps
 
     def test_solution_valid(self, demands):
         topo = abilene()
@@ -98,7 +98,7 @@ class TestDowngradePath:
         snrs[victim] = 0.0
         report = ctrl.step(snrs, demands)
         assert victim in report.failed_links
-        assert ctrl.capacity[victim] == 0.0
+        assert ctrl.state.capacity_of(victim) == 0.0
         # the TE solution must not touch the dead link
         assert report.solution.link_flow(victim) == 0.0
 
@@ -109,11 +109,11 @@ class TestDowngradePath:
         victim = topo.real_links()[0].link_id
         snrs[victim] = 0.0
         ctrl.step(snrs, demands)
-        assert ctrl.capacity[victim] == 0.0
+        assert ctrl.state.capacity_of(victim) == 0.0
         snrs[victim] = 16.0
         ctrl.step(snrs, demands)
         # crawl restores to the provisioned rate, never higher
-        assert ctrl.capacity[victim] == 100.0
+        assert ctrl.state.capacity_of(victim) == 100.0
 
     def test_unknown_link_rejected(self, demands):
         topo = abilene()

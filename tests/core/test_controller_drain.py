@@ -83,5 +83,7 @@ class TestDrainBeforeChange:
         )
         r1 = plain.step(snrs, demands)
         r2 = drained.step(snrs, demands)
-        assert plain.capacity == drained.capacity
+        assert {l.link_id: l.capacity_gbps for l in plain.state} == {
+            l.link_id: l.capacity_gbps for l in drained.state
+        }
         assert r1.throughput_gbps == pytest.approx(r2.throughput_gbps, rel=1e-6)

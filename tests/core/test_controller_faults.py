@@ -74,7 +74,9 @@ class TestZeroCostWhenDisabled:
             rb = b.step(healthy(topo, snr), demands)
             assert ra.throughput_gbps == rb.throughput_gbps
             assert ra.reconfiguration_downtime_s == rb.reconfiguration_downtime_s
-        assert a.capacity == b.capacity
+        assert {l.link_id: l.capacity_gbps for l in a.state} == {
+            l.link_id: l.capacity_gbps for l in b.state
+        }
 
     def test_clean_run_reports_no_fault_fields(self, demands):
         ctrl, topo = make_controller(
@@ -112,7 +114,7 @@ class TestBvtRetry:
         assert len(dark) == 1
         link = dark[0]
         # the link went dark rather than holding an SNR-infeasible rate
-        assert ctrl.capacity[link] == 0.0
+        assert ctrl.state.capacity_of(link) == 0.0
         assert link in report.failed_links
         assert report.fault_capacity_loss_gbps > 0.0
         assert report.n_retries == 2
@@ -161,10 +163,10 @@ class TestStaleTelemetry:
         for _ in range(2):
             report = ctrl.step(snrs, demands)
             assert report.stale_links == (link,)
-            assert ctrl.capacity[link] == 100.0
+            assert ctrl.state.capacity_of(link) == 100.0
         # round 3: hold expired — fall back to the 50 Gbps floor
         report = ctrl.step(snrs, demands)
-        assert ctrl.capacity[link] == 50.0
+        assert ctrl.state.capacity_of(link) == 50.0
         assert report.fault_capacity_loss_gbps == 50.0
         assert any(d.link_id == link for d in report.downgrades)
 
@@ -178,7 +180,7 @@ class TestStaleTelemetry:
             ctrl.step(snrs, demands)
             snrs[link] = 16.0
             ctrl.step(snrs, demands)
-        assert ctrl.capacity[link] == 100.0  # never fell back
+        assert ctrl.state.capacity_of(link) == 100.0  # never fell back
 
     def test_dark_link_never_restores_on_stale_reading(self, demands):
         ctrl, topo = make_controller()
@@ -186,10 +188,10 @@ class TestStaleTelemetry:
         snrs = healthy(topo)
         snrs[link] = -60.0  # loss of light: link fails
         ctrl.step(snrs, demands)
-        assert ctrl.capacity[link] == 0.0
+        assert ctrl.state.capacity_of(link) == 0.0
         snrs[link] = math.nan
         report = ctrl.step(snrs, demands)
-        assert ctrl.capacity[link] == 0.0
+        assert ctrl.state.capacity_of(link) == 0.0
         assert link not in report.restored_links
 
 
@@ -208,8 +210,8 @@ class TestGuardBand:
         snrs[link] = 9.0
         plain.step(snrs, demands)
         guarded.step(snrs, demands)
-        assert plain.capacity[link] == 100.0
-        assert guarded.capacity[link] == 50.0
+        assert plain.state.capacity_of(link) == 100.0
+        assert guarded.state.capacity_of(link) == 50.0
 
 
 class TestTeFallback:

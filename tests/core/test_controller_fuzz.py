@@ -68,8 +68,8 @@ class TestControllerInvariants:
             snrs = dict(zip(link_ids, snr_row))
             report = controller.step(snrs, demands)
             # capacities stay on the ladder
-            for capacity in controller.capacity.values():
-                assert capacity in LADDER
+            for link in controller.state.links.values():
+                assert link.capacity_gbps in LADDER
             # the TE state respects physics
             assert report.solution.is_valid()
             # no flow on failed links
@@ -92,7 +92,9 @@ class TestControllerInvariants:
         snrs = dict(zip(link_ids, snr_row))
         ra = ctrl_a.step(snrs, demands)
         rb = ctrl_b.step(snrs, demands)
-        assert ctrl_a.capacity == ctrl_b.capacity
+        assert {l.link_id: l.capacity_gbps for l in ctrl_a.state} == {
+            l.link_id: l.capacity_gbps for l in ctrl_b.state
+        }
         assert ra.throughput_gbps == pytest.approx(rb.throughput_gbps)
 
     @settings(max_examples=10, deadline=None)
@@ -102,7 +104,7 @@ class TestControllerInvariants:
         snrs = {l.link_id: snr for l in topo.real_links()}
         report = controller.step(snrs, demands)
         assert report.failed_links == ()
-        assert all(c >= 100.0 for c in controller.capacity.values())
+        assert all(l.capacity_gbps >= 100.0 for l in controller.state.links.values())
 
     @settings(max_examples=10, deadline=None)
     @given(
@@ -117,9 +119,9 @@ class TestControllerInvariants:
         controller.step(healthy, demands)
         victim = link_ids[0]
         controller.step({**healthy, victim: dip}, demands)
-        assert controller.capacity[victim] < 100.0  # flapped or failed
+        assert controller.state.capacity_of(victim) < 100.0  # flapped or failed
         controller.step(healthy, demands)
-        assert controller.capacity[victim] >= 100.0
+        assert controller.state.capacity_of(victim) >= 100.0
 
 
 class TestCachedEqualsUncached:

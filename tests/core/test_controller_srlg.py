@@ -55,4 +55,6 @@ class TestSrlgAwareController:
         )
         plain.step(snrs, demands)
         scheduled.step(snrs, demands)
-        assert plain.capacity == scheduled.capacity
+        assert {l.link_id: l.capacity_gbps for l in plain.state} == {
+            l.link_id: l.capacity_gbps for l in scheduled.state
+        }

@@ -139,13 +139,13 @@ class TestControllerReuse:
         controller, snrs, demands = _steady(snr_db=7.0)
         victim = next(iter(snrs))
         assert not _step(controller, {**snrs, victim: 5.0}, demands)
-        assert controller.capacity[victim] == 50.0
+        assert controller.state.capacity_of(victim) == 50.0
 
     def test_changed_headroom_misses(self):
         controller, snrs, demands = _steady()
         victim = next(iter(snrs))
         assert not _step(controller, {**snrs, victim: 15.0}, demands)
-        assert controller.capacity[victim] == 100.0
+        assert controller.state.capacity_of(victim) == 100.0
 
     def test_changed_traffic_memory_misses(self):
         controller, snrs, demands = _steady()

@@ -43,7 +43,8 @@ class TestRunSweep:
             run_sweep(quick_sweep(), tmp_path / "run", workers=1)
         store = RunStore(tmp_path / "run")
         for artifact in store.artifacts():
-            assert "outer.noise" not in artifact["perf"]["timers"]
+            registry = metrics.MetricsRegistry.from_payload(artifact["metrics"])
+            assert "outer.noise" not in registry.summaries()
 
     def test_max_runs_defers_the_rest(self, tmp_path):
         report = run_sweep(

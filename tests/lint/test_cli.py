@@ -1,4 +1,4 @@
-"""CLI exit codes, formats, --explain, and baseline workflow."""
+"""CLI exit codes, formats and --explain."""
 
 import json
 import subprocess
@@ -27,13 +27,9 @@ def tree(tmp_path):
     return tmp_path
 
 
-def baseline_arg(tree):
-    return ["--baseline", str(tree / "lint-baseline.json")]
-
-
 class TestExitCodes:
     def test_findings_exit_1(self, tree, capsys):
-        code = main([str(tree / "src"), *baseline_arg(tree)])
+        code = main([str(tree / "src")])
         assert code == 1
         out = capsys.readouterr().out
         assert "D004" in out
@@ -41,25 +37,26 @@ class TestExitCodes:
 
     def test_clean_exit_0(self, tree, capsys):
         (tree / "src" / "pkg" / "serialize.py").write_text(CLEAN_SERIALIZER)
-        assert main([str(tree / "src"), *baseline_arg(tree)]) == 0
+        assert main([str(tree / "src")]) == 0
         assert "0 finding(s)" in capsys.readouterr().out
 
     def test_missing_path_exit_2(self, tree, capsys):
-        assert main([str(tree / "absent"), *baseline_arg(tree)]) == 2
+        assert main([str(tree / "absent")]) == 2
         assert "no such path" in capsys.readouterr().err
 
     def test_bad_format_exit_2(self, tree, capsys):
         assert main([str(tree / "src"), "--format", "yaml"]) == 2
 
-    def test_corrupt_baseline_exit_2(self, tree, capsys):
-        (tree / "lint-baseline.json").write_text(
-            json.dumps({"schema": 99, "findings": []})
-        )
-        assert main([str(tree / "src"), *baseline_arg(tree)]) == 2
+    @pytest.mark.parametrize(
+        "flags",
+        [["--strict"], ["--no-cache"], ["--baseline", "x.json"], ["--write-baseline"]],
+    )
+    def test_retired_flags_exit_2(self, tree, flags):
+        assert main([str(tree / "src"), *flags]) == 2
 
 
 class TestExplain:
-    @pytest.mark.parametrize("code", ["D001", "d003", "T001", "B001"])
+    @pytest.mark.parametrize("code", ["D001", "d003", "T001", "P001"])
     def test_known_codes(self, code, capsys):
         assert main(["--explain", code]) == 0
         out = capsys.readouterr().out
@@ -75,45 +72,30 @@ class TestExplain:
         assert main(["--explain", "F001"]) == 2
         assert "unknown rule code" in capsys.readouterr().err
 
+    def test_retired_b001_exit_2(self, capsys):
+        # no baseline file is read, so no entry of one can go stale
+        assert main(["--explain", "B001"]) == 2
+        assert "unknown rule code" in capsys.readouterr().err
+
 
 class TestJsonFormat:
     def test_payload_shape(self, tree, capsys):
-        code = main(
-            [str(tree / "src"), "--format", "json", *baseline_arg(tree)]
-        )
+        code = main([str(tree / "src"), "--format", "json"])
         assert code == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["schema"] == 1
         assert payload["clean"] is False
+        assert payload["suppressed"] == {"pragma": []}
         [finding] = payload["findings"]
         assert finding["code"] == "D004"
         assert finding["path"].endswith("serialize.py")
         assert finding["hint"]
 
 
-class TestBaselineWorkflow:
-    def test_write_then_clean_then_stale(self, tree, capsys):
-        # 1. acknowledge the debt
-        assert (
-            main([str(tree / "src"), "--write-baseline", *baseline_arg(tree)])
-            == 0
-        )
-        assert (tree / "lint-baseline.json").exists()
-        # 2. baselined finding no longer fails the gate
-        assert main([str(tree / "src"), *baseline_arg(tree)]) == 0
-        # 3. paying off the debt makes the entry stale under --strict
-        (tree / "src" / "pkg" / "serialize.py").write_text(CLEAN_SERIALIZER)
-        assert main([str(tree / "src"), *baseline_arg(tree)]) == 0
-        assert (
-            main([str(tree / "src"), "--strict", *baseline_arg(tree)]) == 1
-        )
-        assert "B001" in capsys.readouterr().out
-
-
 class TestModuleEntryPoint:
     def test_python_dash_m(self):
         proc = subprocess.run(
-            [sys.executable, "-m", "repro.lint", "--explain", "D001"],
+            [sys.executable, "-m", "repro", "lint", "--explain", "D001"],
             capture_output=True,
             text=True,
         )

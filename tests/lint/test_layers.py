@@ -142,7 +142,7 @@ class TestReachability:
     def test_lint_run_fails_on_the_orphan(self, tmp_path):
         make_tree(tmp_path, ORPHAN_TREE)
         result = lint_paths(
-            [tmp_path / "pkg"], base=tmp_path, contract=REACHABILITY, cache=False
+            [tmp_path / "pkg"], base=tmp_path, contract=REACHABILITY
         )
         assert [f.code for f in result.findings] == ["L005"]
         assert "pkg.orphan" in result.findings[0].message
@@ -170,9 +170,7 @@ class TestContractFile:
         codes = {rule.code for rule in contract.rules}
         assert codes == {"L001", "L002", "L003", "L004"}
         assert "repro.obs" in contract.fingerprint_exempt
-        assert contract.reachability_roots == (
-            "repro.cli", "repro.__main__", "repro.lint.__main__"
-        )
+        assert contract.reachability_roots == ("repro.cli", "repro.__main__")
 
     def test_console_script_is_a_reachability_root(self):
         tomllib = pytest.importorskip("tomllib")  # absent on Python 3.10

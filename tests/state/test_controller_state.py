@@ -1,4 +1,4 @@
-"""The controller's state integration: transitions, views, lineage."""
+"""The controller's state integration: transitions, capacities, lineage."""
 
 import numpy as np
 import pytest
@@ -42,27 +42,12 @@ def test_controller_state_is_versioned_lineage(demands):
 
 def test_capacity_view_tracks_latest_state(demands):
     ctrl = controller()
-    before = dict(ctrl.capacity)
+    before = ctrl.state
     report = ctrl.step(healthy_snrs(ctrl.physical), demands)
-    after = dict(ctrl.capacity)
     assert report.upgrades  # run policy upgrades on healthy SNR
     for upgrade in report.upgrades:
-        assert before[upgrade.link_id] != after[upgrade.link_id]
-        assert ctrl.capacity[upgrade.link_id] == upgrade.new_capacity_gbps
-        assert ctrl.capacity.get(upgrade.link_id) == upgrade.new_capacity_gbps
-    # Mapping surface: membership, iteration, equality with a plain dict
-    assert set(ctrl.capacity) == set(before)
-    assert ctrl.capacity == after
-    assert ctrl.capacity.get("missing") is None
-    assert "missing" not in ctrl.capacity
-    with pytest.raises(KeyError):
-        ctrl.capacity["missing"]
-
-
-def test_capacity_view_is_read_only():
-    ctrl = controller()
-    with pytest.raises(TypeError):
-        ctrl.capacity["x"] = 1.0  # Mapping, not MutableMapping
+        assert before.capacity_of(upgrade.link_id) != upgrade.new_capacity_gbps
+        assert ctrl.state.capacity_of(upgrade.link_id) == upgrade.new_capacity_gbps
 
 
 def test_old_snapshots_survive_later_rounds(demands):

@@ -133,27 +133,23 @@ class TestLintCommand:
     def test_clean_file(self, tmp_path, capsys):
         path = tmp_path / "clean.py"
         path.write_text("def f(x):\n    return x + 1\n")
-        argv = ["lint", str(path), "--baseline", str(tmp_path / "none.json")]
-        assert main(argv) == 0
+        assert main(["lint", str(path)]) == 0
         assert "0 finding(s) in 1 file(s)" in capsys.readouterr().out
 
     def test_help_is_the_linters_own(self, capsys):
         assert main(["lint", "--help"]) == 0
-        assert capsys.readouterr().out.startswith("usage: repro lint [-h] [--strict]")
+        assert capsys.readouterr().out.startswith("usage: repro lint [-h] [--format")
 
     @pytest.mark.parametrize(
-        "argv",
-        [["--no-cache", "lint", "--strict"], ["lint", "--no-cache", "--strict"]],
+        "argv", [["--no-cache", "lint", "PATH"], ["lint", "--no-cache", "PATH"]]
     )
-    def test_no_cache_in_either_position(self, argv, monkeypatch):
-        import repro.lint.cli
-
-        forwarded = []
-        monkeypatch.setattr(
-            repro.lint.cli, "main", lambda args: forwarded.append(args) or 0
-        )
-        assert main(argv) == 0
-        assert forwarded == [["--strict", "--no-cache"]]
+    def test_no_cache_in_either_position(self, argv, tmp_path, capsys):
+        # before ``lint`` it is the global flag; after it, every argument
+        # is the linter's, and the linter has no cache
+        path = tmp_path / "clean.py"
+        path.write_text("def f(x):\n    return x + 1\n")
+        status = main([str(path) if a == "PATH" else a for a in argv])
+        assert status == (0 if argv[0] == "--no-cache" else 2)
 
     def test_other_commands_reject_unknown_flags(self):
         with pytest.raises(SystemExit) as exc:
@@ -417,9 +413,35 @@ class TestSweepCommands:
         assert main(["sweep", "compare", a, b]) == 0
         assert "within tolerance" in capsys.readouterr().out
 
-    def test_compare_unknown_run_exits_nonzero(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            main(["sweep", "compare", "ghost"])
+    def test_compare_unknown_run_exits_nonzero(self, tmp_path, capsys):
+        assert main(["sweep", "compare", "ghost"]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: no sweep run at 'ghost' ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["show", "ghost"], ["resume", "ghost"], ["compare", "RUN", "ghost"]],
+        ids=["show", "resume", "compare-second-run"],
+    )
+    def test_unknown_run_is_a_usage_error(self, tmp_path, capsys, argv):
+        run = str(tmp_path / "run")
+        main(["sweep", "run", str(self.write_spec(tmp_path)), "--out", run])
+        capsys.readouterr()
+        argv = [run if a == "RUN" else a for a in argv]
+        assert main(["sweep", *argv]) == 2
+        captured = capsys.readouterr()
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: no sweep run at 'ghost' ")
+        assert captured.out == ""
+
+    def test_missing_spec_file_is_a_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "nope.toml"
+        assert main(["sweep", "run", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"error: sweep spec {path}: No such file or directory"
+        ]
+        assert captured.out == ""
 
     def test_progress_streams_to_stderr(self, tmp_path, capsys):
         spec = self.write_spec(tmp_path)
