@@ -106,8 +106,6 @@ class Fig2aData:
     def mean_range_db(self) -> float:
         return float(np.mean(self.ranges_db))
 
-    def cdfs(self):
-        return empirical_cdf(self.hdr_widths_db), empirical_cdf(self.ranges_db)
 
 
 def fig2a_snr_variation(summaries: Sequence[LinkSummary]) -> Fig2aData:
@@ -138,8 +136,6 @@ class Fig2bData:
     def total_gain_tbps(self) -> float:
         return float(np.sum(self.gains_gbps)) / 1000.0
 
-    def capacity_cdf(self):
-        return empirical_cdf(self.feasible_gbps)
 
 
 def fig2b_feasible_capacity(summaries: Sequence[LinkSummary]) -> Fig2bData:

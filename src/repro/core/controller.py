@@ -364,15 +364,9 @@ class DynamicCapacityController:
 
         Call before the first :meth:`step`; BVTs created afterwards get
         their fault hook automatically, and any already-created BVT is
-        re-armed here.  An injector that understands state lineages
-        (``attach_state``) is seeded with the controller's current
-        snapshot so it can evolve observed-vs-truth lineages from a
-        shared ancestor.
+        re-armed here.
         """
         self._faults = injector
-        attach = getattr(injector, "attach_state", None)
-        if attach is not None:
-            attach(self.state)
         for link_id, bvt in self._bvts.items():
             bvt.fault_hook = self._bvt_fault_hook(link_id)
 
@@ -538,22 +532,6 @@ class DynamicCapacityController:
             raise ControllerCrash(round_index, seam)
         if self._journal is not None:
             self._journal.maybe_checkpoint(self.state, self.rounds_completed)
-
-    def enforce_capacity(
-        self, link_id: str, capacity_gbps: float, *, label: str = "enforce"
-    ) -> None:
-        """Force one link's recorded capacity outside the round flow.
-
-        The safety-invariant escape hatch (the monitor's ``degrade``
-        policy pins a BER-violating link back to its feasible rate):
-        commits a single-link state transition without touching the
-        BVT model — the *record* is corrected now, the hardware
-        follows at the next round like any other downgrade.
-        """
-        link = self.state.links[link_id]
-        if link.capacity_gbps == capacity_gbps:
-            return
-        self._commit({link_id: {"capacity_gbps": capacity_gbps}}, label)
 
     # -- hardware access ----------------------------------------------------
 

@@ -35,8 +35,6 @@ from repro.faults.spec import FaultPlan, FaultSpec
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
 from repro.seeds import component_rng, component_seed
-from repro.state.model import NetworkState
-from repro.state.store import StateStore
 from repro.telemetry.traces import TelemetryFeed, TelemetrySample
 
 
@@ -69,11 +67,6 @@ class FaultInjector:
         self.counts: dict[str, int] = {}
         self._bvt_rngs: dict[str, np.random.Generator] = {}
         self._te_rng = component_rng(plan.seed, "faults.te")
-        #: what the controller *sees* vs what the network *is*: two
-        #: state lineages from a shared ancestor (None until a state
-        #: holder calls :meth:`attach_state`)
-        self.observed_states: StateStore | None = None
-        self.truth_states: StateStore | None = None
 
     def count(self, kind: str, n: int = 1) -> None:
         self.counts[kind] = self.counts.get(kind, 0) + n
@@ -81,50 +74,6 @@ class FaultInjector:
         # when a tracer is active, a point event on the run timeline
         _metrics.counter("faults.activated", kind=kind).inc(n)
         _trace.point("fault.activated", kind=kind, n=n)
-
-    # -- state lineages -----------------------------------------------------
-
-    def attach_state(self, base: NetworkState) -> None:
-        """Root the observed/truth lineages at a shared ancestor.
-
-        The controller calls this from ``bind_faults`` with its current
-        snapshot.  From then on every telemetry sample whose faulted
-        view diverges from the true SNR is published as one transition
-        on *each* lineage — same version, different ``snr_db`` values —
-        so the per-version diff between the two stores is exactly the
-        corruption this plan introduced, and :meth:`ground_truth`
-        becomes literally a parallel state lineage.
-        """
-        self.observed_states = StateStore(base, name="observed")
-        self.truth_states = StateStore(base, name="truth")
-
-    def record_sample(
-        self,
-        index: int,
-        truth: Mapping[str, float],
-        observed: Mapping[str, float],
-    ) -> None:
-        """Publish one diverged sample onto both lineages (no-op when
-        no state is attached or the sample is clean)."""
-        if self.observed_states is None or self.truth_states is None:
-            return
-        known = self.observed_states.latest.links
-        diverged = [
-            link_id
-            for link_id, seen in observed.items()
-            if link_id in known
-            and not (seen == truth[link_id]
-                     or (seen != seen and truth[link_id] != truth[link_id]))
-        ]
-        if not diverged:
-            return
-        label = f"sample:{index}"
-        self.observed_states.commit(
-            {l: {"snr_db": observed[l]} for l in diverged}, label=label
-        )
-        self.truth_states.commit(
-            {l: {"snr_db": truth[l]} for l in diverged}, label=label
-        )
 
     # -- telemetry seam -----------------------------------------------------
 
@@ -190,9 +139,9 @@ class FaultInjector:
 
         Only the ``bvt.*``/``te.*`` draws advance one-at-a-time with
         the run and must be restored exactly; telemetry faults are
-        positionally keyed (and their counts — like the lineage
-        commits — are naturally re-counted when a resumed run re-reads
-        the feed from the start), so they need nothing here.
+        positionally keyed (and their counts are naturally re-counted
+        when a resumed run re-reads the feed from the start), so they
+        need nothing here.
         """
         return {
             "te_rng": self._te_rng.bit_generator.state,
@@ -278,8 +227,7 @@ class FaultyTelemetryFeed(TelemetryFeed):
        overriding everything else.
 
     The wrapper validates exactly like the base feed (same timebase,
-    same links) and keeps :attr:`base` for ground-truth access — the
-    chaos harness compares controller decisions against the true SNR.
+    same links) and keeps the unfaulted feed as :attr:`base`.
     """
 
     def __init__(self, base: TelemetryFeed, injector: FaultInjector):
@@ -372,7 +320,6 @@ class FaultyTelemetryFeed(TelemetryFeed):
             link_id: self._faulted_value(link_id, sample.index, sample.time_s)
             for link_id in sample.snr_db
         }
-        self.injector.record_sample(sample.index, sample.snr_db, observed)
         return TelemetrySample(
             index=sample.index,
             time_s=sample.time_s,
@@ -388,6 +335,3 @@ class FaultyTelemetryFeed(TelemetryFeed):
         for sample in self.base.iter_samples(stride=stride, max_samples=max_samples):
             yield self._transform(sample)
 
-    def ground_truth(self, index: int) -> Mapping[str, float]:
-        """The unfaulted SNR dict at one grid point."""
-        return self.base.sample(index).snr_db

@@ -2,9 +2,11 @@
 
 Deterministic by construction — files are discovered in sorted order
 and findings are sorted on ``(path, line, col, code)``.  Every run
-parses every file: per-file rules (D001-D004, T001) and pragma checks
-(P001) run file by file, the graph rules (L001-L005) once per package,
-since they are whole-package properties.
+parses every file: the graph rules (L001-L005) run once per package,
+since they are whole-package properties, then per-file rules
+(D001-D004, T001) run file by file, and each file's pragmas suppress
+its per-file and graph findings alike (P001 flags the pragmas that
+suppressed nothing).
 """
 
 from __future__ import annotations
@@ -152,34 +154,36 @@ def lint_paths(
         except ValueError:
             return path.as_posix()
 
+    linted_rel = {rel(p) for p in files}
+    graph_findings: dict[str, list[Finding]] = {}
+    for root in _package_roots(files):
+        graph = build_import_graph(root)
+        relpaths = {name: rel(path) for name, path in graph.files.items()}
+        # the graph spans the whole package (closure needs it), but
+        # only modules the user asked to lint may yield findings
+        for f in check_layers(graph, contract, relpaths) + check_reachability(
+            graph, contract, relpaths
+        ):
+            if f.path in linted_rel:
+                graph_findings.setdefault(f.path, []).append(f)
+
     findings: list[Finding] = []
     pragma_suppressed: list[Finding] = []
     for path in files:
         source = path.read_text(encoding="utf-8")
         relpath = rel(path)
         tree = ast.parse(source, filename=str(path))
-        per_file = [
+        # a file's pragmas cover its graph findings too: L001-L004 sit
+        # on the import line, L005 on line 1
+        candidates = [
             replace(f, path=relpath)
             for f in check_file(module_name_of(path), tree, config)
-        ]
-        active, suppressed = split_suppressed(per_file, parse_pragmas(source))
+        ] + graph_findings.get(relpath, [])
+        active, suppressed = split_suppressed(candidates, parse_pragmas(source))
         findings.extend(active)
         pragma_suppressed.extend(suppressed)
         findings.extend(
             _unused_pragma_findings(source, relpath, {f.line for f in suppressed})
-        )
-
-    linted_rel = {rel(p) for p in files}
-    for root in _package_roots(files):
-        graph = build_import_graph(root)
-        relpaths = {name: rel(path) for name, path in graph.files.items()}
-        # the graph spans the whole package (closure needs it), but
-        # only modules the user asked to lint may yield findings
-        findings.extend(
-            f
-            for f in check_layers(graph, contract, relpaths)
-            + check_reachability(graph, contract, relpaths)
-            if f.path in linted_rel
         )
 
     return LintResult(

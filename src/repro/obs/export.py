@@ -155,9 +155,8 @@ def state_timeline_jsonl(tracer: Tracer) -> str:
 
     Every :class:`~repro.state.store.StateStore` commit publishes one such
     event (store name, version chain, label, per-kind delta counts), so
-    a traced run's network-state evolution — controller transitions
-    plus any fault-injection observed/truth lineages — lands in one
-    grep-friendly file.  Sim-time only: byte-stable for a fixed seed.
+    a traced run's network-state evolution lands in one grep-friendly
+    file.  Sim-time only: byte-stable for a fixed seed.
     """
     rows = [
         {
@@ -292,21 +291,6 @@ def run_summary(
         )
         if n_transitions:
             lines.append(f"state: {n_transitions} transitions")
-        n_violations = sum(
-            1 for e in tracer.events if e.name == "invariant.violation"
-        )
-        if n_violations:
-            by_invariant: dict[str, int] = {}
-            for e in tracer.events:
-                if e.name == "invariant.violation":
-                    which = str(e.attrs.get("invariant", "?"))
-                    by_invariant[which] = by_invariant.get(which, 0) + 1
-            breakdown = ", ".join(
-                f"{k}={n}" for k, n in sorted(by_invariant.items())
-            )
-            lines.append(
-                f"invariants: {n_violations} violation(s) ({breakdown})"
-            )
         by_name: dict[str, tuple[int, float]] = {}
         for s in tracer.spans:
             n, tot = by_name.get(s.name, (0, 0.0))

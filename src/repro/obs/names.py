@@ -38,7 +38,6 @@ SPANS: dict[str, str] = {
 POINTS: dict[str, str] = {
     "bvt.retry": "reconfiguration attempt failed; retry scheduled",
     "fault.activated": "an armed fault fired at one of its seams",
-    "invariant.violation": "a runtime invariant check failed (see attrs)",
     "journal.checkpoint": "durable checkpoint written at a round commit",
     "journal.recover": "state recovered from checkpoint + WAL replay",
     "state.transition": "one StateStore commit (version chain in attrs)",
@@ -52,7 +51,6 @@ METRICS: dict[str, str] = {
     "controller.rounds": "TE rounds executed",
     "controller.te_fallbacks": "rounds that fell back to the last good TE solution",
     "faults.activated": "fault activations, labelled by kind",
-    "invariants.violations": "invariant violations, labelled by invariant",
     "journal.checkpoints": "durable checkpoints written",
     "journal.rounds": "round frames committed to the WAL",
     "journal.transitions": "state transitions appended to the WAL",

@@ -1,6 +1,6 @@
 """``repro.recovery`` — crash tolerance for the control plane.
 
-Three pieces turn the controller from a process that loses everything
+Two pieces turn the controller from a process that loses everything
 on death into one that resumes mid-round, bit-for-bit:
 
 * :class:`StateJournal` / :func:`recover` / :func:`reopen` — a durable
@@ -10,11 +10,7 @@ on death into one that resumes mid-round, bit-for-bit:
   truncating torn tails (:mod:`repro.recovery.journal`);
 * :func:`report_payload` / :func:`restore_report` — round frames carry
   the full :class:`ControllerReport` so a resumed run hands back the
-  complete per-round history (:mod:`repro.recovery.reports`);
-* :class:`InvariantMonitor` — runtime safety invariants (BER
-  feasibility, no stale restores, monotonic versions, journal/store
-  lineage agreement) with record/degrade/abort policies
-  (:mod:`repro.recovery.invariants`).
+  complete per-round history (:mod:`repro.recovery.reports`).
 
 Layering: imports state + obs (and, lazily, the controller's report
 types when *restoring*); the controller imports this package, never

@@ -73,7 +73,6 @@ def reactive_replay(
     te_cache: bool | None = None,
     journal_dir: "str | None" = None,
     resume: bool | str = False,
-    invariants: str | None = None,
 ) -> ReactiveResult:
     """Walk the telemetry sample by sample, charging reaction lag.
 
@@ -88,7 +87,7 @@ def reactive_replay(
         pessimism_db: extra dB subtracted from a dipping link's SNR
             when proactive mode hands it to the policy.
         detector_k_sigma: alarm threshold of the proactive detectors.
-        faults, te_cache, journal_dir, resume, invariants: the run
+        faults, te_cache, journal_dir, resume: the run
             knobs, bound by :func:`repro.sim.wiring.controller_run`.
             Under faults the walk sees faulted telemetry (dropouts
             arrive as NaN, which the dip detectors skip and the
@@ -107,8 +106,6 @@ def reactive_replay(
             run as a different mode or leave a journal behind.
         repro.recovery.journal.ControllerCrash: when an armed
             ``controller.crash`` fault fires mid-run.
-        repro.recovery.invariants.InvariantViolationError: when an
-            ``abort``-policy monitor stopped the run.
     """
     if mode not in REACTION_MODES:
         raise ValueError(
@@ -127,8 +124,7 @@ def reactive_replay(
         te_cache=te_cache,
         journal_dir=journal_dir,
         resume=resume,
-        invariants=invariants,
-    ) as (feed, clock, restored, monitor):
+    ) as (feed, clock, restored):
         interval_s = feed.timebase.interval_s
         stride = max(int(te_interval_s // interval_s), 1)
         interval_h = interval_s / 3600.0
@@ -205,10 +201,6 @@ def reactive_replay(
                 )
                 last_solution = report.solution
                 throughputs.append(report.throughput_gbps)
-                if monitor is not None:
-                    monitor.check_round(report)
-                    if monitor.fatal:
-                        break
             if sp is not None:
                 sp.set(n_rounds=n_scheduled + n_emergency)
     return ReactiveResult(

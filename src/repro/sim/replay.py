@@ -69,7 +69,6 @@ def replay_controller(
     te_cache: bool | None = None,
     journal_dir: "str | None" = None,
     resume: bool | str = False,
-    invariants: str | None = None,
 ) -> ReplayResult:
     """Drive ``controller`` with trace samples every ``te_interval_s``.
 
@@ -82,7 +81,7 @@ def replay_controller(
         te_interval_s: TE recomputation period (SWAN-style minutes-to-
             hours; default 4 h keeps long replays tractable).
         max_rounds: stop early after this many rounds.
-        faults, te_cache, journal_dir, resume, invariants: the run
+        faults, te_cache, journal_dir, resume: the run
             knobs, bound by :func:`repro.sim.wiring.controller_run`.
             On a resume the recovered rounds are replayed into the
             result arrays and the loop skips that many rounds, so the
@@ -93,8 +92,6 @@ def replay_controller(
         repro.recovery.journal.ControllerCrash: when an armed
             ``controller.crash`` fault fires mid-run (the journal then
             holds everything a ``resume`` run needs).
-        repro.recovery.invariants.InvariantViolationError: when an
-            ``abort``-policy monitor stopped the run.
     """
     with controller_run(
         controller,
@@ -104,8 +101,7 @@ def replay_controller(
         te_cache=te_cache,
         journal_dir=journal_dir,
         resume=resume,
-        invariants=invariants,
-    ) as (feed, clock, restored, monitor):
+    ) as (feed, clock, restored):
         times: list[float] = []
         reports = [restore_report(r["report"]) for r in restored]
         stride = max(int(te_interval_s // feed.timebase.interval_s), 1)
@@ -126,10 +122,6 @@ def replay_controller(
                     continue
                 report = controller.step(sample.snr_db, demands)
                 reports.append(report)
-                if monitor is not None:
-                    monitor.check_round(report)
-                    if monitor.fatal:
-                        break
             if sp is not None:
                 sp.set(n_rounds=len(reports))
 

@@ -15,7 +15,6 @@ from repro.engine.clock import SimClock
 from repro.faults.inject import FaultInjector, as_injector
 from repro.faults.spec import FaultPlan
 from repro.obs import trace as _trace
-from repro.recovery.invariants import InvariantMonitor
 from repro.telemetry.traces import TelemetryFeed
 
 
@@ -29,11 +28,8 @@ def controller_run(
     te_cache: bool | None = None,
     journal_dir: "str | None" = None,
     resume: bool | str = False,
-    invariants: str | None = None,
-) -> Iterator[
-    tuple[TelemetryFeed, SimClock, list[dict[str, Any]], InvariantMonitor | None]
-]:
-    """Bind the run knobs to ``controller``; yield ``(feed, clock, restored, monitor)``.
+) -> Iterator[tuple[TelemetryFeed, SimClock, list[dict[str, Any]]]]:
+    """Bind the run knobs to ``controller``; yield ``(feed, clock, restored)``.
 
     Args:
         te_interval_s: the run's TE period; it cannot be finer than
@@ -51,27 +47,15 @@ def controller_run(
             committed rounds come back as ``restored`` (oldest first)
             for the run to replay into its accounting.  ``"auto"``
             resumes exactly when the directory holds a journal.
-        invariants: arm an
-            :class:`~repro.recovery.invariants.InvariantMonitor` with
-            this policy (``"record"``/``"degrade"``/``"abort"``),
-            yielded as ``monitor`` (``None`` when unarmed).
 
     Every input is validated before the journal writes anything.  The
     body walks the feed, advancing the yielded clock to each sample's
-    time (the active tracer reads it for the run's duration), hands
-    each round's report to ``monitor.check_round`` and stops once an
-    ``abort`` monitor is ``fatal``.  The journal is closed on the way
-    out, even when the body raised; after a clean body, a fatal monitor
-    raises :class:`~repro.recovery.invariants.InvariantViolationError`.
+    time (the active tracer reads it for the run's duration).  The
+    journal is closed on the way out, even when the body raised.
     """
     if te_interval_s < feed.timebase.interval_s:
         raise ValueError("TE interval cannot be finer than the telemetry")
     injector = as_injector(faults)
-    monitor = (
-        InvariantMonitor(controller, policy=invariants)
-        if invariants is not None
-        else None
-    )
     controller.configure_te_cache(te_cache)
     if injector is not None:
         feed = injector.wrap_feed(feed)
@@ -82,9 +66,7 @@ def controller_run(
     clock = SimClock(start_s=feed.timebase.start_s)
     try:
         with _trace.sim_clock(clock):
-            yield feed, clock, restored, monitor
+            yield feed, clock, restored
     finally:
         if journal_dir is not None:
             controller._journal.close()
-    if monitor is not None:
-        monitor.raise_if_fatal()

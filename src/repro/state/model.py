@@ -13,9 +13,7 @@ authoritative picture:
   therefore always safe (what-if forks, post-mortems) and a transition
   is O(links changed), not O(network).
 * **versioned.**  Every transition increments a monotonic ``version``
-  and records the parent, so a lineage is an auditable chain and two
-  lineages (observed vs fault ground truth) can evolve side by side
-  from a shared ancestor.
+  and records the parent, so a lineage is an auditable chain.
 * **digest-keyed.**  :attr:`NetworkState.structure_id` and
   :attr:`NetworkState.capacity_digest` are the exact tuples the
   incremental-TE cache keys on (:mod:`repro.state.digest`), so cache

@@ -8,12 +8,6 @@ the attached journal, and publishes the transition as a
 ``state.transition`` point event on the ambient tracer
 (:mod:`repro.obs` renders those into ``state_timeline.jsonl``).
 
-Two stores with a shared ancestor are how fault injection models
-observed-vs-truth divergence: the injector commits what the controller
-*sees* to one lineage and what the network *is* to another, and the
-per-version difference between them is the corruption the faults
-introduced.
-
 Durability is delegated: :meth:`StateStore.attach_journal` hooks a
 :class:`~repro.recovery.journal.StateJournal` (or anything with
 ``append_transition``) so every commit's updates land in the

@@ -32,13 +32,6 @@ class _Group:
     allocated: float = 0.0
     frozen: bool = False
 
-    def active_paths(self, residual: dict[str, float]) -> list[LinkPath]:
-        """Paths that still have room on every hop."""
-        return [
-            p
-            for p in self.paths
-            if all(residual[l.link_id] > EPSILON for l in p.links)
-        ]
 
 
 def b4_allocate(

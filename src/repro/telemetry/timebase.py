@@ -65,10 +65,6 @@ class Timebase:
         return self.n_samples * self.interval_s
 
     @property
-    def duration_days(self) -> float:
-        return self.duration_s / SECONDS_PER_DAY
-
-    @property
     def end_s(self) -> float:
         return self.start_s + self.duration_s
 

@@ -89,9 +89,6 @@ class SnrTrace:
     def min_db(self) -> float:
         return float(self.snr_db.min())
 
-    @property
-    def max_db(self) -> float:
-        return float(self.snr_db.max())
 
 
 def iter_link_samples(

@@ -53,6 +53,56 @@ class TestFaultyPoint:
             run_chaos_point(policy="sprint")
 
 
+class TestAuditUnderStaleTelemetry:
+    """The controller audit is the run's one BER check; at intensity 4
+    it must see held and fallen-back readings and stay clean."""
+
+    # seeds 0 (run, crawl), 1 (crawl) and 3 (run) decide a dark link on
+    # stale telemetry, so the no-relight check below is not vacuous
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    @pytest.mark.parametrize("policy", ["run", "walk", "crawl"])
+    def test_audit_clean_and_no_dark_link_relit_on_stale_reading(
+        self, policy, seed
+    ):
+        from repro.core.controller import DynamicCapacityController, RetryPolicy
+        from repro.core.policies import POLICIES
+        from repro.faults.chaos import _chaos_inputs
+        from repro.faults.inject import FaultInjector
+        from repro.faults.spec import FaultPlan
+        from repro.sim.replay import replay_controller
+
+        topology, traces_by_link, demands = _chaos_inputs(2.0, seed)
+        controller = DynamicCapacityController(
+            topology,
+            policy=POLICIES[policy](),
+            seed=seed,
+            retry=RetryPolicy(max_retries=3),
+            audit=True,
+        )
+        dark_before: list[set[str]] = []
+        step = controller.step
+
+        def recording_step(snr_db, round_demands):
+            dark_before.append(
+                {l for l, s in controller.state.links.items() if s.capacity_gbps <= 0}
+            )
+            return step(snr_db, round_demands)
+
+        controller.step = recording_step
+        result = replay_controller(
+            controller,
+            traces_by_link,
+            demands,
+            te_interval_s=3600.0,
+            faults=FaultInjector(FaultPlan.standard(4.0, seed=seed)),
+        )
+        assert all(r.ber_violations == () for r in result.reports)
+        assert sum(len(r.stale_links) for r in result.reports) > 0
+        for dark, report in zip(dark_before, result.reports, strict=True):
+            relit = set(report.restored_links) & set(report.stale_links)
+            assert not relit & dark
+
+
 class TestVerdicts:
     def test_clean_sweep_has_no_verdicts(self, zero_point, faulty_point):
         assert chaos_verdicts([zero_point, faulty_point]) == []

@@ -7,7 +7,6 @@ import pytest
 
 from repro.faults.inject import FaultInjector, FaultyTelemetryFeed, as_injector
 from repro.faults.spec import FaultPlan, FaultSpec
-from repro.obs.trace import Tracer, tracing
 from repro.telemetry.timebase import Timebase
 from repro.telemetry.traces import SnrTrace, TelemetryFeed
 
@@ -189,12 +188,6 @@ class TestTelemetryKinds:
         assert feed.sample(7).snr_db["l1"] == base.sample(7).snr_db["l1"]
         assert feed.sample(7).snr_db["l0"] != base.sample(7).snr_db["l0"]
 
-    def test_ground_truth_bypasses_faults(self):
-        spec = FaultSpec("telemetry.corrupt", probability=1.0, magnitude_db=5.0)
-        base = make_feed()
-        feed = FaultyTelemetryFeed(base, FaultInjector(plan_of(spec)))
-        assert feed.ground_truth(12) == base.sample(12).snr_db
-
 
 class TestHardwareAndSolverSeams:
     def test_bvt_verdict_deterministic_per_link(self):
@@ -222,103 +215,3 @@ class TestHardwareAndSolverSeams:
         )
         assert all(always.te_fails() for _ in range(20))
         assert always.counts["te.exception"] == 20
-
-
-class TestStateLineages:
-    """Observed-vs-truth state lineages rooted at a shared ancestor."""
-
-    def make_state(self, links=("l0", "l1")):
-        from repro.net.topology import Topology
-        from repro.state.model import NetworkState
-
-        topology = Topology("faulty")
-        for i, link_id in enumerate(links):
-            topology.add_link(f"n{i}", f"n{i + 1}", 100.0, link_id=link_id)
-        return NetworkState.from_topology(topology)
-
-    @staticmethod
-    def lineage_points(run):
-        """The ``state.transition`` attrs ``run()`` traces, per lineage."""
-        tracer = Tracer()
-        with tracing(tracer):
-            run()
-        points = {"observed": [], "truth": []}
-        for event in tracer.events:
-            if event.name == "state.transition":
-                points[event.attrs["store"]].append(event.attrs)
-        return points["observed"], points["truth"]
-
-    def test_unattached_injector_records_nothing(self):
-        injector = FaultInjector(
-            plan_of(FaultSpec("telemetry.corrupt", probability=1.0,
-                              magnitude_db=2.0))
-        )
-        feed = injector.wrap_feed(make_feed())
-        for _ in feed.iter_samples():
-            pass
-        assert injector.observed_states is None
-        assert injector.truth_states is None
-
-    def test_diverged_samples_commit_to_both_lineages(self):
-        injector = FaultInjector(
-            plan_of(FaultSpec("telemetry.corrupt", probability=1.0,
-                              magnitude_db=2.0))
-        )
-        injector.attach_state(self.make_state())
-        feed = injector.wrap_feed(make_feed(n=8))
-        samples = []
-        obs_points, truth_points = self.lineage_points(
-            lambda: samples.extend(feed.iter_samples())
-        )
-        assert obs_points
-        # version lockstep: the lineages commit the same sample labels
-        keys = ("version", "parent", "label")
-        assert [[p[k] for k in keys] for p in obs_points] == [
-            [p[k] for k in keys] for p in truth_points
-        ]
-        observed, truth = injector.observed_states, injector.truth_states
-        # the per-version diff between the lineages IS the corruption
-        last_obs, last_truth = observed.latest, truth.latest
-        assert last_obs.version == last_truth.version
-        diverged = [
-            l for l in last_obs.links
-            if last_obs.link(l).snr_db != last_truth.link(l).snr_db
-        ]
-        assert diverged
-        # and the observed lineage matches what the controller saw
-        index = int(last_obs.label.removeprefix("sample:"))
-        for link_id in diverged:
-            assert last_obs.link(link_id).snr_db == samples[index].snr_db[link_id]
-
-    def test_clean_samples_commit_nothing(self):
-        injector = FaultInjector(plan_of())
-        injector.attach_state(self.make_state())
-        feed = injector.wrap_feed(make_feed(n=8))
-        assert feed is not injector.wrap_feed  # sanity: identity feed path
-
-        def run():
-            samples = TelemetryFeed(make_feed(n=8).traces_by_link).iter_samples()
-            for sample in samples:
-                injector.record_sample(sample.index, sample.snr_db, sample.snr_db)
-
-        assert self.lineage_points(run) == ([], [])
-        assert injector.observed_states.latest.version == 0
-
-    def test_nan_dropout_is_one_divergence_not_many(self):
-        spec = FaultSpec("telemetry.dropout", rate_per_day=50.0,
-                         duration_s=3600.0)
-        injector = FaultInjector(plan_of(spec))
-        injector.attach_state(self.make_state())
-        feed = injector.wrap_feed(make_feed(n=96))
-        obs_points, truth_points = self.lineage_points(
-            lambda: list(feed.iter_samples())
-        )
-        # NaN observed vs finite truth diverges (a dropout IS a
-        # corruption), but a NaN *held* across samples is change-free on
-        # the observed side — only the truth keeps moving.  Every
-        # committed sample must carry a real change on some lineage.
-        assert obs_points
-        assert len(obs_points) == len(truth_points)
-        assert any(p["n_deltas"] == 0 for p in obs_points)
-        for obs_p, truth_p in zip(obs_points, truth_points):
-            assert obs_p["n_deltas"] or truth_p["n_deltas"]

@@ -2,6 +2,7 @@
 
 import json
 
+from repro.lint.layers import LayerContract, LayerRule
 from repro.lint.runner import lint_paths, module_name_of
 
 
@@ -34,6 +35,30 @@ class TestLintPaths:
         )
         result = lint_paths([tree / "src"], base=tree)
         assert [f.code for f in result.findings] == ["P001"]
+
+    def test_pragma_suppresses_a_layering_finding(self, tmp_path):
+        tree = make_tree(tmp_path, "")
+        (tree / "src" / "pkg" / "sim.py").write_text("")
+        (tree / "src" / "pkg" / "state.py").write_text(
+            "from pkg import sim  # repro: allow[L001] -- deliberate\n"
+        )
+        contract = LayerContract(
+            rules=(
+                LayerRule(
+                    code="L001",
+                    title="state must not import the simulators",
+                    scope=("pkg.state",),
+                    forbid=("pkg.sim",),
+                ),
+            ),
+            fingerprint_exempt=(),
+        )
+        result = lint_paths([tree / "src"], base=tree, contract=contract)
+        assert result.findings == []
+        [suppressed] = result.pragma_suppressed
+        assert (suppressed.code, suppressed.path, suppressed.line) == (
+            "L001", "src/pkg/state.py", 1
+        )
 
     def test_cache_invalidated_by_edit(self, tmp_path):
         tree = make_tree(tmp_path, DIRTY)

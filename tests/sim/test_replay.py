@@ -117,8 +117,6 @@ class TestReplay:
 
         with pytest.raises(ValueError, match="finer"):
             fresh(te_interval_s=60.0)
-        with pytest.raises(ValueError, match="unknown policy"):
-            fresh(invariants="panic")
         assert list(tmp_path.iterdir()) == []
         assert fresh().n_rounds > 0
 
