@@ -124,9 +124,12 @@ def _stable_replay(te_cache: bool):
     demands = gravity_demands(
         topology, 300.0, component_rng(7, "bench.te.demands")
     )
-    controller = DynamicCapacityController(topology, seed=7, te_cache=te_cache)
     return replay_controller(
-        controller, dict(zip(link_ids, traces)), demands, te_interval_s=4 * 3600.0
+        DynamicCapacityController(topology, seed=7),
+        dict(zip(link_ids, traces)),
+        demands,
+        te_interval_s=4 * 3600.0,
+        te_cache=te_cache,
     )
 
 

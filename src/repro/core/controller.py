@@ -24,13 +24,13 @@ paper's §2 data says dominates): BVT reconfigurations that fail are
 retried under a bounded exponential-backoff-with-jitter
 :class:`RetryPolicy`; NaN/missing SNR readings trigger stale-telemetry
 handling (hold the last good reading for a few rounds, then fall back
-to a safe floor capacity); a configurable SNR guard band keeps flapping
-readings from churning capacity; and a TE solve that raises
+to a safe floor capacity); and a TE solve that raises
 :class:`~repro.te.solution.TeSolverError` degrades gracefully to the
 last known-good solution.  Every one of these paths is provably
 zero-cost when unused: with clean telemetry and no fault injector
 bound, the loop's arithmetic is bit-identical to the unhardened one
-(the golden equivalence suite enforces this).
+(the golden equivalence suite enforces this).  Every round ends with
+a BER-feasibility audit (:attr:`ControllerReport.ber_violations`).
 """
 
 from __future__ import annotations
@@ -43,19 +43,14 @@ import numpy as np
 
 from repro.bvt.transceiver import Bvt, BvtFaultError, ChangeProcedure
 from repro.core.augmentation import augment_topology
-from repro.core.penalties import PenaltyPolicy, TrafficDisruptionPenalty
+from repro.core.penalties import TrafficDisruptionPenalty
 from repro.core.policies import AdaptationPolicy, walk_policy
 from repro.core.translation import LinkUpgrade, TranslationResult, translate
 from repro.net.demands import Demand
-from repro.net.srlg import SrlgMap
 from repro.net.topology import Topology
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
-from repro.optics.modulation import (
-    DEFAULT_MODULATIONS,
-    LOSS_OF_LIGHT_SNR_DB,
-    ModulationTable,
-)
+from repro.optics.modulation import LOSS_OF_LIGHT_SNR_DB, ModulationTable
 from repro.recovery.journal import ControllerCrash, StateJournal, journal_exists, reopen
 from repro.recovery.reports import report_payload, restore_solution
 from repro.seeds import component_rng
@@ -69,6 +64,16 @@ from repro.te.solution import TeSolution, TeSolverError, empty_solution
 TeAlgorithm = Callable[[Topology, Sequence[Demand]], TeSolution]
 
 _T = TypeVar("_T")
+
+#: prices each upgrade by the traffic its reconfiguration would hit
+_PENALTY = TrafficDisruptionPenalty()
+
+#: rounds a NaN (stale) SNR reading is replaced by the link's last good
+#: reading before the link falls back to :data:`STALE_FALLBACK_GBPS`
+STALE_HOLD_ROUNDS = 3
+#: the rate a link whose telemetry stayed stale past the hold falls
+#: back to (the paper's degraded 50 Gbps floor)
+STALE_FALLBACK_GBPS = 50.0
 
 
 def default_te_algorithm(topology: Topology, demands: Sequence[Demand]) -> TeSolution:
@@ -161,8 +166,8 @@ class ControllerReport:
     #: the TE state used while upgraded links were drained (only set
     #: when draining was enabled and upgrades happened)
     interim_solution: TeSolution | None = None
-    #: maintenance batches the upgrades were executed in (SRLG-aware
-    #: when the controller was given an SrlgMap; else one batch)
+    #: maintenance batches the upgrades were executed in (one when
+    #: the round upgraded anything, else none)
     n_reconfiguration_batches: int = 0
     #: reconfiguration/TE attempts beyond the first (retry accounting)
     n_retries: int = 0
@@ -179,7 +184,7 @@ class ControllerReport:
     #: conservatively withheld) because of faults
     fault_capacity_loss_gbps: float = 0.0
     #: links left above the capacity their decision-time SNR supports
-    #: (audited only when a fault injector is bound; must stay empty)
+    #: (audited every round; must stay empty)
     ber_violations: tuple[str, ...] = ()
 
     @property
@@ -203,19 +208,11 @@ class DynamicCapacityController:
         topology: Topology,
         *,
         policy: AdaptationPolicy | None = None,
-        penalty_policy: PenaltyPolicy | None = None,
         te_algorithm: TeAlgorithm = default_te_algorithm,
-        table: ModulationTable = DEFAULT_MODULATIONS,
         procedure: ChangeProcedure = ChangeProcedure.EFFICIENT,
         drain_before_change: bool = False,
-        srlgs: SrlgMap | None = None,
         seed: int = 0,
         retry: RetryPolicy | None = None,
-        guard_band_db: float = 0.0,
-        stale_hold_rounds: int = 3,
-        stale_fallback_gbps: float = 50.0,
-        audit: bool = False,
-        te_cache: bool | None = None,
     ):
         """``drain_before_change`` applies Section 4.2's consistent-update
         recipe: before reconfiguring a link's BVT, re-run the TE with
@@ -224,65 +221,31 @@ class DynamicCapacityController:
         link downtime is unchanged; the *traffic* disruption drops to
         zero, at the cost of one extra TE solve per round with upgrades.
 
-        ``srlgs`` makes upgrade execution shared-risk-aware: changes on
-        the same fiber cable are serialised into separate maintenance
-        batches (see :mod:`repro.core.scheduler`), so a cable never has
-        all of its wavelengths reconfiguring at once.
-
-        Robustness knobs (all inert on clean runs):
-
         ``retry`` bounds how hard failed BVT reconfigurations and TE
         solves are retried (None = fail fast, the unhardened
-        behaviour).  ``guard_band_db`` is extra SNR margin required
-        before any capacity *increase* (upgrades and restores) on top
-        of the policy's own hysteresis — downgrades always act on the
-        raw reading, so the guard can only make the loop more
-        conservative.  A NaN SNR reading marks the link stale: its
-        last good reading is held for ``stale_hold_rounds`` rounds,
-        after which the link falls back to ``stale_fallback_gbps``
-        (the paper's degraded 50 Gbps floor) until telemetry returns.
-        ``audit`` forces the per-round BER-feasibility audit even with
-        no fault injector bound.
+        behaviour; inert on clean runs).  A NaN SNR reading marks the
+        link stale: its last good reading is held for
+        :data:`STALE_HOLD_ROUNDS` rounds, after which the link falls
+        back to :data:`STALE_FALLBACK_GBPS` until telemetry returns.
 
-        ``te_cache`` governs the incremental TE accelerator
-        (:mod:`repro.te.incremental`): ``False`` turns it off, ``None``
-        (the default) and ``True`` on.  When on and the controller runs
-        the *default* TE objective, per-round solves go through a
-        private :class:`~repro.te.incremental.TeSolveCache` (structure
-        reuse + exact memoization, bit-identical to fresh solves), and a
-        round whose augment → TE → translate inputs repeat a recent
-        round's reuses that round's decision without building G' at
-        all.  A custom ``te_algorithm`` is never wrapped: its purity is
-        unknown.  Each controller owns its cache, so paired chaos runs
-        and side-by-side policy comparisons stay isolated.
+        Upgrades are priced by :class:`TrafficDisruptionPenalty` (the
+        paper's default: the traffic the change would disrupt).  The
+        incremental TE accelerator (:mod:`repro.te.incremental`) is on
+        from construction; :meth:`configure_te_cache` (which the runs'
+        ``te_cache=`` argument calls) switches it.  Each controller owns
+        its cache, so paired chaos runs and side-by-side policy
+        comparisons stay isolated.
         """
         self.physical = topology
-        self.policy = policy if policy is not None else walk_policy(table=table)
-        self.penalty_policy = (
-            penalty_policy
-            if penalty_policy is not None
-            else TrafficDisruptionPenalty()
-        )
+        self.policy = policy if policy is not None else walk_policy()
         self._te_base = te_algorithm
         self.te_algorithm = te_algorithm
         #: recent rounds' decisions (see _round_memo)
         self._rounds: RoundMemo | None = None
-        self.configure_te_cache(te_cache is not False)
-        self.table = table
+        self.configure_te_cache(True)
         self.procedure = procedure
         self.drain_before_change = drain_before_change
-        self.srlgs = srlgs
         self.retry = retry
-        if guard_band_db < 0:
-            raise ValueError("guard_band_db must be non-negative")
-        if stale_hold_rounds < 0:
-            raise ValueError("stale_hold_rounds must be non-negative")
-        if stale_fallback_gbps < 0:
-            raise ValueError("stale_fallback_gbps must be non-negative")
-        self.guard_band_db = guard_band_db
-        self.stale_hold_rounds = stale_hold_rounds
-        self.stale_fallback_gbps = stale_fallback_gbps
-        self.audit = audit
         self._rng = np.random.default_rng(seed)
         #: jitter/backoff draws live on their own stream so enabling
         #: retries cannot shift the hardware-model draws
@@ -303,6 +266,11 @@ class DynamicCapacityController:
         self._journal: StateJournal | None = None
         #: rounds sealed by _commit_round (the journal's round counter)
         self.rounds_completed = 0
+
+    @property
+    def table(self) -> ModulationTable:
+        """The modulation ladder: the adaptation policy's."""
+        return self.policy.table
 
     @property
     def state(self) -> NetworkState:
@@ -344,14 +312,14 @@ class DynamicCapacityController:
         Only the cached default TE algorithm gets one: a custom
         algorithm's purity is unknown, and ``te_cache=False`` computes
         every round.  The memo is rebuilt empty whenever the TE
-        algorithm, penalty policy, ladder or physical topology it was
-        filled under has been replaced.
+        algorithm, ladder or physical topology it was filled under has
+        been replaced.
         """
         if self._te_base is not default_te_algorithm or not isinstance(
             self.te_algorithm, CachedTeAlgorithm
         ):
             return None
-        scope = (self.te_algorithm, self.penalty_policy, self.table, self.physical)
+        scope = (self.te_algorithm, self.table, self.physical)
         if self._rounds is None or not self._rounds.serves(scope):
             self._rounds = RoundMemo(scope)
         return self._rounds
@@ -698,8 +666,8 @@ class DynamicCapacityController:
             snr_by_link: current SNR (dB) per physical link id; links
                 not mentioned are assumed healthy at their capacity.
                 A NaN reading marks the link's telemetry stale and
-                triggers hold-then-fallback handling (see the
-                constructor's robustness knobs).
+                triggers hold-then-fallback handling (see
+                :data:`STALE_HOLD_ROUNDS`).
             demands: the traffic matrix for this round.
             context: the host's own record of this round (sample time,
                 round counters — whatever it needs back to resume),
@@ -736,7 +704,7 @@ class DynamicCapacityController:
         reconfig_failed: list[str] = []
 
         # 0. stale-telemetry screening: a NaN reading is replaced by the
-        # link's last good reading for up to ``stale_hold_rounds``
+        # link's last good reading for up to ``STALE_HOLD_ROUNDS``
         # rounds (hold-last-safe), then by the safe-floor fallback
         # threshold; a dark link never restores on a stale reading.
         # The screened readings become one batched "telemetry" state
@@ -756,11 +724,11 @@ class DynamicCapacityController:
                 telemetry[link_id] = {"snr_db": snr, "stale_rounds": age}
                 if link.capacity_gbps <= 0:
                     effective[link_id] = LOSS_OF_LIGHT_SNR_DB
-                elif age <= self.stale_hold_rounds and link.last_good_snr_db is not None:
+                elif age <= STALE_HOLD_ROUNDS and link.last_good_snr_db is not None:
                     effective[link_id] = link.last_good_snr_db
                 else:
                     effective[link_id] = self.table.required_snr(
-                        self.stale_fallback_gbps
+                        STALE_FALLBACK_GBPS
                     )
             else:
                 telemetry[link_id] = {
@@ -787,7 +755,7 @@ class DynamicCapacityController:
             if current <= 0:
                 # the link is down; bring it back at a safe rate if the
                 # signal recovered (no downtime: it was dark anyway)
-                feasible = self.table.feasible_capacity(snr - self.guard_band_db)
+                feasible = self.table.feasible_capacity(snr)
                 restore = (
                     feasible
                     if self.policy.allow_upgrades
@@ -839,10 +807,10 @@ class DynamicCapacityController:
                 # a previously-flapped link: recovery to the provisioned
                 # rate is an operator invariant, not a TE decision (going
                 # *beyond* the provisioned rate stays demand-driven).
-                # The policy's hysteresis margin — plus the controller's
-                # guard band — protects against flapping right back.
+                # The policy's hysteresis margin protects against
+                # flapping right back.
                 guarded = self.table.feasible_capacity(
-                    snr - self.policy.upgrade_margin_db - self.guard_band_db
+                    snr - self.policy.upgrade_margin_db
                 )
                 restore = min(max(guarded, current), configured)
                 if restore > current:
@@ -872,7 +840,7 @@ class DynamicCapacityController:
                 continue  # link is down this round
             snr = effective.get(link.link_id)
             headroom = (
-                self.policy.headroom_gbps(capacity, snr - self.guard_band_db)
+                self.policy.headroom_gbps(capacity, snr)
                 if snr is not None
                 else 0.0
             )
@@ -900,7 +868,7 @@ class DynamicCapacityController:
             working = self._working_topology(rows)
             augmented = augment_topology(
                 working,
-                penalty_policy=self.penalty_policy,
+                penalty_policy=_PENALTY,
                 current_traffic=self._traffic,
             )
             te_solution, te_retries, te_backoff = self._solve_te(
@@ -960,23 +928,13 @@ class DynamicCapacityController:
                     disrupted = 0.0  # traffic moved off before the BVTs touched
                 # else: drain solve failed — proceed undrained, the
                 # original disruption estimate stands
-            if self.srlgs is not None and upgrades:
-                from repro.core.scheduler import schedule_reconfigurations
-
-                schedule = schedule_reconfigurations(upgrades, self.srlgs)
-                n_batches = schedule.n_batches
-                ordered_upgrades = [
-                    u for batch in schedule.batches for u in batch.upgrades
-                ]
-            else:
-                n_batches = 1 if upgrades else 0
-                ordered_upgrades = list(upgrades)
+            n_batches = 1 if upgrades else 0
             # one upgrade per link, so these writes batch into one
             # "upgrades" transition; the held-rate read on a refused
             # upgrade sees the post-adapt snapshot, which no upgrade
             # before it in the batch can have touched
             executed: dict[str, dict[str, Any]] = {}
-            for upgrade in ordered_upgrades:
+            for upgrade in upgrades:
                 outcome = self._reconfigure(
                     upgrade.link_id, upgrade.new_capacity_gbps
                 )
@@ -1007,17 +965,13 @@ class DynamicCapacityController:
         self.total_downtime_s += downtime
 
         # 8. BER-feasibility audit: no link may sit above the capacity
-        #    its decision-time (effective) SNR supports.  Cheap, but the
-        #    clean path skips it to stay bit-for-bit unchanged.
-        violations: tuple[str, ...] = ()
-        if self.audit or self._faults is not None:
-            links = self.state.links
-            violations = tuple(
-                link_id
-                for link_id, snr in effective.items()
-                if links[link_id].capacity_gbps
-                > self.table.feasible_capacity(snr) + 1e-9
-            )
+        #    its decision-time (effective) SNR supports
+        links = self.state.links
+        violations = tuple(
+            link_id
+            for link_id, snr in effective.items()
+            if links[link_id].capacity_gbps > self.table.feasible_capacity(snr) + 1e-9
+        )
 
         return ControllerReport(
             solution=solution,

@@ -252,37 +252,3 @@ def load_sweep(path: str | Path) -> Sweep:
     else:
         payload = json.loads(text)
     return Sweep.from_payload(payload)
-
-
-def _toml_value(value: Any) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, float)):
-        return repr(value)
-    if isinstance(value, str):
-        # repro: allow[D004] -- scalar string escaping, no dict ordering
-        return json.dumps(value)
-    if isinstance(value, (list, tuple)):
-        return "[" + ", ".join(_toml_value(v) for v in value) + "]"
-    raise TypeError(f"cannot serialise {value!r} to TOML")
-
-
-def save_sweep(path: str | Path, sweep: Sweep) -> Path:
-    """Write a sweep definition; format follows the file suffix."""
-    path = Path(path)
-    payload = sweep.to_payload()
-    if path.suffix.lower() == ".toml":
-        lines = [
-            f"name = {_toml_value(payload['name'])}",
-            f"experiment = {_toml_value(payload['experiment'])}",
-        ]
-        for section in ("params", "axes"):
-            if payload[section]:
-                lines += ["", f"[{section}]"]
-                lines += [
-                    f"{k} = {_toml_value(v)}" for k, v in payload[section].items()
-                ]
-        path.write_text("\n".join(lines) + "\n")
-    else:
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return path

@@ -121,7 +121,6 @@ def run_chaos_point(
             policy=make_policy(),
             seed=seed,
             retry=RetryPolicy(max_retries=retries) if retries > 0 else None,
-            audit=True,
         )
         result = replay_controller(
             controller,
@@ -196,9 +195,7 @@ def run_crash_point(
     topology, traces_by_link, demands = _chaos_inputs(days, seed)
 
     def fresh_controller() -> DynamicCapacityController:
-        return DynamicCapacityController(
-            topology, policy=make_policy(), seed=seed, audit=True
-        )
+        return DynamicCapacityController(topology, policy=make_policy(), seed=seed)
 
     def run(**kwargs: Any) -> ReplayResult:
         return replay_controller(

@@ -42,19 +42,6 @@ class Demand:
         return (self.src, self.dst)
 
 
-def uniform_demands(
-    topology: Topology, volume_gbps: float, *, priority: int = 1
-) -> list[Demand]:
-    """One demand of ``volume_gbps`` between every ordered node pair."""
-    nodes = topology.nodes
-    return [
-        Demand(a, b, volume_gbps, priority=priority)
-        for a in nodes
-        for b in nodes
-        if a != b
-    ]
-
-
 def gravity_demands(
     topology: Topology,
     total_gbps: float,
@@ -104,10 +91,6 @@ def scale_demands(demands: Iterable[Demand], factor: float) -> list[Demand]:
     if factor < 0:
         raise ValueError("scale factor must be non-negative")
     return [replace(d, volume_gbps=d.volume_gbps * factor) for d in demands]
-
-
-def total_volume_gbps(demands: Iterable[Demand]) -> float:
-    return sum(d.volume_gbps for d in demands)
 
 
 def demands_by_priority(demands: Sequence[Demand]) -> dict[int, list[Demand]]:

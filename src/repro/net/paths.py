@@ -114,11 +114,3 @@ def k_shortest_paths(
     except nx.NetworkXNoPath:
         return []
     return [_expanded_path_to_links(topology, p) for p in node_paths]
-
-
-def shortest_path(
-    topology: Topology, src: str, dst: str, *, by: str = "weight"
-) -> LinkPath | None:
-    """The single shortest path, or None when unreachable."""
-    paths = k_shortest_paths(topology, src, dst, 1, by=by)
-    return paths[0] if paths else None

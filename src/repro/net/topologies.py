@@ -64,39 +64,6 @@ def abilene(capacity_gbps: float = DEFAULT_CAPACITY_GBPS) -> Topology:
     return topo
 
 
-def b4_like(capacity_gbps: float = DEFAULT_CAPACITY_GBPS) -> Topology:
-    """A 12-node inter-datacenter WAN shaped like Google's B4.
-
-    Site names are anonymised regions; the edge set mirrors the
-    published B4 topology's density (average degree ~3).
-    """
-    edges = [
-        ("us-w1", "us-w2"),
-        ("us-w1", "us-c1"),
-        ("us-w2", "us-c1"),
-        ("us-w2", "us-sw"),
-        ("us-sw", "us-c1"),
-        ("us-c1", "us-e1"),
-        ("us-c1", "us-e2"),
-        ("us-e1", "us-e2"),
-        ("us-e1", "eu-w1"),
-        ("us-e2", "eu-w2"),
-        ("eu-w1", "eu-w2"),
-        ("eu-w1", "eu-c1"),
-        ("eu-w2", "eu-c1"),
-        ("us-w1", "asia-e1"),
-        ("us-w2", "asia-e2"),
-        ("asia-e1", "asia-e2"),
-        ("asia-e1", "asia-s1"),
-        ("asia-e2", "asia-s1"),
-        ("eu-c1", "asia-s1"),
-    ]
-    topo = Topology("b4-like")
-    for a, b in edges:
-        topo.add_duplex_link(a, b, capacity_gbps)
-    return topo
-
-
 def us_backbone_like(capacity_gbps: float = DEFAULT_CAPACITY_GBPS) -> Topology:
     """A 21-node continental backbone resembling Tier-1 US fiber maps."""
     edges = [

@@ -97,48 +97,3 @@ def AmplifierDegradation(
         ImpairmentScope.CABLE,
         RootCause.HARDWARE,
     )
-
-
-def FiberCut(start_s: float, duration_s: float) -> Impairment:
-    """A cut: cable-wide loss of light until the splice crew finishes."""
-    return Impairment(
-        start_s,
-        duration_s,
-        float("inf"),
-        ImpairmentScope.CABLE,
-        RootCause.FIBER_CUT,
-    )
-
-
-def MaintenanceDisruption(
-    start_s: float,
-    duration_s: float,
-    penalty_db: float,
-    *,
-    loss_of_light: bool = False,
-) -> Impairment:
-    """An unplanned hit during planned maintenance (the paper's top cause)."""
-    return Impairment(
-        start_s,
-        duration_s,
-        float("inf") if loss_of_light else penalty_db,
-        ImpairmentScope.CABLE,
-        RootCause.MAINTENANCE,
-    )
-
-
-def TransceiverFault(
-    start_s: float,
-    duration_s: float,
-    penalty_db: float,
-    *,
-    root_cause: RootCause = RootCause.HARDWARE,
-) -> Impairment:
-    """A single-wavelength fault (transponder, pluggable, patch panel)."""
-    return Impairment(
-        start_s,
-        duration_s,
-        penalty_db,
-        ImpairmentScope.WAVELENGTH,
-        root_cause,
-    )

@@ -65,18 +65,6 @@ def dbm_to_watts(power_dbm: float) -> float:
     return 1e-3 * 10.0 ** (power_dbm / 10.0)
 
 
-def watts_to_dbm(power_watts: float) -> float:
-    """Convert absolute power in watts to dBm.
-
-    Raises :class:`ValueError` for non-positive powers: unlike ratios,
-    an absolute transmit/receive power of zero watts indicates a modelling
-    bug, not a physical event we track.
-    """
-    if power_watts <= 0:
-        raise ValueError(f"power must be positive, got {power_watts!r} W")
-    return 10.0 * math.log10(power_watts / 1e-3)
-
-
 def add_powers_db(*values_db: float) -> float:
     """Sum powers expressed in dB (converting through the linear domain).
 

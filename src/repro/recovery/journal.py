@@ -207,7 +207,6 @@ class StateJournal:
         self.directory.mkdir(parents=True, exist_ok=True)
         self.checkpoint_every = checkpoint_every
         self.fsync = fsync
-        self.last_version: int | None = None  # newest journaled transition
         self._segment_version = 0  # checkpoint version the segment extends
         self._rounds_since_checkpoint = 0
         self._file: Any | None = None
@@ -279,7 +278,6 @@ class StateJournal:
             }
         )
         self._append(frame, sync=self.fsync == "always")
-        self.last_version = version
         _metrics.counter("journal.transitions").inc()
 
     def commit_round(self, payload: Mapping[str, Any]) -> None:
@@ -518,7 +516,6 @@ def reopen(directory: str | Path, **kwargs: Any) -> tuple[StateJournal, Recovere
     """
     recovered = recover(directory)
     journal = StateJournal(directory, **kwargs)
-    journal.last_version = recovered.state.version
     journal._n_rounds = recovered.n_rounds
     segments = _indexed(Path(directory), _SEGMENT_PREFIX, ".jsonl")
     newest = segments[-1][0] if segments else recovered.checkpoint_version

@@ -50,8 +50,8 @@ LP it has already seen.  This module exploits that in four layers:
    decision from a :class:`RoundMemo`, so no working topology, G',
    state snapshot or :class:`TeSolution` is built.  Only the
    controller's own cached default TE algorithm gets one, and it is
-   dropped whenever the TE algorithm or penalty policy it was filled
-   under changes (:meth:`RoundMemo.serves`).
+   dropped whenever the TE algorithm, ladder or topology it was
+   filled under changes (:meth:`RoundMemo.serves`).
 
 Invalidation needs no explicit hooks: any link appearing, disappearing
 (e.g. forced dark by a fault) or changing endpoints, and any demand
@@ -397,7 +397,7 @@ class RoundMemo:
     at most :data:`DEFAULT_MEMO_SIZE`.
 
     ``scope`` holds the objects the stored decisions were computed
-    under (the TE algorithm, the penalty policy, ...); the owner asks
+    under (the TE algorithm, the ladder, ...); the owner asks
     :meth:`serves` before each lookup and starts a new memo when any
     of them was replaced.
     """

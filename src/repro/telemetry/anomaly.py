@@ -23,9 +23,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
-from repro.telemetry.traces import SnrTrace, TelemetrySample
+from repro.telemetry.traces import TelemetrySample
 
 
 class SignalState(enum.Enum):
@@ -200,23 +198,3 @@ class EwmaAlarmMonitor:
             if detector.state is SignalState.DIP:
                 in_dip.add(link_id)
         return in_dip
-
-
-def detect_dips(
-    trace: SnrTrace,
-    *,
-    alpha: float = 0.05,
-    k_sigma: float = 5.0,
-    warmup: int = 32,
-) -> list[DipAlert]:
-    """Batch-run the detector over a whole trace."""
-    detector = EwmaDipDetector(alpha=alpha, k_sigma=k_sigma, warmup=warmup)
-    alerts = []
-    for i, sample in enumerate(np.asarray(trace.snr_db, dtype=float)):
-        alert = detector.update(float(sample), i)
-        if alert is not None:
-            alerts.append(alert)
-    tail = detector.flush(len(trace.snr_db))
-    if tail is not None:
-        alerts.append(tail)
-    return alerts

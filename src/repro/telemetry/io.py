@@ -1,9 +1,9 @@
-"""Persistence for telemetry traces and link summaries.
+"""Persistence for link summaries.
 
 Trace synthesis for a full backbone takes minutes; analyses over the
-same corpus should not pay that repeatedly.  Traces round-trip through
-compressed ``.npz`` (one file per cable), summaries through JSON — both
-self-describing enough to reload without the generating config.
+same corpus should not pay that repeatedly.  Summaries round-trip
+through JSON, self-describing enough to reload without the generating
+config.
 """
 
 from __future__ import annotations
@@ -12,73 +12,10 @@ import json
 from pathlib import Path
 from typing import Sequence
 
-import numpy as np
-
 from repro.telemetry.hdr import HdrInterval
 from repro.telemetry.stats import CapacityFailureStats, LinkSummary
-from repro.telemetry.timebase import Timebase
-from repro.telemetry.traces import SnrTrace
 
 _FORMAT_VERSION = 1
-
-
-def save_traces(path: str | Path, traces: Sequence[SnrTrace]) -> Path:
-    """Write one cable's traces to a compressed ``.npz``.
-
-    Events are not persisted (they are derivable from the dataset seed
-    and are irrelevant to reloaded-trace analyses); a reloaded trace has
-    an empty event tuple.
-    """
-    traces = list(traces)
-    if not traces:
-        raise ValueError("nothing to save")
-    timebases = {t.timebase for t in traces}
-    if len(timebases) != 1:
-        raise ValueError("all traces in one file must share a timebase")
-    cables = {t.cable_name for t in traces}
-    if len(cables) != 1:
-        raise ValueError("one file holds one cable")
-    tb = traces[0].timebase
-    path = Path(path)
-    np.savez_compressed(
-        path,
-        version=np.array([_FORMAT_VERSION]),
-        snr_db=np.stack([t.snr_db for t in traces]).astype(np.float32),
-        baselines_db=np.array([t.baseline_db for t in traces]),
-        link_ids=np.array([t.link_id for t in traces]),
-        cable_name=np.array([traces[0].cable_name]),
-        timebase=np.array([tb.n_samples, tb.interval_s, tb.start_s]),
-    )
-    # np.savez appends .npz when missing
-    return path if path.suffix == ".npz" else path.with_suffix(path.suffix + ".npz")
-
-
-def load_traces(path: str | Path) -> list[SnrTrace]:
-    """Reload traces written by :func:`save_traces`."""
-    with np.load(Path(path), allow_pickle=False) as data:
-        version = int(data["version"][0])
-        if version != _FORMAT_VERSION:
-            raise ValueError(f"unsupported trace file version {version}")
-        n_samples, interval_s, start_s = data["timebase"]
-        tb = Timebase(
-            n_samples=int(n_samples),
-            interval_s=float(interval_s),
-            start_s=float(start_s),
-        )
-        cable = str(data["cable_name"][0])
-        return [
-            SnrTrace(
-                link_id=str(link_id),
-                cable_name=cable,
-                timebase=tb,
-                snr_db=snr.astype(float),
-                baseline_db=float(baseline),
-                events=(),
-            )
-            for link_id, snr, baseline in zip(
-                data["link_ids"], data["snr_db"], data["baselines_db"]
-            )
-        ]
 
 
 def _summary_to_dict(summary: LinkSummary) -> dict:

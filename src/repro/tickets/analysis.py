@@ -54,16 +54,6 @@ def shares_by_cause(tickets: Iterable[Ticket]) -> CauseShares:
     )
 
 
-def frequency_share_by_cause(tickets: Iterable[Ticket]) -> dict[RootCause, float]:
-    """Figure 4b: fraction of events per root cause."""
-    return dict(shares_by_cause(tickets).frequency)
-
-
-def duration_share_by_cause(tickets: Iterable[Ticket]) -> dict[RootCause, float]:
-    """Figure 4a: fraction of total outage time per root cause."""
-    return dict(shares_by_cause(tickets).duration)
-
-
 @dataclass(frozen=True)
 class OpportunityArea:
     """The paper's split into binary failures vs. adaptation opportunity."""

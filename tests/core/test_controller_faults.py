@@ -5,7 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from repro.core.controller import DynamicCapacityController, RetryPolicy
+from repro.core.controller import (
+    STALE_HOLD_ROUNDS,
+    DynamicCapacityController,
+    RetryPolicy,
+)
 from repro.core.policies import crawl_policy, run_policy
 from repro.net.demands import gravity_demands
 from repro.net.topologies import line_topology
@@ -79,9 +83,7 @@ class TestZeroCostWhenDisabled:
         }
 
     def test_clean_run_reports_no_fault_fields(self, demands):
-        ctrl, topo = make_controller(
-            policy=run_policy(), retry=RetryPolicy(), guard_band_db=0.0
-        )
+        ctrl, topo = make_controller(policy=run_policy(), retry=RetryPolicy())
         report = ctrl.step(healthy(topo), demands)
         assert report.n_retries == 0
         assert report.retry_backoff_s == 0.0
@@ -91,9 +93,10 @@ class TestZeroCostWhenDisabled:
         assert report.fault_capacity_loss_gbps == 0.0
         assert report.ber_violations == ()
 
-    def test_audit_flag_runs_clean_audit(self, demands):
-        ctrl, topo = make_controller(policy=run_policy(), audit=True)
-        assert ctrl.step(healthy(topo), demands).ber_violations == ()
+    def test_clean_run_audits_clean(self, demands):
+        ctrl, topo = make_controller(policy=run_policy())
+        for snr in (16.0, 5.0, 16.0):
+            assert ctrl.step(healthy(topo, snr), demands).ber_violations == ()
 
 
 class TestBvtRetry:
@@ -154,30 +157,31 @@ class TestBvtRetry:
 
 class TestStaleTelemetry:
     def test_hold_then_fallback(self, demands):
-        ctrl, topo = make_controller(stale_hold_rounds=2)
+        ctrl, topo = make_controller()
         link = topo.real_links()[0].link_id
         ctrl.step(healthy(topo), demands)  # seed last-good readings
         snrs = healthy(topo)
         snrs[link] = math.nan
-        # rounds 1-2: held at the last good reading, no downgrade
-        for _ in range(2):
+        # held at the last good reading, no downgrade
+        for _ in range(STALE_HOLD_ROUNDS):
             report = ctrl.step(snrs, demands)
             assert report.stale_links == (link,)
             assert ctrl.state.capacity_of(link) == 100.0
-        # round 3: hold expired — fall back to the 50 Gbps floor
+        # hold expired — fall back to the 50 Gbps floor
         report = ctrl.step(snrs, demands)
         assert ctrl.state.capacity_of(link) == 50.0
         assert report.fault_capacity_loss_gbps == 50.0
         assert any(d.link_id == link for d in report.downgrades)
 
     def test_finite_reading_resets_the_hold(self, demands):
-        ctrl, topo = make_controller(stale_hold_rounds=2)
+        ctrl, topo = make_controller()
         link = topo.real_links()[0].link_id
         ctrl.step(healthy(topo), demands)
         snrs = healthy(topo)
         for _ in range(2):
             snrs[link] = math.nan
-            ctrl.step(snrs, demands)
+            for _ in range(STALE_HOLD_ROUNDS):
+                ctrl.step(snrs, demands)
             snrs[link] = 16.0
             ctrl.step(snrs, demands)
         assert ctrl.state.capacity_of(link) == 100.0  # never fell back
@@ -193,25 +197,6 @@ class TestStaleTelemetry:
         report = ctrl.step(snrs, demands)
         assert ctrl.state.capacity_of(link) == 0.0
         assert link not in report.restored_links
-
-
-class TestGuardBand:
-    def test_guard_band_blocks_marginal_restores(self, demands):
-        plain, topo = make_controller(seed=0)
-        guarded, _ = make_controller(seed=0, guard_band_db=3.0)
-        link = topo.real_links()[0].link_id
-        snrs = healthy(topo)
-        snrs[link] = 5.0  # flap down to 50
-        plain.step(snrs, demands)
-        guarded.step(snrs, demands)
-        # recovery to just above the 100 Gbps threshold + hysteresis:
-        # enough for the plain controller, inside the guard band for
-        # the hardened one
-        snrs[link] = 9.0
-        plain.step(snrs, demands)
-        guarded.step(snrs, demands)
-        assert plain.state.capacity_of(link) == 100.0
-        assert guarded.state.capacity_of(link) == 50.0
 
 
 class TestTeFallback:

@@ -1,10 +1,12 @@
 """Property-based fuzzing of the closed-loop controller.
 
-Whatever SNR sequence telemetry throws at it, the controller must keep
-its invariants: capacities stay on the modulation ladder (or zero), TE
-solutions audit clean, downtime only accrues when hardware is touched,
-the loop is deterministic given its seed, and the TE cache (round
-reuse included) changes nothing a round reports or carries forward.
+Whatever SNR sequence telemetry throws at it, stale (NaN) readings
+included, the controller must keep its invariants: no link runs above
+the rate its SNR supports, capacities stay on the modulation ladder
+(or zero), TE solutions audit clean, downtime only accrues when
+hardware is touched, the loop is deterministic given its seed, and the
+TE cache (round reuse included) changes nothing a round reports or
+carries forward.
 """
 
 import numpy as np
@@ -24,16 +26,18 @@ from repro.recovery.reports import report_payload
 LADDER = set(DEFAULT_MODULATIONS.capacities_gbps) | {0.0}
 
 snr_values = st.floats(min_value=0.0, max_value=22.0)
+#: readings as telemetry delivers them: a NaN is a stale sample
+readings = st.one_of(snr_values, st.just(float("nan")))
 policies = st.sampled_from([run_policy, walk_policy, crawl_policy])
 
 
-def make_controller(policy_factory, **kwargs):
+def make_controller(policy_factory, te_cache=None, **kwargs):
     topo = figure7_topology()
-    return (
-        topo,
-        DynamicCapacityController(topo, policy=policy_factory(), seed=1, **kwargs),
-        gravity_demands(topo, 600.0, np.random.default_rng(0)),
+    controller = DynamicCapacityController(
+        topo, policy=policy_factory(), seed=1, **kwargs
     )
+    controller.configure_te_cache(te_cache)
+    return topo, controller, gravity_demands(topo, 600.0, np.random.default_rng(0))
 
 
 @st.composite
@@ -55,7 +59,7 @@ class TestControllerInvariants:
     @settings(max_examples=20, deadline=None)
     @given(
         rounds=st.lists(
-            st.lists(snr_values, min_size=8, max_size=8),
+            st.lists(readings, min_size=8, max_size=8),
             min_size=1,
             max_size=4,
         ),
@@ -67,6 +71,9 @@ class TestControllerInvariants:
         for snr_row in rounds:
             snrs = dict(zip(link_ids, snr_row))
             report = controller.step(snrs, demands)
+            # no link sits above what its decision-time SNR supports,
+            # held and fallen-back readings included
+            assert report.ber_violations == ()
             # capacities stay on the ladder
             for link in controller.state.links.values():
                 assert link.capacity_gbps in LADDER

@@ -77,7 +77,6 @@ class TestAuditUnderStaleTelemetry:
             policy=POLICIES[policy](),
             seed=seed,
             retry=RetryPolicy(max_retries=3),
-            audit=True,
         )
         dark_before: list[set[str]] = []
         step = controller.step

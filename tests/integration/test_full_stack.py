@@ -10,7 +10,6 @@ import pytest
 
 from repro.core.augmentation import augment_topology
 from repro.core.penalties import ConstantPenalty, TrafficDisruptionPenalty
-from repro.core.scheduler import schedule_reconfigurations
 from repro.core.translation import translate
 from repro.net.demands import gravity_demands
 from repro.net.srlg import duplex_srlgs
@@ -39,10 +38,10 @@ def plant():
 
 
 class TestPlanToHardwarePipeline:
-    """plant -> augment -> TE -> translate -> schedule."""
+    """plant -> augment -> TE -> translate."""
 
     def test_upgrade_campaign(self, plant):
-        topology, srlgs = plant
+        topology, _ = plant
         demands = gravity_demands(
             topology, 6000.0, np.random.default_rng(0)
         )
@@ -56,17 +55,16 @@ class TestPlanToHardwarePipeline:
             augmented, outcome.solution, table=DEFAULT_MODULATIONS
         )
         assert translation.upgrades, "heavy demand must trigger upgrades"
-
-        schedule = schedule_reconfigurations(translation.upgrades, srlgs)
-        # SRLG safety: both directions of a cable never in one batch
-        for batch in schedule.batches:
-            cables = [c for i in batch.link_ids for c in srlgs.cables_of(i)]
-            assert len(cables) == len(set(cables))
-        # every upgrade lands in exactly one batch
-        batched = [link for batch in schedule.batches for link in batch.link_ids]
+        # one upgrade per link, each onto a rung its headroom allows
         upgraded = [u.link_id for u in translation.upgrades]
         assert len(set(upgraded)) == len(upgraded)
-        assert sorted(batched) == sorted(upgraded)
+        for upgrade in translation.upgrades:
+            link = topology.link(upgrade.link_id)
+            assert upgrade.new_capacity_gbps in DEFAULT_MODULATIONS.capacities_gbps
+            assert (
+                upgrade.new_capacity_gbps
+                <= link.capacity_gbps + link.headroom_gbps + 1e-9
+            )
 
 
 class TestTelemetryToTicketsToWhatIf:

@@ -8,8 +8,6 @@ from repro.net.demands import (
     demands_by_priority,
     gravity_demands,
     scale_demands,
-    total_volume_gbps,
-    uniform_demands,
 )
 from repro.net.topologies import abilene, line_topology
 
@@ -31,19 +29,11 @@ class TestDemand:
         assert Demand("A", "B", 1.0).pair == ("A", "B")
 
 
-class TestUniform:
-    def test_all_ordered_pairs(self):
-        topo = line_topology(4)
-        demands = uniform_demands(topo, 5.0)
-        assert len(demands) == 4 * 3
-        assert all(d.volume_gbps == 5.0 for d in demands)
-
-
 class TestGravity:
     def test_total_is_exact(self):
         topo = abilene()
         demands = gravity_demands(topo, 1000.0, np.random.default_rng(0))
-        assert total_volume_gbps(demands) == pytest.approx(1000.0)
+        assert sum(d.volume_gbps for d in demands) == pytest.approx(1000.0)
 
     def test_covers_all_pairs_when_dense(self):
         topo = line_topology(5)
@@ -57,7 +47,7 @@ class TestGravity:
             topo, 100.0, np.random.default_rng(1), sparsity=0.5
         )
         assert len(sparse) < len(dense)
-        assert total_volume_gbps(sparse) == pytest.approx(100.0)
+        assert sum(d.volume_gbps for d in sparse) == pytest.approx(100.0)
 
     def test_deterministic(self):
         topo = abilene()

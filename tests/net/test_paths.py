@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.net.paths import LinkPath, k_shortest_paths, path_capacity, shortest_path
+from repro.net.paths import LinkPath, k_shortest_paths, path_capacity
 from repro.net.topologies import abilene, figure7_topology, line_topology
 from repro.net.topology import Topology
 
@@ -10,7 +10,7 @@ from repro.net.topology import Topology
 class TestLinkPath:
     def test_endpoints_and_nodes(self):
         topo = line_topology(3)
-        path = shortest_path(topo, "n0", "n2")
+        (path,) = k_shortest_paths(topo, "n0", "n2", 1)
         assert path.src == "n0"
         assert path.dst == "n2"
         assert path.nodes == ("n0", "n1", "n2")
@@ -98,9 +98,3 @@ class TestKShortest:
         # all simple (no repeated nodes)
         for p in paths:
             assert len(set(p.nodes)) == len(p.nodes)
-
-    def test_shortest_path_none_when_unreachable(self):
-        topo = Topology()
-        topo.add_link("A", "B", 100.0)
-        topo.add_node("Z")
-        assert shortest_path(topo, "A", "Z") is None

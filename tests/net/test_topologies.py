@@ -6,7 +6,6 @@ import pytest
 
 from repro.net.topologies import (
     abilene,
-    b4_like,
     figure7_topology,
     line_topology,
     random_wan,
@@ -23,7 +22,7 @@ def is_strongly_connected(topo):
 
 class TestBuilders:
     @pytest.mark.parametrize(
-        "builder", [abilene, b4_like, us_backbone_like, figure7_topology]
+        "builder", [abilene, us_backbone_like, figure7_topology]
     )
     def test_strongly_connected(self, builder):
         assert is_strongly_connected(builder())
@@ -36,9 +35,6 @@ class TestBuilders:
 
     def test_abilene_node_count(self):
         assert abilene().n_nodes == 11
-
-    def test_b4_like_node_count(self):
-        assert b4_like().n_nodes == 12
 
     def test_us_backbone_node_count(self):
         assert us_backbone_like().n_nodes == 21

@@ -4,12 +4,9 @@ import pytest
 
 from repro.optics.impairments import (
     AmplifierDegradation,
-    FiberCut,
     Impairment,
     ImpairmentScope,
-    MaintenanceDisruption,
     RootCause,
-    TransceiverFault,
 )
 
 
@@ -35,34 +32,11 @@ class TestImpairmentBasics:
 
 
 class TestFactories:
-    def test_fiber_cut_is_cable_scope_loss_of_light(self):
-        cut = FiberCut(0.0, 3600.0)
-        assert cut.scope is ImpairmentScope.CABLE
-        assert cut.root_cause is RootCause.FIBER_CUT
-        assert cut.is_loss_of_light
-
     def test_amplifier_degradation_partial(self):
         deg = AmplifierDegradation(0.0, 60.0, 5.0)
         assert deg.root_cause is RootCause.HARDWARE
         assert not deg.is_loss_of_light
         assert deg.snr_penalty_db == 5.0
-
-    def test_maintenance_can_be_partial_or_total(self):
-        partial = MaintenanceDisruption(0.0, 60.0, 3.0)
-        total = MaintenanceDisruption(0.0, 60.0, 3.0, loss_of_light=True)
-        assert not partial.is_loss_of_light
-        assert total.is_loss_of_light
-        assert partial.root_cause is RootCause.MAINTENANCE
-
-    def test_transceiver_fault_is_wavelength_scope(self):
-        fault = TransceiverFault(0.0, 60.0, 8.0)
-        assert fault.scope is ImpairmentScope.WAVELENGTH
-
-    def test_transceiver_fault_custom_cause(self):
-        fault = TransceiverFault(
-            0.0, 60.0, 8.0, root_cause=RootCause.UNDOCUMENTED
-        )
-        assert fault.root_cause is RootCause.UNDOCUMENTED
 
 
 class TestRootCauseLabels:

@@ -12,7 +12,6 @@ from repro.optics.units import (
     db_to_linear,
     dbm_to_watts,
     linear_to_db,
-    watts_to_dbm,
 )
 
 
@@ -75,17 +74,6 @@ class TestAbsolutePower:
 
     def test_thirty_dbm_is_one_watt(self):
         assert dbm_to_watts(30.0) == pytest.approx(1.0)
-
-    def test_watts_to_dbm_round_trip(self):
-        assert watts_to_dbm(dbm_to_watts(3.5)) == pytest.approx(3.5)
-
-    def test_watts_to_dbm_rejects_zero(self):
-        with pytest.raises(ValueError):
-            watts_to_dbm(0.0)
-
-    def test_watts_to_dbm_rejects_negative(self):
-        with pytest.raises(ValueError):
-            watts_to_dbm(-1.0)
 
 
 class TestAddPowersDb:

@@ -51,7 +51,7 @@ class TestReplayCrashEquivalence:
         topology, traces_by_link, demands = _chaos_inputs(1.0, 7)
 
         def run(**kwargs):
-            controller = DynamicCapacityController(topology, seed=7, audit=True)
+            controller = DynamicCapacityController(topology, seed=7)
             return replay_controller(
                 controller,
                 traces_by_link,
@@ -71,7 +71,7 @@ class TestReplayCrashEquivalence:
         standard = FaultPlan.standard(1.0, seed=7)
 
         def run(plan, **kwargs):
-            controller = DynamicCapacityController(topology, seed=7, audit=True)
+            controller = DynamicCapacityController(topology, seed=7)
             return replay_controller(
                 controller,
                 traces_by_link,
@@ -107,7 +107,7 @@ class TestReactiveCrashEquivalence:
         topology, traces_by_link, demands = _chaos_inputs(1.0, 7)
 
         def run(**kwargs):
-            controller = DynamicCapacityController(topology, seed=7, audit=True)
+            controller = DynamicCapacityController(topology, seed=7)
             return reactive_replay(
                 controller,
                 traces_by_link,
@@ -128,7 +128,7 @@ class TestReactiveCrashEquivalence:
         topology, traces_by_link, demands = _chaos_inputs(1.0, 7)
 
         def run(**kwargs):
-            controller = DynamicCapacityController(topology, seed=7, audit=True)
+            controller = DynamicCapacityController(topology, seed=7)
             return reactive_replay(
                 controller,
                 traces_by_link,

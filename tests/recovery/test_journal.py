@@ -372,7 +372,6 @@ class TestReopen:
 
         journal2, recovered = reopen(tmp_path)
         assert recovered.n_rounds == 2
-        assert journal2.last_version == states[2].version
         # the rolled-back round re-executes without duplicate versions
         store = StateStore(recovered.state)
         store.attach_journal(journal2)

@@ -32,7 +32,7 @@ from repro.sim.replay import replay_controller
 
 journal_dir = sys.argv[1]
 topology, traces_by_link, demands = _chaos_inputs({days}, 7)
-controller = DynamicCapacityController(topology, seed=7, audit=True)
+controller = DynamicCapacityController(topology, seed=7)
 replay_controller(
     controller,
     traces_by_link,
@@ -93,7 +93,7 @@ class TestKillRecover:
         topology, traces_by_link, demands = _chaos_inputs(DAYS, 7)
 
         def run(**kwargs):
-            controller = DynamicCapacityController(topology, seed=7, audit=True)
+            controller = DynamicCapacityController(topology, seed=7)
             return replay_controller(
                 controller,
                 traces_by_link,

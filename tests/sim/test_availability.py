@@ -3,10 +3,22 @@
 import numpy as np
 import pytest
 
-from repro.optics.impairments import AmplifierDegradation, FiberCut
+from repro.optics.impairments import (
+    AmplifierDegradation,
+    Impairment,
+    ImpairmentScope,
+    RootCause,
+)
 from repro.sim.availability import availability_report, compare_availability
 from repro.telemetry.timebase import Timebase
 from repro.telemetry.traces import NoiseModel, synthesize_cable_traces
+
+
+def fiber_cut(start_s, duration_s):
+    """Cable-wide loss of light."""
+    return Impairment(
+        start_s, duration_s, float("inf"), ImpairmentScope.CABLE, RootCause.FIBER_CUT
+    )
 
 
 def make_trace(events=(), baseline=15.0, days=30.0):
@@ -40,7 +52,7 @@ class TestCompareAvailability:
         assert la.downtime_saved_h == la.binary_downtime_h
 
     def test_fiber_cut_not_avoided(self):
-        cut = FiberCut(86_400.0, 7_200.0)
+        cut = fiber_cut(86_400.0, 7_200.0)
         la = compare_availability(make_trace([cut]))
         assert la.n_binary_failures == 1
         assert la.n_avoided == 0
@@ -67,7 +79,7 @@ class TestAvailabilityReport:
     def test_aggregates(self):
         traces = [
             make_trace([AmplifierDegradation(86_400.0, 7_200.0, 10.0)]),
-            make_trace([FiberCut(86_400.0, 7_200.0)]),
+            make_trace([fiber_cut(86_400.0, 7_200.0)]),
             make_trace(),
         ]
         report = availability_report(traces)

@@ -179,10 +179,9 @@ class TestGating:
         assert isinstance(
             DynamicCapacityController(topo).te_algorithm, CachedTeAlgorithm
         )
-        assert (
-            DynamicCapacityController(topo, te_cache=False).te_algorithm
-            is default_te_algorithm
-        )
+        controller = DynamicCapacityController(topo)
+        controller.configure_te_cache(False)
+        assert controller.te_algorithm is default_te_algorithm
 
     @pytest.mark.parametrize("env", [False, True], ids=["env-unset", "env-set"])
     def test_none_selects_the_cache(self, env, monkeypatch):
@@ -240,14 +239,13 @@ def _dip_replay(te_cache, *, dip_db, faults=None):
         np.random.default_rng(3),
     )
     demands = gravity_demands(topology, 500.0, np.random.default_rng(4))
-    controller = DynamicCapacityController(
-        topology, policy=run_policy(), seed=0, te_cache=te_cache
-    )
+    controller = DynamicCapacityController(topology, policy=run_policy(), seed=0)
     return replay_controller(
         controller,
         dict(zip(link_ids, traces)),
         demands,
         te_interval_s=6 * 3600.0,
+        te_cache=te_cache,
         faults=faults,
     )
 

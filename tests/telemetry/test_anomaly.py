@@ -9,7 +9,6 @@ from repro.telemetry.anomaly import (
     EwmaAlarmMonitor,
     EwmaDipDetector,
     SignalState,
-    detect_dips,
 )
 from repro.telemetry.timebase import Timebase
 from repro.telemetry.traces import (
@@ -17,6 +16,20 @@ from repro.telemetry.traces import (
     TelemetrySample,
     synthesize_cable_traces,
 )
+
+
+def detect_dips(trace):
+    """Every alert the detector raises over a whole trace."""
+    detector = EwmaDipDetector()
+    alerts = []
+    for i, sample in enumerate(trace.snr_db):
+        alert = detector.update(float(sample), i)
+        if alert is not None:
+            alerts.append(alert)
+    tail = detector.flush(len(trace.snr_db))
+    if tail is not None:
+        alerts.append(tail)
+    return alerts
 
 
 def make_trace(events=(), days=20.0, sigma=0.15, seed=4):

@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from repro.telemetry.dataset import BackboneConfig, BackboneDataset
-from repro.telemetry.io import (
-    load_summaries,
-    load_traces,
-    save_summaries,
-    save_traces,
-)
+from repro.telemetry.io import load_summaries, save_summaries
 from repro.telemetry.stats import summarize_trace
 from repro.telemetry.timebase import Timebase
 from repro.telemetry.traces import NoiseModel, synthesize_cable_traces
@@ -27,50 +22,6 @@ def traces():
         NoiseModel(sigma_db=0.1),
         np.random.default_rng(0),
     )
-
-
-class TestTraceRoundTrip:
-    def test_snr_preserved(self, traces, tmp_path):
-        path = save_traces(tmp_path / "cable.npz", traces)
-        loaded = load_traces(path)
-        assert len(loaded) == 3
-        for orig, back in zip(traces, loaded):
-            assert back.link_id == orig.link_id
-            assert back.cable_name == orig.cable_name
-            assert back.baseline_db == pytest.approx(orig.baseline_db)
-            # float32 storage: small quantisation only
-            np.testing.assert_allclose(back.snr_db, orig.snr_db, atol=1e-3)
-
-    def test_timebase_preserved(self, traces, tmp_path):
-        path = save_traces(tmp_path / "cable.npz", traces)
-        loaded = load_traces(path)
-        assert loaded[0].timebase == traces[0].timebase
-
-    def test_events_not_persisted(self, traces, tmp_path):
-        path = save_traces(tmp_path / "cable.npz", traces)
-        assert load_traces(path)[0].events == ()
-
-    def test_empty_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            save_traces(tmp_path / "x.npz", [])
-
-    def test_mixed_cables_rejected(self, traces, tmp_path):
-        tb = traces[0].timebase
-        other = synthesize_cable_traces(
-            "other", np.array([12.0]), tb, [], {},
-            NoiseModel(), np.random.default_rng(1),
-        )
-        with pytest.raises(ValueError, match="one cable"):
-            save_traces(tmp_path / "x.npz", traces + other)
-
-    def test_mixed_timebases_rejected(self, traces, tmp_path):
-        other = synthesize_cable_traces(
-            "io-cable", np.array([12.0]),
-            Timebase.from_duration(days=1.0), [], {},
-            NoiseModel(), np.random.default_rng(1),
-        )
-        with pytest.raises(ValueError, match="timebase"):
-            save_traces(tmp_path / "x.npz", traces + other)
 
 
 class TestSummaryRoundTrip:

@@ -5,8 +5,9 @@ import pytest
 
 from repro.optics.impairments import (
     AmplifierDegradation,
-    FiberCut,
-    TransceiverFault,
+    Impairment,
+    ImpairmentScope,
+    RootCause,
 )
 from repro.telemetry.timebase import Timebase
 from repro.telemetry.traces import (
@@ -15,6 +16,20 @@ from repro.telemetry.traces import (
     SnrTrace,
     synthesize_cable_traces,
 )
+
+
+def fiber_cut(start_s, duration_s):
+    """Cable-wide loss of light."""
+    return Impairment(
+        start_s, duration_s, float("inf"), ImpairmentScope.CABLE, RootCause.FIBER_CUT
+    )
+
+
+def transceiver_fault(start_s, duration_s, penalty_db):
+    """A single-wavelength SNR penalty."""
+    return Impairment(
+        start_s, duration_s, penalty_db, ImpairmentScope.WAVELENGTH, RootCause.HARDWARE
+    )
 
 
 @pytest.fixture
@@ -68,7 +83,7 @@ class TestShape:
         with pytest.raises(ValueError, match="out of range"):
             make_traces(
                 timebase,
-                wavelength_events={7: [TransceiverFault(0.0, 3600.0, 5.0)]},
+                wavelength_events={7: [transceiver_fault(0.0, 3600.0, 5.0)]},
             )
 
 
@@ -144,7 +159,7 @@ class TestEvents:
             assert t.snr_db[idx] == pytest.approx(base - 6.0, abs=0.5)
 
     def test_wavelength_event_hits_only_its_row(self, timebase):
-        fault = TransceiverFault(86_400.0, 7_200.0, 8.0)
+        fault = transceiver_fault(86_400.0, 7_200.0, 8.0)
         traces = make_traces(timebase, wavelength_events={1: [fault]})
         idx = timebase.index_at(86_400.0 + 3_600.0)
         assert traces[1].snr_db[idx] == pytest.approx(16.0 - 8.0, abs=0.5)
@@ -152,14 +167,14 @@ class TestEvents:
         assert traces[2].snr_db[idx] == pytest.approx(17.0, abs=0.5)
 
     def test_loss_of_light_pins_to_floor(self, timebase):
-        cut = FiberCut(86_400.0, 7_200.0)
+        cut = fiber_cut(86_400.0, 7_200.0)
         traces = make_traces(timebase, cable_events=[cut])
         idx = timebase.index_at(86_400.0 + 3_600.0)
         for t in traces:
             assert t.snr_db[idx] == MEASUREMENT_FLOOR_DB
 
     def test_trace_never_below_floor(self, timebase):
-        cut = FiberCut(0.0, timebase.duration_s)
+        cut = fiber_cut(0.0, timebase.duration_s)
         traces = make_traces(timebase, cable_events=[cut])
         assert all(t.min_db >= MEASUREMENT_FLOOR_DB for t in traces)
 
@@ -170,7 +185,7 @@ class TestEvents:
 
     def test_events_recorded_on_trace(self, timebase):
         event = AmplifierDegradation(100.0, 3600.0, 6.0)
-        fault = TransceiverFault(200.0, 3600.0, 8.0)
+        fault = transceiver_fault(200.0, 3600.0, 8.0)
         traces = make_traces(
             timebase, cable_events=[event], wavelength_events={0: [fault]}
         )

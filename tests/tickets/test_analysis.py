@@ -5,8 +5,6 @@ import pytest
 
 from repro.optics.impairments import RootCause
 from repro.tickets.analysis import (
-    duration_share_by_cause,
-    frequency_share_by_cause,
     opportunity_area,
     shares_by_cause,
 )
@@ -54,14 +52,6 @@ class TestShares:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             shares_by_cause([])
-
-    def test_wrapper_functions(self):
-        tickets = [
-            ticket(RootCause.HARDWARE, 2.0, 0),
-            ticket(RootCause.FIBER_CUT, 2.0, 1),
-        ]
-        assert frequency_share_by_cause(tickets)[RootCause.HARDWARE] == 0.5
-        assert duration_share_by_cause(tickets)[RootCause.FIBER_CUT] == 0.5
 
 
 class TestPaperCalibration:
