@@ -35,11 +35,6 @@ class SrlgMap:
         except KeyError:
             raise KeyError(f"no cable {cable!r}") from None
 
-    def cables_of(self, link_id: str) -> tuple[str, ...]:
-        return tuple(
-            sorted(c for c, links in self.groups.items() if link_id in links)
-        )
-
     def __iter__(self) -> Iterator[str]:
         return iter(self.cables())
 

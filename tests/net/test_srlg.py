@@ -14,14 +14,6 @@ class TestSrlgMap:
         assert srlgs.links_of("cable1") == {"a", "b", "c"}
         assert len(srlgs) == 1
 
-    def test_cables_of_link(self):
-        srlgs = SrlgMap()
-        srlgs.add("east", ["x"])
-        srlgs.add("west", ["x", "y"])
-        assert srlgs.cables_of("x") == ("east", "west")
-        assert srlgs.cables_of("y") == ("west",)
-        assert srlgs.cables_of("zz") == ()
-
     def test_unknown_cable(self):
         with pytest.raises(KeyError):
             SrlgMap().links_of("nope")

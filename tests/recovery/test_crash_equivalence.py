@@ -8,10 +8,11 @@ resumes byte-identically, keeping the suite fast.
 import pytest
 
 from repro.core.controller import DynamicCapacityController
+from repro.core.policies import run_policy
 from repro.faults.chaos import _chaos_inputs, crash_verdicts, run_crash_point
 from repro.faults.inject import FaultInjector
 from repro.faults.spec import CRASH_SEAMS, FaultPlan, FaultSpec
-from repro.recovery.journal import ControllerCrash
+from repro.recovery.journal import ControllerCrash, scan_frames
 from repro.sim.reactive import reactive_replay
 from repro.sim.replay import replay_controller
 
@@ -44,6 +45,32 @@ class TestReplayCrashEquivalence:
         )
         assert point["crashed"]
         assert point["n_rounds"] == point["n_reference_rounds"]
+        assert point["byte_identical"], point
+        assert crash_verdicts([point]) == []
+
+    @pytest.mark.parametrize("seam", CRASH_SEAMS)
+    def test_crash_at_a_repeat_round_recovers_byte_identically(
+        self, seam, tmp_path
+    ):
+        # two days are 12 rounds; rounds 2-4 sit before the dip and
+        # change nothing, so round 3's frame repeats round 2's
+        topology, traces_by_link, demands = _chaos_inputs(2.0, 7)
+        replay_controller(
+            DynamicCapacityController(topology, policy=run_policy(), seed=7),
+            traces_by_link,
+            demands,
+            te_interval_s=4 * 3600.0,
+            journal_dir=str(tmp_path / "plain"),
+        )
+        frames = scan_frames((tmp_path / "plain" / "wal-0.jsonl").read_bytes())[0]
+        (frame,) = [f for f in frames if f["t"] == "round" and f["round"] == 3]
+        assert frame["repeat"] == 2
+
+        point = run_crash_point(
+            crash_round=3, seam=seam, days=2.0, journal_dir=str(tmp_path / "crash")
+        )
+        assert point["crashed"]
+        assert point["n_rounds"] == point["n_reference_rounds"] == 12
         assert point["byte_identical"], point
         assert crash_verdicts([point]) == []
 
